@@ -46,7 +46,7 @@ func runBenchJSON(spec scenario.Spec, iters int, out string, status *obs.Status)
 	walls := make([]float64, 0, iters)
 	nsPerEv := make([]float64, 0, iters)
 	allocsPerEv := make([]float64, 0, iters)
-	var fired uint64
+	var logical uint64
 	parallel := false
 	for i := 0; i < iters; i++ {
 		inst, err := scenario.Build(spec)
@@ -62,22 +62,22 @@ func runBenchJSON(spec scenario.Spec, iters int, out string, status *obs.Status)
 		inst.Collect(horizon)
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&m1)
-		fired = inst.Net.Fired()
+		logical = inst.LogicalEvents()
 		parallel = inst.Net.Exec != nil
-		if fired == 0 {
+		if inst.Net.Fired() == 0 {
 			return fmt.Errorf("bench: scenario %q fired no events", spec.Name)
 		}
 		walls = append(walls, float64(wall)/float64(time.Millisecond))
-		nsPerEv = append(nsPerEv, float64(wall)/float64(fired))
-		allocsPerEv = append(allocsPerEv, float64(m1.Mallocs-m0.Mallocs)/float64(fired))
-		status.Progressf("bench %d/%d  (%.1f ms, %.1f ns/event)", i+1, iters, walls[i], nsPerEv[i])
+		nsPerEv = append(nsPerEv, float64(wall)/float64(logical))
+		allocsPerEv = append(allocsPerEv, float64(m1.Mallocs-m0.Mallocs)/float64(logical))
+		status.Progressf("bench %d/%d  (%.1f ms, %.1f ns/logical-event)", i+1, iters, walls[i], nsPerEv[i])
 	}
 	status.Done()
 
 	leg := &benchLeg{
 		MsPerIteration:        round1(median(walls)),
 		NsPerLogicalEvent:     round1(median(nsPerEv)),
-		LogicalEventsPerRun:   fired,
+		LogicalEventsPerRun:   logical,
 		AllocsPerLogicalEvent: round2(median(allocsPerEv)),
 	}
 	entry := benchPreset{Preset: spec.Name}

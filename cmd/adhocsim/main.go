@@ -16,7 +16,7 @@
 //	adhocsim -list-scenarios            # the built-in scenario library
 //	adhocsim -scenario hidden-terminal  # run a preset by name
 //	adhocsim -scenario spec.json -replications 8 -json
-//	adhocsim -scenario random-16k -scheduler calendar -progress
+//	adhocsim -scenario random-16k -progress
 //	adhocsim -scenario churn-random-16k -max-wall 5m  # bounded wall clock
 //
 // Replications fan out across -workers goroutines (default: all CPUs)
@@ -41,7 +41,6 @@ import (
 	"adhocsim/internal/routing"
 	"adhocsim/internal/runner"
 	"adhocsim/internal/scenario"
-	"adhocsim/internal/sim"
 	"adhocsim/internal/trace"
 )
 
@@ -56,7 +55,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for parallel runs; 0 = all CPUs")
 	progress := flag.Bool("progress", false, "stream run progress to stderr")
 	scen := flag.String("scenario", "", "run a declarative scenario: a spec .json file or a preset name (see -list-scenarios)")
-	sched := flag.String("scheduler", "", "event-queue backend for -scenario runs: heap or calendar (default: the spec's \"scheduler\" block, else heap)")
 	parRegions := flag.String("parallel-regions", "", "run -scenario on the space-partitioned parallel kernel: COLSxROWS (e.g. 4x4) or auto; with -replications > 1 the worker budget splits between replications and regions")
 	partitioner := flag.String("partitioner", "", "cut-line placement for the parallel region grid: balanced (default) or uniform")
 	listScen := flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
@@ -106,15 +104,15 @@ func main() {
 			reps: *reps, workers: *workers,
 			jsonOut: *jsonOut, progress: *progress,
 			seed: seedOv, dur: durOv,
-			parRegions: *parRegions, partitioner: *partitioner, sched: *sched,
+			parRegions: *parRegions, partitioner: *partitioner,
 			obsOut: *obsOut, obsServe: *obsServe, traceLevel: *traceLv,
 			benchJSON: *benchJSON, benchIters: *benchIters,
 		})
 		return
 	}
 	for _, f := range []struct{ name, v string }{
-		{"parallel-regions", *parRegions}, {"partitioner", *partitioner}, {"scheduler", *sched},
-		{"obs", *obsOut}, {"obs-serve", *obsServe}, {"trace", *traceLv}, {"bench-json", *benchJSON},
+		{"parallel-regions", *parRegions}, {"partitioner", *partitioner}, {"obs", *obsOut},
+		{"obs-serve", *obsServe}, {"trace", *traceLv}, {"bench-json", *benchJSON},
 	} {
 		if f.v != "" {
 			fmt.Fprintf(os.Stderr, "adhocsim: -%s has no effect outside -scenario mode\n", f.name)
@@ -357,25 +355,24 @@ func listScenarios() {
 	fmt.Printf("\nTopology kinds for JSON specs: %s\n", strings.Join(scenario.TopologyKinds(), ", "))
 	fmt.Printf("Radio profiles: %s\n", strings.Join(scenario.ProfileNames(), ", "))
 	fmt.Printf("Routing protocols (\"routing\" spec block): %s\n", strings.Join(routing.Protocols(), ", "))
-	fmt.Printf("Event-queue backends (\"scheduler\" spec block, -scheduler): %s, %s\n", sim.KindHeap, sim.KindCalendar)
 }
 
 // scenarioOpts carries every -scenario mode knob into runScenario.
 type scenarioOpts struct {
-	reps, workers                  int
-	jsonOut, progress              bool
-	seed                           *uint64
-	dur                            *time.Duration
-	parRegions, partitioner, sched string
-	obsOut, obsServe, traceLevel   string
-	benchJSON                      string
-	benchIters                     int
+	reps, workers                int
+	jsonOut, progress            bool
+	seed                         *uint64
+	dur                          *time.Duration
+	parRegions, partitioner      string
+	obsOut, obsServe, traceLevel string
+	benchJSON                    string
+	benchIters                   int
 }
 
 // runScenario resolves ref as a spec file (when it exists or ends in
-// .json) or a preset name, applies any explicit -seed/-dur/-scheduler
-// overrides and the -parallel-regions/-partitioner kernel selection,
-// runs it with replication, and prints the summary.
+// .json) or a preset name, applies any explicit -seed/-dur overrides
+// and the -parallel-regions/-partitioner kernel selection, runs it with
+// replication, and prints the summary.
 //
 // Every human-facing stderr line — the exec-plan line, progress meters,
 // trace output, observability notices — funnels through one obs.Status
@@ -396,9 +393,6 @@ func runScenario(ref string, o scenarioOpts) {
 	}
 	if o.dur != nil {
 		spec.Duration = scenario.Duration(*o.dur)
-	}
-	if o.sched != "" {
-		spec.Scheduler = o.sched
 	}
 	if o.parRegions != "" {
 		// With one replication the whole -workers budget is the

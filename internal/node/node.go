@@ -56,9 +56,8 @@ type Network struct {
 	Exec *sim.Exec
 	Grid phy.RegionGrid
 
-	partitioned bool     // Medium.SetPartition installed (first Run)
-	schedKind   sim.Kind // queue backend for every scheduler (SetScheduler)
-	tableARP    bool     // explicit O(n²) neighbor wiring (WithNeighborTable)
+	partitioned bool // Medium.SetPartition installed (first Run)
+	tableARP    bool // explicit O(n²) neighbor wiring (WithNeighborTable)
 }
 
 // Option configures a Network.
@@ -70,13 +69,6 @@ func WithProfile(p *phy.Profile) Option { return func(n *Network) { n.Profile = 
 // WithMSS sets the TCP maximum segment size (the paper uses 512-byte
 // application packets).
 func WithMSS(mss int) Option { return func(n *Network) { n.MSS = mss } }
-
-// WithScheduler selects the event-queue backend (sim.KindHeap or
-// sim.KindCalendar) for every scheduler the network drives — the
-// global one and, in parallel mode, every region's. The backends are
-// bit-identical (the sim package's cross-backend tests insist); the
-// calendar queue is the right pick for city-scale event populations.
-func WithScheduler(k sim.Kind) Option { return func(n *Network) { n.schedKind = k } }
 
 // WithNeighborTable restores the explicit per-station neighbor wiring:
 // every station's stack gets a warm ARP entry for every other station,
@@ -125,25 +117,7 @@ func NewNetwork(seed uint64, opts ...Option) *Network {
 	for _, opt := range opts {
 		opt(n)
 	}
-	n.applySchedKind()
 	return n
-}
-
-// SetScheduler switches every scheduler the network drives to the
-// given queue backend. Only legal while no events are pending — in
-// practice, before the first station schedules anything.
-func (n *Network) SetScheduler(k sim.Kind) {
-	n.schedKind = k
-	n.applySchedKind()
-}
-
-func (n *Network) applySchedKind() {
-	n.Sched.SetKind(n.schedKind)
-	if n.Exec != nil {
-		for i := 0; i < n.Exec.Regions(); i++ {
-			n.Exec.Sched(i).SetKind(n.schedKind)
-		}
-	}
 }
 
 // AddStation creates a station at pos with the given MAC configuration
@@ -249,7 +223,6 @@ func (n *Network) KernelStats() sim.Stats {
 		s := n.Exec.Sched(i).Stats()
 		agg.Fired += s.Fired
 		agg.Pushes += s.Pushes
-		agg.CalResizes += s.CalResizes
 	}
 	return agg
 }

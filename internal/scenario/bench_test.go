@@ -46,52 +46,29 @@ func benchmarkRandom1024(b *testing.B, par *ParallelParams) {
 		inst.Net.Run(horizon)
 		inst.Collect(horizon)
 		fired = inst.Net.Fired()
-		logical = logicalEvents(inst)
+		logical = inst.LogicalEvents()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fired), "ns/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(logical), "ns/logical-event")
 	b.ReportMetric(float64(fired), "events/run")
 }
 
-// logicalEvents reconstructs the pre-batching event stream the PR 4
-// ns/logical-event baseline divides by: every fired scheduler event,
-// minus the two pooled batch actions per transmission, plus the two
-// per-receiver arrival edges (start/end) batching folded into them.
-// Each arrival edge settles into exactly one radio verdict counter
-// (decoded, errored, or missed), so the verdict sum counts the edges;
-// only edges still in flight at the horizon are missed (on random-1024
-// this formula reproduces BENCH_PR4.json's 3695669-event reference
-// stream to within 16 events, 4 per mille of one percent).
-func logicalEvents(inst *Instance) uint64 {
-	var edges uint64
-	for _, st := range inst.Net.Stations {
-		edges += st.Radio.FramesDecoded + st.Radio.FramesErrored + st.Radio.FramesMissed
-	}
-	return inst.Net.Fired() - 2*inst.Net.Medium.Transmissions + 2*edges
-}
-
 // BenchmarkRandom16k is the PR 7 headline bench: the 16384-station city
-// preset at its full duration on its own configuration (calendar queue,
-// hierarchical index, incremental interference sums).
-// BenchmarkRandom16kHeap is the same workload on the 4-ary heap
-// reference backend — the pair isolates what the calendar queue buys at
-// city scale. BenchmarkClusteredBlocks100k is the 100k tier. All three
-// build once and Reset per iteration, so ns/event is pure kernel cost
-// (the city benches guard the scheduler, not the construction path —
-// TestRandom16kBuildBudget guards that). A full-preset iteration runs
+// preset at its full duration on its own configuration (hierarchical
+// index, incremental interference sums). BenchmarkClusteredBlocks100k
+// is the 100k tier. Both build once and Reset per iteration, so
+// ns/event is pure kernel cost (the city benches guard the scheduler,
+// not the construction path — TestRandom16kBuildBudget guards that).
+// A full-preset iteration runs
 // well under a second, so the CI bench smoke (-benchtime=1x) stays
 // cheap without cutting the horizon — and the uncut ns/logical-event
 // figure is exactly the acceptance metric BENCH_PR7.json records.
 func BenchmarkRandom16k(b *testing.B) {
-	benchmarkCityKernel(b, "random-16k", "")
-}
-
-func BenchmarkRandom16kHeap(b *testing.B) {
-	benchmarkCityKernel(b, "random-16k", "heap")
+	benchmarkCityKernel(b, "random-16k")
 }
 
 func BenchmarkClusteredBlocks100k(b *testing.B) {
-	benchmarkCityKernel(b, "clustered-blocks-100k", "")
+	benchmarkCityKernel(b, "clustered-blocks-100k")
 }
 
 // BenchmarkRandom16kParallel and BenchmarkClusteredBlocks100kParallel
@@ -142,7 +119,7 @@ func benchmarkCityParallel(b *testing.B, name, part string) {
 		inst.Net.Run(horizon)
 		inst.Collect(horizon)
 		fired = inst.Net.Fired()
-		logical = logicalEvents(inst)
+		logical = inst.LogicalEvents()
 		if es := inst.ExecStats(); es != nil {
 			windows, messages, balance = es.Windows, es.Messages, es.LoadBalance
 		}
@@ -155,15 +132,12 @@ func benchmarkCityParallel(b *testing.B, name, part string) {
 	b.ReportMetric(balance, "load-balance")
 }
 
-func benchmarkCityKernel(b *testing.B, name string, sched string) {
+func benchmarkCityKernel(b *testing.B, name string) {
 	spec, err := Preset(name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	horizon := spec.Duration.D()
-	if sched != "" {
-		spec.Scheduler = sched
-	}
 	inst, err := Build(spec)
 	if err != nil {
 		b.Fatal(err)
@@ -186,7 +160,7 @@ func benchmarkCityKernel(b *testing.B, name string, sched string) {
 		inst.Net.Run(horizon)
 		inst.Collect(horizon)
 		fired = inst.Net.Fired()
-		logical = logicalEvents(inst)
+		logical = inst.LogicalEvents()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fired), "ns/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(logical), "ns/logical-event")

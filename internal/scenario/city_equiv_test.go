@@ -2,7 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -11,8 +15,8 @@ import (
 )
 
 // The city-scale equivalence suite: every fast path the 16k/100k tier
-// leans on — the calendar queue, the hierarchical spatial index, the
-// incremental interference sums — must be bit-identical to its
+// leans on — the hierarchical spatial index, the incremental
+// interference sums, the parallel kernel — must be bit-identical to its
 // reference implementation on the city presets themselves, not just on
 // the small unit fixtures. The presets are far too large for the
 // full-horizon preset sweeps (parallel_equiv_test.go skips N > 2048),
@@ -33,10 +37,10 @@ func cityShortSpec(t *testing.T, name string, horizon time.Duration) Spec {
 
 // TestRandom16kKernelToggles runs random-16k once per kernel toggle and
 // requires the result JSON byte-identical to the preset's own
-// configuration (calendar queue, hierarchical index, incremental sums):
+// configuration (hierarchical index, incremental sums):
 //
-//   - calendar-vs-heap: the spec's "scheduler" block switched to the
-//     4-ary heap reference backend;
+//   - calendar-vs-heap: the preset's own run must reproduce the result
+//     the retired calendar-queue backend recorded (checkCalendarDigest);
 //   - hierarchy-vs-flat: phy.SetHierarchy(false) forces every CellIndex
 //     query down the flat fine-grid reference path;
 //   - incremental-vs-recomputed: Medium.SetIncremental(false) forces
@@ -50,11 +54,7 @@ func TestRandom16kKernelToggles(t *testing.T) {
 	base := runJSON(t, spec)
 
 	t.Run("calendar-vs-heap", func(t *testing.T) {
-		s := spec
-		s.Scheduler = "heap"
-		if got := runJSON(t, s); !bytes.Equal(base, got) {
-			t.Errorf("random-16k: heap-backend result differs from calendar")
-		}
+		checkCalendarDigest(t, spec.Name, base)
 	})
 
 	t.Run("hierarchy-vs-flat", func(t *testing.T) {
@@ -84,10 +84,10 @@ func TestRandom16kKernelToggles(t *testing.T) {
 }
 
 // TestRandom16kParallelToggles extends the city toggle matrix with the
-// parallel-kernel axes: both partitioners crossed with both scheduler
-// backends, each run on the space-partitioned kernel and required
-// byte-identical to the sequential kernel under the same backend. The
-// 16k field auto-fits an 8x8 grid, so this is the first multi-region
+// parallel-kernel axis: both partitioners, each run on the
+// space-partitioned kernel and required byte-identical to the
+// sequential kernel. Every scheduler, sequential and per-region, runs
+// on the 4-ary heap, which the subtest names keep. The 16k field auto-fits an 8x8 grid, so this is the first multi-region
 // equivalence check at city scale — the preset sweeps cap at 2048
 // stations.
 func TestRandom16kParallelToggles(t *testing.T) {
@@ -95,19 +95,82 @@ func TestRandom16kParallelToggles(t *testing.T) {
 		t.Skip("city-scale preset run: skipped in -short")
 	}
 	spec := cityShortSpec(t, "random-16k", 50*time.Millisecond)
-	for _, sched := range []string{"calendar", "heap"} {
-		s := spec
-		s.Scheduler = sched
-		seq := runJSON(t, s)
-		for _, part := range []string{PartitionerBalanced, PartitionerUniform} {
-			t.Run(part+"-"+sched, func(t *testing.T) {
-				p := s
-				p.Parallel = &ParallelParams{Partitioner: part}
-				if got := runJSON(t, p); !bytes.Equal(seq, got) {
-					t.Errorf("random-16k: parallel (%s partitioner, %s backend) differs from sequential", part, sched)
-				}
-			})
+	seq := runJSON(t, spec)
+	for _, part := range []string{PartitionerBalanced, PartitionerUniform} {
+		t.Run(part+"-heap", func(t *testing.T) {
+			p := spec
+			p.Parallel = &ParallelParams{Partitioner: part}
+			if got := runJSON(t, p); !bytes.Equal(seq, got) {
+				t.Errorf("random-16k: parallel (%s partitioner) differs from sequential", part)
+			}
+		})
+	}
+}
+
+// quarterCity shrinks a clustered-blocks city to a quarter of its
+// blocks — half the rows, half the columns and half the field on each
+// side — keeping the block size, the stations per block and the flows,
+// whose sources are spread over the smaller city.
+func quarterCity(s *Spec) {
+	t := &s.Topology
+	t.N, t.Rows, t.Cols = t.N/4, t.Rows/2, t.Cols/2
+	t.Width, t.Height = t.Width/2, t.Height/2
+	for i := range s.Flows {
+		s.Flows[i].Src = i * t.N / len(s.Flows)
+	}
+}
+
+// TestCityGolden pins the city tier's output bytes: random-16k and the
+// quartered clustered-blocks-100k city (25 000 stations) at seed 42
+// over a 2 s horizon, each on the sequential kernel and on the parallel
+// kernel with two region workers. A city Result runs to megabytes (one
+// entry per station), so the golden records the SHA-256 of its JSON
+// encoding rather than the bytes themselves. Re-bless with -update only
+// for a change that is meant to alter simulation results, and say so in
+// the commit message.
+func TestCityGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("city-scale preset runs: skipped in -short")
+	}
+	r16k := cityShortSpec(t, "random-16k", 2*time.Second)
+	blocks := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
+	quarterCity(&blocks)
+	got := map[string]string{}
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{{"random-16k", r16k}, {"blocks-25k", blocks}} {
+		for _, par := range []*ParallelParams{nil, {Workers: 2}} {
+			s := c.spec
+			s.Seed = 42
+			s.Parallel = par
+			key := c.name + "/sequential"
+			if par != nil {
+				key = c.name + "/parallel-2"
+			}
+			sum := sha256.Sum256(runJSON(t, s))
+			got[key] = hex.EncodeToString(sum[:])
 		}
+	}
+	buf, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf, '\n')
+	path := filepath.Join("testdata", "golden_city.json")
+	if *updatePresetGolden {
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("recorded %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to record): %v", err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Errorf("city results diverged from the recorded golden:\ngot:  %s\nwant: %s", buf, want)
 	}
 }
 

@@ -12,15 +12,12 @@ import (
 // fault engine: for ANY structurally valid faulted spec — crash window,
 // degradation episode, regional partition, Poisson churn and flow
 // outage all shaped from the fuzz input — determinism must survive
-// every execution axis. Three properties are asserted per draw:
+// every execution axis. Two properties are asserted per draw:
 //
 //  1. Compilation is pure: building the spec twice yields deeply equal
 //     fault schedules (churn is drawn entirely at compile time from the
 //     replication's seed, never at run time).
-//  2. The scheduler backend is irrelevant: heap and calendar runs are
-//     byte-identical — fault events ride the same queue as everything
-//     else.
-//  3. The parallel kernel's hard guarantee holds under faults: a forced
+//  2. The parallel kernel's hard guarantee holds under faults: a forced
 //     2x2 region grid produces byte-identical results at 1 and 4
 //     workers and on the SetSequential reference path.
 //
@@ -65,18 +62,7 @@ func FuzzFaultScheduleDeterminism(f *testing.F) {
 			return buf
 		}
 
-		// Property 2: scheduler backend invariance on the plain kernel.
-		heap := spec
-		heap.Scheduler = "heap"
-		cal := spec
-		cal.Scheduler = "calendar"
-		base := run(heap)
-		if got := run(cal); !bytes.Equal(base, got) {
-			t.Errorf("spec %+v: calendar backend diverged from heap under faults\nheap:     %s\ncalendar: %s",
-				spec, base, got)
-		}
-
-		// Property 3: worker invariance on a forced 2x2 grid.
+		// Property 2: worker invariance on a forced 2x2 grid.
 		par := func(p ParallelParams) []byte {
 			s := spec
 			s.Parallel = &p

@@ -25,13 +25,13 @@ import (
 type obsPub struct {
 	reg *obs.Registry
 
-	simFired, simPushes, simCalResizes *obs.Counter
-	execWindows, execMessages          *obs.Counter
-	medTx, medDeliv, medPHYErr         *obs.Counter
-	gainHits, gainMisses               *obs.Counter
-	fanReplays, fanBuilds              *obs.Counter
-	candReuses, candRebuilds           *obs.Counter
-	soaRescans                         *obs.Counter
+	simFired, simPushes        *obs.Counter
+	execWindows, execMessages  *obs.Counter
+	medTx, medDeliv, medPHYErr *obs.Counter
+	gainHits, gainMisses       *obs.Counter
+	fanReplays, fanBuilds      *obs.Counter
+	candReuses, candRebuilds   *obs.Counter
+	soaRescans                 *obs.Counter
 
 	windowWall, barrierWait *obs.Histogram
 
@@ -58,24 +58,23 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		return nil
 	}
 	return &obsPub{
-		reg:           reg,
-		simFired:      reg.Counter("sim_events_fired_total", "events executed across all schedulers"),
-		simPushes:     reg.Counter("sim_queue_pushes_total", "event-queue insertions (heap or calendar backend)"),
-		simCalResizes: reg.Counter("sim_calendar_resizes_total", "calendar-queue bucket-array resizes"),
-		execWindows:   reg.Counter("exec_windows_total", "parallel executor barrier windows run"),
-		execMessages:  reg.Counter("exec_messages_total", "cross-region messages delivered into region schedulers"),
-		medTx:         reg.Counter("medium_transmissions_total", "frames put on the air"),
-		medDeliv:      reg.Counter("medium_deliveries_total", "frames decoded by a receiver"),
-		medPHYErr:     reg.Counter("medium_phy_errors_total", "receptions lost to SINR/PHY errors"),
-		gainHits:      reg.Counter("medium_gain_cache_hits_total", "link-gain lookups served fully from cache"),
-		gainMisses:    reg.Counter("medium_gain_cache_misses_total", "link-gain lookups recomputing at least one component"),
-		fanReplays:    reg.Counter("medium_fanout_replays_total", "transmissions replayed from the fan-out memo"),
-		fanBuilds:     reg.Counter("medium_fanout_builds_total", "transmissions that walked candidates and rebuilt the memo"),
-		candReuses:    reg.Counter("medium_candidate_reuses_total", "candidate-memo reuses (index walk skipped)"),
-		candRebuilds:  reg.Counter("medium_candidate_rebuilds_total", "candidate-memo rebuilds after geometry changes"),
-		soaRescans:    reg.Counter("medium_soa_rescans_total", "arrival-list energy-fold rebuilds at trailing edges"),
-		windowWall:    reg.Histogram("exec_window_wall_ns", "wall nanoseconds per executor window (worker 0)"),
-		barrierWait:   reg.Histogram("exec_barrier_wait_ns", "wall nanoseconds each worker waits per barrier crossing"),
+		reg:          reg,
+		simFired:     reg.Counter("sim_events_fired_total", "events executed across all schedulers"),
+		simPushes:    reg.Counter("sim_queue_pushes_total", "event-queue insertions"),
+		execWindows:  reg.Counter("exec_windows_total", "parallel executor barrier windows run"),
+		execMessages: reg.Counter("exec_messages_total", "cross-region messages delivered into region schedulers"),
+		medTx:        reg.Counter("medium_transmissions_total", "frames put on the air"),
+		medDeliv:     reg.Counter("medium_deliveries_total", "frames decoded by a receiver"),
+		medPHYErr:    reg.Counter("medium_phy_errors_total", "receptions lost to SINR/PHY errors"),
+		gainHits:     reg.Counter("medium_gain_cache_hits_total", "link-gain lookups served fully from cache"),
+		gainMisses:   reg.Counter("medium_gain_cache_misses_total", "link-gain lookups recomputing at least one component"),
+		fanReplays:   reg.Counter("medium_fanout_replays_total", "transmissions replayed from the fan-out memo"),
+		fanBuilds:    reg.Counter("medium_fanout_builds_total", "transmissions that walked candidates and rebuilt the memo"),
+		candReuses:   reg.Counter("medium_candidate_reuses_total", "candidate-memo reuses (index walk skipped)"),
+		candRebuilds: reg.Counter("medium_candidate_rebuilds_total", "candidate-memo rebuilds after geometry changes"),
+		soaRescans:   reg.Counter("medium_soa_rescans_total", "arrival-list energy-fold rebuilds at trailing edges"),
+		windowWall:   reg.Histogram("exec_window_wall_ns", "wall nanoseconds per executor window (worker 0)"),
+		barrierWait:  reg.Histogram("exec_barrier_wait_ns", "wall nanoseconds each worker waits per barrier crossing"),
 		crashes:      reg.Counter("faults_crashes_applied_total", "station crash edges applied"),
 		restarts:     reg.Counter("faults_restarts_applied_total", "station restart edges applied"),
 		outageStarts: reg.Counter("faults_outage_starts_applied_total", "flow outage start edges applied"),
@@ -129,7 +128,6 @@ func (p *obsPub) publish(inst *Instance) {
 	cur := p.gather(inst)
 	p.simFired.Add(dsub(cur.sched.Fired, p.last.sched.Fired))
 	p.simPushes.Add(dsub(cur.sched.Pushes, p.last.sched.Pushes))
-	p.simCalResizes.Add(dsub(cur.sched.CalResizes, p.last.sched.CalResizes))
 	p.execWindows.Add(dsub(cur.windows, p.last.windows))
 	p.execMessages.Add(dsub(cur.messages, p.last.messages))
 	p.medTx.Add(dsub(cur.med.Transmissions, p.last.med.Transmissions))

@@ -178,6 +178,28 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsSchedulerBlock pins the clean failure of specs
+// written for the retired event-queue backend switch: every run uses the
+// one heap scheduler now, and an old "scheduler" block is an unknown
+// field, whatever it names.
+func TestParseSpecRejectsSchedulerBlock(t *testing.T) {
+	for _, backend := range []string{"calendar", "heap"} {
+		t.Run(backend, func(t *testing.T) {
+			_, err := ParseSpec([]byte(`{
+				"name": "old-spec",
+				"seed": 1,
+				"duration": "1s",
+				"scheduler": "` + backend + `",
+				"topology": {"kind": "line", "n": 2, "spacing": 10},
+				"flows": [{"src": 0, "dst": 1}]
+			}`))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "scheduler"`) {
+				t.Fatalf("err = %v, want the unknown-field error for \"scheduler\"", err)
+			}
+		})
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -23,7 +23,6 @@ import (
 	"adhocsim/internal/obs"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/routing"
-	"adhocsim/internal/sim"
 	"adhocsim/internal/trace"
 )
 
@@ -392,14 +391,6 @@ type Spec struct {
 	// by Replicate (sweeps parallelize across seeds instead).
 	Parallel *ParallelParams `json:"parallel,omitempty"`
 
-	// Scheduler selects the event-queue backend every scheduler of the
-	// run uses: "heap" (the 4-ary reference backend, the default) or
-	// "calendar" (the calendar queue, O(1) near-future scheduling — the
-	// right pick at city-scale event populations). The backends are
-	// bit-identical; the sim package's cross-backend tests and the
-	// scenario toggle-equivalence tests insist on it.
-	Scheduler string `json:"scheduler,omitempty"`
-
 	// MACHook, when non-nil, is applied to every station's compiled
 	// mac.Config after overrides (station is the 0-based index). It is
 	// the programmatic escape hatch for non-serializable configuration —
@@ -570,9 +561,6 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 			return nil, nil, fmt.Errorf("scenario: unknown partitioner %q (want %s or %s)",
 				p.Partitioner, PartitionerBalanced, PartitionerUniform)
 		}
-	}
-	if _, err := sim.ParseKind(s.Scheduler); err != nil {
-		return nil, nil, fmt.Errorf("scenario: unknown scheduler %q (want heap or calendar)", s.Scheduler)
 	}
 	if s.Duration <= 0 {
 		return nil, nil, fmt.Errorf("scenario: non-positive duration %v", s.Duration.D())

@@ -15,6 +15,10 @@
 // through a free list; a per-slot generation counter keeps stale Event
 // handles (held by MAC timers, TCP retransmit state, ...) safely inert
 // after their slot has been reused.
+//
+// The heap is the only queue. A calendar-queue backend used to run
+// beside it; on the city presets the heap measured about 3× faster with
+// the same fire order, and DESIGN.md ("Why one heap") keeps the numbers.
 package sim
 
 import (
@@ -62,12 +66,8 @@ func (e Event) Pending() bool {
 type slot struct {
 	gen     uint64
 	heapIdx int32
-	// bucket locates the entry for the calendar backend: a wheel bucket
-	// index, calOverflow for the sorted band, calNowhere when not
-	// pending. The heap backend leaves it untouched (heapIdx suffices).
-	bucket int32
-	fn     func()
-	act    Action
+	fn      func()
+	act     Action
 }
 
 // heapEntry is one heap element. The ordering keys (at, sub, seq) live
@@ -104,30 +104,27 @@ type Scheduler struct {
 	now   time.Duration
 	slots []slot
 	free  []int32     // recycled slot indices
-	heap  []heapEntry // 4-ary heap ordered by (at, seq)
-	cal   *calendar   // non-nil selects the calendar backend (SetKind)
+	heap  []heapEntry // 4-ary heap ordered by (at, sub, seq)
 	seq   uint64
 	fired uint64
 
 	// Out-of-band observability counters (Stats): plain fields because a
 	// scheduler is owned by exactly one goroutine; the obs layer copies
 	// them out only at barrier-safe points.
-	pushes     uint64 // queue insertions (heap pushes or calendar inserts)
-	calResizes uint64 // calendar-queue bucket-array resizes
+	pushes uint64 // heap insertions
 }
 
 // Stats is a point-in-time copy of a scheduler's out-of-band counters.
 // Read it only from the goroutine driving the scheduler (or across a
 // barrier in parallel mode); it never influences event order.
 type Stats struct {
-	Fired      uint64 // events executed
-	Pushes     uint64 // queue insertions (heap or calendar backend)
-	CalResizes uint64 // calendar bucket-array resizes (0 on the heap backend)
+	Fired  uint64 // events executed
+	Pushes uint64 // heap insertions
 }
 
 // Stats returns the scheduler's observability counters.
 func (s *Scheduler) Stats() Stats {
-	return Stats{Fired: s.fired, Pushes: s.pushes, CalResizes: s.calResizes}
+	return Stats{Fired: s.fired, Pushes: s.pushes}
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -138,9 +135,6 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events.
 func (s *Scheduler) Len() int {
-	if s.cal != nil {
-		return s.cal.count()
-	}
 	return len(s.heap)
 }
 
@@ -205,13 +199,9 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	return Event{s: s, idx: idx, gen: sl.gen, at: t}
 }
 
-// push files an entry into the active backend's queue structure.
+// push files an entry into the heap.
 func (s *Scheduler) push(e heapEntry) {
 	s.pushes++
-	if s.cal != nil {
-		s.cal.insert(s, e)
-		return
-	}
 	s.slots[e.idx].heapIdx = int32(len(s.heap))
 	s.heap = append(s.heap, e)
 	s.siftUp(len(s.heap) - 1)
@@ -255,17 +245,6 @@ func (s *Scheduler) InjectAt(t, sentAt time.Duration, a Action) {
 // when the queue is empty. The parallel kernel publishes it as the
 // region's conservative clock.
 func (s *Scheduler) PeekAt() (time.Duration, bool) {
-	if s.cal != nil {
-		c := s.cal
-		bucket, pos, ok := c.findMin(s)
-		if !ok {
-			return 0, false
-		}
-		if bucket == calOverflow {
-			return c.overflow[pos].at, true
-		}
-		return c.buckets[bucket][pos].at, true
-	}
 	if len(s.heap) == 0 {
 		return 0, false
 	}
@@ -285,11 +264,6 @@ func (s *Scheduler) Cancel(e Event) {
 		panic("sim: Cancel of an event from a different scheduler")
 	}
 	if s.slots[e.idx].gen != e.gen {
-		return
-	}
-	if s.cal != nil {
-		s.cal.remove(s, e.idx)
-		s.release(e.idx)
 		return
 	}
 	s.removeHeap(int(s.slots[e.idx].heapIdx))
@@ -335,9 +309,6 @@ func (s *Scheduler) removeHeap(h int) {
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.cal != nil {
-		return s.calStep()
-	}
 	if len(s.heap) == 0 {
 		return false
 	}
@@ -371,10 +342,6 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
 	}
-	if s.cal != nil {
-		s.calRunUntil(t)
-		return
-	}
 	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
 	}
@@ -399,9 +366,6 @@ func (s *Scheduler) Run() {
 // never on slot indices.
 func (s *Scheduler) Reset() {
 	s.heap = s.heap[:0]
-	if s.cal != nil {
-		s.cal.reset()
-	}
 	s.free = s.free[:0]
 	for i := range s.slots {
 		sl := &s.slots[i]
@@ -415,7 +379,6 @@ func (s *Scheduler) Reset() {
 	s.seq = 0
 	s.fired = 0
 	s.pushes = 0
-	s.calResizes = 0
 }
 
 // less orders heap entries by (time, schedule subkey, sequence): FIFO
