@@ -26,10 +26,10 @@ type CBR struct {
 	from     *node.Station
 	dst      network.Addr
 	port     uint16
-	size     int
 	interval time.Duration // 0 = saturate the MAC queue
 
 	seq     uint32
+	buf     []byte // the size-byte payload, reused: UDP copies it per packet
 	started bool
 	filling bool // re-entrancy guard: queue-space events fire inside SendTo
 	retry   bool // a saturating-mode retry tick is pending
@@ -59,7 +59,7 @@ func NewCBR(net *node.Network, from *node.Station, dst network.Addr, port uint16
 	if size < seqHeaderBytes {
 		size = seqHeaderBytes
 	}
-	return &CBR{net: net, from: from, dst: dst, port: port, size: size, interval: interval}
+	return &CBR{net: net, from: from, dst: dst, port: port, interval: interval, buf: make([]byte, size)}
 }
 
 // Start begins generation. Safe to call once.
@@ -84,8 +84,13 @@ func (c *CBR) tickPaced() {
 	}
 	// The source's timers live on its own station's scheduler, which in
 	// parallel mode is the station's region scheduler.
-	c.from.Sched.After(c.interval, c.tickPaced)
+	c.from.Sched.AfterAction(c.interval, (*cbrTick)(c))
 }
+
+// cbrTick is the paced tick as an allocation-free sim.Action.
+type cbrTick CBR
+
+func (t *cbrTick) Act() { (*CBR)(t).tickPaced() }
 
 // Pause suspends the flow (fault-engine outage). Paced ticks keep
 // firing but offer nothing; saturating sources stop refilling.
@@ -130,9 +135,8 @@ func (c *CBR) fill() {
 
 func (c *CBR) sendOne() bool {
 	c.Attempts++
-	payload := make([]byte, c.size)
-	binary.BigEndian.PutUint32(payload, c.seq)
-	if err := c.from.UDP.SendTo(payload, c.dst, c.port, c.port); err != nil {
+	binary.BigEndian.PutUint32(c.buf, c.seq)
+	if err := c.from.UDP.SendTo(c.buf, c.dst, c.port, c.port); err != nil {
 		if errors.Is(err, mac.ErrDown) {
 			c.DownErr++
 		}

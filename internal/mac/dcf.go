@@ -23,6 +23,44 @@ import (
 //     frame of an RTS/CTS exchange) and is never cancelled by busy
 //     channel: the standard sends these regardless of carrier state.
 //   - timeoutEv guards stWaitCTS/stWaitACK.
+//
+// Every timer is scheduled as a sim.Action of a pointer-conversion type
+// over MAC (slotTick, resumeTimer, ...): converting m costs nothing and
+// the type's Act calls back into it, so arming a timer allocates no
+// closure and no method value, and a station carries no per-timer
+// storage beyond its Event handles.
+
+// timers -----------------------------------------------------------------
+
+type (
+	slotTick     MAC // one backoff slot elapsed
+	resumeTimer  MAC // the IFS after an idle edge elapsed
+	navTimer     MAC // the NAV expired
+	ctsTimer     MAC // no CTS arrived
+	ackTimer     MAC // no ACK arrived
+	sifsResponse MAC // send the pending CTS/ACK
+	sifsData     MAC // send the data frame of an RTS/CTS exchange
+	beaconTimer  MAC // the target beacon time (plus jitter) arrived
+)
+
+func (t *slotTick) Act() {
+	m := (*MAC)(t)
+	m.backoff--
+	m.tickSlot()
+}
+
+func (t *sifsData) Act() {
+	if m := (*MAC)(t); !m.radio.Transmitting() {
+		m.txAttempt()
+	}
+}
+
+func (t *resumeTimer) Act()  { (*MAC)(t).resume() }
+func (t *navTimer) Act()     { (*MAC)(t).maybeAvailable() }
+func (t *ctsTimer) Act()     { (*MAC)(t).ctsTimeout() }
+func (t *ackTimer) Act()     { (*MAC)(t).ackTimeout() }
+func (t *sifsResponse) Act() { (*MAC)(t).sendResponse() }
+func (t *beaconTimer) Act()  { (*MAC)(t).beacon() }
 
 // channel availability ------------------------------------------------
 
@@ -61,7 +99,7 @@ func (m *MAC) maybeAvailable() {
 	now := m.sched.Now()
 	if m.nav > now {
 		// Virtually busy: wait out the NAV.
-		m.navEv = m.sched.Reschedule(m.navEv, m.nav, m.maybeAvailable)
+		m.navEv = m.sched.Reschedule(m.navEv, m.nav, (*navTimer)(m))
 		return
 	}
 	m.available = true
@@ -91,11 +129,11 @@ func (m *MAC) setNAV(t time.Duration) {
 	if m.available {
 		m.channelBusy()
 	}
-	m.navEv = m.sched.Reschedule(m.navEv, m.nav, m.maybeAvailable)
+	m.navEv = m.sched.Reschedule(m.navEv, m.nav, (*navTimer)(m))
 }
 
 func (m *MAC) armResume(t time.Duration) {
-	m.resumeEv = m.sched.Reschedule(m.resumeEv, t, m.resume)
+	m.resumeEv = m.sched.Reschedule(m.resumeEv, t, (*resumeTimer)(m))
 }
 
 // scheduleResumeIfAvailable re-arms contention after a wait state ends
@@ -151,10 +189,7 @@ func (m *MAC) tickSlot() {
 		}
 		return
 	}
-	m.slotEv = m.sched.After(phy.SlotTime, func() {
-		m.backoff--
-		m.tickSlot()
-	})
+	m.slotEv = m.sched.AfterAction(phy.SlotTime, (*slotTick)(m))
 }
 
 // transmit paths -------------------------------------------------------
@@ -243,14 +278,14 @@ func (m *MAC) TxDone() {
 		m.st = stWaitCTS
 		ctrl := m.controlRate(m.current.rate)
 		timeout := phy.SIFS + phy.CTSTime(ctrl) + phy.SlotTime + 2*phy.PropDelay
-		m.timeoutEv = m.sched.Reschedule(m.timeoutEv, m.sched.Now()+timeout, m.ctsTimeout)
+		m.timeoutEv = m.sched.Reschedule(m.timeoutEv, m.sched.Now()+timeout, (*ctsTimer)(m))
 	case stTxData:
 		pkt := m.current
 		if pkt != nil && !pkt.to.IsGroup() {
 			m.st = stWaitACK
 			ctrl := m.controlRate(pkt.rate)
 			timeout := phy.SIFS + phy.ACKTime(ctrl) + phy.SlotTime + 2*phy.PropDelay
-			m.timeoutEv = m.sched.Reschedule(m.timeoutEv, m.sched.Now()+timeout, m.ackTimeout)
+			m.timeoutEv = m.sched.Reschedule(m.timeoutEv, m.sched.Now()+timeout, (*ackTimer)(m))
 			return
 		}
 		// Broadcast and beacon frames complete without acknowledgement.
@@ -265,6 +300,7 @@ func (m *MAC) txSuccess() {
 	m.Counters.TxSuccess++
 	m.sched.Cancel(m.timeoutEv)
 	m.cw = phy.CWMin
+	m.recycle(m.current)
 	m.current = nil
 	m.st = stIdle
 	// Post-transmission backoff (mandatory per the standard); it also
@@ -324,7 +360,8 @@ func (m *MAC) txFail(short bool) {
 		m.tr.Debugf("mac %v: tx fail to %v (short=%v retries %d/%d) %s, cw=%d backoff=%d",
 			m.cfg.Address, pkt.to, short, pkt.shortRetry, pkt.longRetry, verdict, m.cw, m.backoff)
 	}
-	if m.current == nil {
+	if exceeded {
+		m.recycle(pkt)
 		m.popNext()
 	}
 	m.scheduleResumeIfAvailable()
@@ -377,25 +414,29 @@ func (m *MAC) kick() {
 // regardless of carrier state, as the standard requires.
 func (m *MAC) scheduleResponse(f *frame.Frame, rate phy.Rate) {
 	m.pendingResp, m.respRate = f, rate
-	m.sifsEv = m.sched.Reschedule(m.sifsEv, m.sched.Now()+phy.SIFS, func() {
-		resp := m.pendingResp
-		m.pendingResp = nil
-		if resp == nil || m.radio.Transmitting() {
-			return
-		}
-		if m.cfg.DeferResponses && (m.radio.CCABusy() || m.nav > m.sched.Now()) {
-			m.Counters.RespSuppressed++
-			return
-		}
-		m.respInFlight = true
-		switch resp.Type {
-		case frame.TypeACK:
-			m.Counters.ACKTx++
-		case frame.TypeCTS:
-			m.Counters.CTSTx++
-		}
-		m.radio.Transmit(resp, rate)
-	})
+	m.sifsEv = m.sched.Reschedule(m.sifsEv, m.sched.Now()+phy.SIFS, (*sifsResponse)(m))
+}
+
+// sendResponse transmits the response scheduleResponse queued, one SIFS
+// after the frame it answers.
+func (m *MAC) sendResponse() {
+	resp := m.pendingResp
+	m.pendingResp = nil
+	if resp == nil || m.radio.Transmitting() {
+		return
+	}
+	if m.cfg.DeferResponses && (m.radio.CCABusy() || m.nav > m.sched.Now()) {
+		m.Counters.RespSuppressed++
+		return
+	}
+	m.respInFlight = true
+	switch resp.Type {
+	case frame.TypeACK:
+		m.Counters.ACKTx++
+	case frame.TypeCTS:
+		m.Counters.CTSTx++
+	}
+	m.radio.Transmit(resp, m.respRate)
 }
 
 // receive dispatch -------------------------------------------------------
@@ -462,12 +503,7 @@ func (m *MAC) RxEnd(f *frame.Frame, rate phy.Rate, rssiDBm float64, ok bool) {
 			m.sched.Cancel(m.timeoutEv)
 			m.current.ctsOK = true
 			m.st = stSIFSData
-			m.sifsEv = m.sched.Reschedule(m.sifsEv, now+phy.SIFS, func() {
-				if m.radio.Transmitting() {
-					return
-				}
-				m.txAttempt()
-			})
+			m.sifsEv = m.sched.Reschedule(m.sifsEv, now+phy.SIFS, (*sifsData)(m))
 		}
 	case frame.TypeACK:
 		m.Counters.RxACK++
@@ -503,12 +539,11 @@ func (m *MAC) phyError() {
 // retry flag set).
 func (m *MAC) deliverUp(f *frame.Frame) {
 	src := f.Addr2
-	if f.Retry && m.rxSeqV[src] && m.rxSeq[src] == f.Seq {
+	if last, seen := m.rxSeq[src]; f.Retry && seen && last == f.Seq {
 		m.Counters.RxDup++
 		return
 	}
 	m.rxSeq[src] = f.Seq
-	m.rxSeqV[src] = true
 	if m.deliver != nil {
 		m.deliver(f.Payload, src)
 	}

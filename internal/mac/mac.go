@@ -177,6 +177,8 @@ type msdu struct {
 	// immediate-access rule (arrived to an idle pipeline on an idle
 	// channel); every retry and every queued frame backs off.
 	needsBackoff bool
+	// next links a recycled record into its MAC's free list.
+	next *msdu
 }
 
 // MAC is one station's DCF instance. Create with New, attach to a medium
@@ -200,6 +202,7 @@ type MAC struct {
 	queue   []*msdu
 	current *msdu
 	st      state
+	spare   *msdu // free list of msdu records back from the pipeline
 
 	cw      int // current contention window (slots)
 	backoff int // remaining backoff slots; -1 = not drawn
@@ -221,9 +224,8 @@ type MAC struct {
 	respRate     phy.Rate
 	respInFlight bool
 
-	seq    uint16
-	rxSeq  map[frame.Addr]uint16 // last delivered sequence per source
-	rxSeqV map[frame.Addr]bool
+	seq   uint16
+	rxSeq map[frame.Addr]uint16 // last delivered sequence per source
 
 	// lastRxRSSI is the received power of the most recent error-free
 	// reception; see LastRxRSSIDBm.
@@ -257,7 +259,6 @@ func New(sched *sim.Scheduler, src *sim.Source, cfg Config) *MAC {
 		cw:      phy.CWMin,
 		backoff: -1,
 		rxSeq:   make(map[frame.Addr]uint16),
-		rxSeqV:  make(map[frame.Addr]bool),
 	}
 	if cfg.RateControl != nil {
 		m.txObservers = append(m.txObservers, rateControlObserver{cfg.RateControl})
@@ -296,9 +297,7 @@ func (m *MAC) Reset(src *sim.Source) {
 		panic("mac: Reset before Attach")
 	}
 	src.ReseedStream(m.rng, m.rngKey)
-	clear(m.queue)
-	m.queue = m.queue[:0]
-	m.current = nil
+	m.flushPipeline()
 	m.st = stIdle
 	m.cw = phy.CWMin
 	m.backoff = -1
@@ -316,7 +315,6 @@ func (m *MAC) Reset(src *sim.Source) {
 	m.respInFlight = false
 	m.seq = 0
 	clear(m.rxSeq)
-	clear(m.rxSeqV)
 	m.lastRxRSSI = 0
 	m.Counters = Counters{}
 	// Mirror Attach's channel-state initialization and beacon arming, in
@@ -369,7 +367,9 @@ func (m *MAC) OnBeacon(fn func(src frame.Addr)) { m.beaconSeen = fn }
 // be frame.Broadcast). It returns ErrQueueFull when the queue is at
 // capacity and ErrTooLarge for oversized MSDUs.
 func (m *MAC) Send(payload []byte, to frame.Addr) error {
-	return m.enqueue(&msdu{payload: payload, to: to, rate: m.DataRate()})
+	pkt := m.newMSDU()
+	pkt.payload, pkt.to, pkt.rate = payload, to, m.DataRate()
+	return m.enqueue(pkt)
 }
 
 // SendControl queues a control-plane MSDU pinned to the given PHY rate:
@@ -381,20 +381,58 @@ func (m *MAC) SendControl(payload []byte, to frame.Addr, rate phy.Rate) error {
 	if !rate.Valid() {
 		panic(fmt.Sprintf("mac: invalid control rate %d", rate))
 	}
-	return m.enqueue(&msdu{payload: payload, to: to, rate: rate, pinned: true})
+	pkt := m.newMSDU()
+	pkt.payload, pkt.to, pkt.rate, pkt.pinned = payload, to, rate, true
+	return m.enqueue(pkt)
+}
+
+// newMSDU returns a zeroed msdu record, reusing one the pipeline
+// released when there is one.
+func (m *MAC) newMSDU() *msdu {
+	pkt := m.spare
+	if pkt == nil {
+		return &msdu{}
+	}
+	m.spare, pkt.next = pkt.next, nil
+	return pkt
+}
+
+// recycle returns a record that has left the pipeline (delivered,
+// dropped, refused or flushed) for reuse by newMSDU. The caller must
+// hold no other reference to it.
+func (m *MAC) recycle(pkt *msdu) {
+	*pkt = msdu{next: m.spare}
+	m.spare = pkt
+}
+
+// flushPipeline discards the queued MSDUs and the one in service,
+// recycling their records.
+func (m *MAC) flushPipeline() {
+	if m.current != nil {
+		m.recycle(m.current)
+		m.current = nil
+	}
+	for i, pkt := range m.queue {
+		m.recycle(pkt)
+		m.queue[i] = nil
+	}
+	m.queue = m.queue[:0]
 }
 
 // enqueue admits one MSDU (rate and flags already chosen) to the
-// transmit queue.
+// transmit queue. A refused record is recycled.
 func (m *MAC) enqueue(pkt *msdu) error {
 	if m.down {
+		m.recycle(pkt)
 		return ErrDown
 	}
 	if len(pkt.payload) > MaxMSDU {
+		m.recycle(pkt)
 		return ErrTooLarge
 	}
 	if len(m.queue) >= m.cfg.QueueCap {
 		m.Counters.QueueDrops++
+		m.recycle(pkt)
 		return ErrQueueFull
 	}
 	pkt.seq = m.nextSeq()
@@ -415,18 +453,22 @@ func (m *MAC) nextSeq() uint16 {
 // beacon time so that stations sharing a TBTT do not collide forever.
 func (m *MAC) scheduleBeacon() {
 	jitter := time.Duration(m.rng.Intn(2*phy.CWMin)) * phy.SlotTime
-	m.beaconEv = m.sched.After(m.cfg.BeaconInterval+jitter, func() {
-		b := &msdu{
-			payload:  make([]byte, 40), // timestamp+interval+capability+IBSS params
-			to:       frame.Broadcast,
-			seq:      m.nextSeq(),
-			rate:     phy.Rate1,
-			isBeacon: true,
-		}
-		if len(m.queue) < m.cfg.QueueCap {
-			m.queue = append([]*msdu{b}, m.queue...)
-			m.kick()
-		}
-		m.scheduleBeacon()
-	})
+	m.beaconEv = m.sched.AfterAction(m.cfg.BeaconInterval+jitter, (*beaconTimer)(m))
+}
+
+// beacon queues a beacon at the head of the transmit queue and arms the
+// next one.
+func (m *MAC) beacon() {
+	b := m.newMSDU()
+	b.payload = make([]byte, 40) // timestamp+interval+capability+IBSS params
+	b.to, b.seq, b.rate, b.isBeacon = frame.Broadcast, m.nextSeq(), phy.Rate1, true
+	if len(m.queue) < m.cfg.QueueCap {
+		m.queue = append(m.queue, nil)
+		copy(m.queue[1:], m.queue)
+		m.queue[0] = b
+		m.kick()
+	} else {
+		m.recycle(b)
+	}
+	m.scheduleBeacon()
 }

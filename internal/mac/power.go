@@ -48,9 +48,7 @@ func (m *MAC) PowerDown() {
 	m.sched.Cancel(m.beaconEv)
 	m.resumeEv, m.slotEv, m.navEv = sim.Event{}, sim.Event{}, sim.Event{}
 	m.timeoutEv, m.sifsEv, m.beaconEv = sim.Event{}, sim.Event{}, sim.Event{}
-	clear(m.queue)
-	m.queue = m.queue[:0]
-	m.current = nil
+	m.flushPipeline()
 	m.st = stIdle
 	m.cw = phy.CWMin
 	m.backoff = -1
@@ -60,7 +58,6 @@ func (m *MAC) PowerDown() {
 	m.respRate = 0
 	m.respInFlight = false
 	clear(m.rxSeq)
-	clear(m.rxSeqV)
 	m.lastRxRSSI = 0
 }
 

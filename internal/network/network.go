@@ -111,18 +111,28 @@ var (
 	ErrTTLExceeded = errors.New("network: TTL exceeded")
 )
 
-// EncodeHeader marshals h into a 20-byte header prepended to payload.
+// EncodeHeader marshals h into a 20-byte header prepended to a copy of
+// payload.
 func EncodeHeader(h Header, payload []byte) []byte {
 	buf := make([]byte, HeaderBytes+len(payload))
-	buf[0] = 0x45 // version 4, IHL 5 — fixed, for the looks of a pcap
-	binary.BigEndian.PutUint16(buf[2:4], h.Length)
-	buf[8] = h.TTL
-	buf[9] = byte(h.Proto)
-	binary.BigEndian.PutUint32(buf[12:16], uint32(h.Src))
-	binary.BigEndian.PutUint32(buf[16:20], uint32(h.Dst))
-	binary.BigEndian.PutUint16(buf[10:12], checksum(buf[:HeaderBytes]))
+	putHeader(buf, h)
 	copy(buf[HeaderBytes:], payload)
 	return buf
+}
+
+// putHeader marshals h into buf[:HeaderBytes], writing every header
+// byte, so a reused buffer carries nothing of its previous contents.
+func putHeader(buf []byte, h Header) {
+	b := buf[:HeaderBytes]
+	b[0] = 0x45 // version 4, IHL 5 — fixed, for the looks of a pcap
+	b[1] = 0
+	binary.BigEndian.PutUint16(b[2:4], h.Length)
+	clear(b[4:8])
+	b[8] = h.TTL
+	b[9] = byte(h.Proto)
+	binary.BigEndian.PutUint32(b[12:16], uint32(h.Src))
+	binary.BigEndian.PutUint32(b[16:20], uint32(h.Dst))
+	binary.BigEndian.PutUint16(b[10:12], checksum(b))
 }
 
 // DecodeHeader unmarshals a packet, returning the header and payload.
@@ -321,40 +331,68 @@ func (s *Stack) QueueFree() int { return s.mac.QueueCap() - s.mac.QueueLen() }
 
 // Send transmits a transport payload to dst. Broadcast packets map to
 // link-layer broadcast; unicast packets resolve dst (or its route's next
-// hop) through the neighbor table.
+// hop) through the neighbor table. The payload is copied behind a fresh
+// header; a transport that builds its packets with HeaderBytes of
+// headroom calls SendPacket instead and skips the copy.
 func (s *Stack) Send(p Protocol, payload []byte, dst Addr) error {
-	err := s.send(Header{
-		Src:   s.addr,
-		Dst:   dst,
-		Proto: p,
-		TTL:   DefaultTTL,
-	}, payload)
-	if err == nil {
-		s.Sent++
-	}
-	return err
+	pkt := make([]byte, HeaderBytes+len(payload))
+	copy(pkt[HeaderBytes:], payload)
+	return s.SendPacket(p, pkt, dst)
 }
 
-func (s *Stack) send(h Header, payload []byte) error {
-	h.Length = uint16(HeaderBytes + len(payload))
-	var hw frame.Addr
-	if h.Dst == Broadcast {
-		hw = frame.Broadcast
-	} else {
-		next := h.Dst
-		if via, ok := s.routes[h.Dst]; ok {
-			next = via
-		} else if s.RequireRoutes {
-			s.Dropped++
-			return fmt.Errorf("%w: %v", ErrNoRoute, h.Dst)
-		}
-		var ok bool
-		if hw, ok = s.lookupNeighbor(next); !ok {
-			s.Dropped++
-			return fmt.Errorf("%w: %v", ErrNoNeighbor, next)
-		}
+// SendPacket transmits the transport payload pkt[HeaderBytes:] to dst,
+// like Send, but writes the network header in place into
+// pkt[:HeaderBytes]: an originated packet is built once, in one buffer.
+// The stack keeps pkt — the MAC queues it and every receiver of the
+// frame shares its bytes — so the caller must not write to it again.
+func (s *Stack) SendPacket(p Protocol, pkt []byte, dst Addr) error {
+	if len(pkt) < HeaderBytes {
+		panic(fmt.Sprintf("network: SendPacket of %d bytes, below the %d-byte header", len(pkt), HeaderBytes))
 	}
-	if err := s.mac.Send(EncodeHeader(h, payload), hw); err != nil {
+	hw, err := s.linkDst(dst)
+	if err != nil {
+		return err
+	}
+	putHeader(pkt, Header{
+		Src:    s.addr,
+		Dst:    dst,
+		Proto:  p,
+		TTL:    DefaultTTL,
+		Length: uint16(len(pkt)),
+	})
+	if err := s.queue(pkt, hw); err != nil {
+		return err
+	}
+	s.Sent++
+	return nil
+}
+
+// linkDst resolves the link-layer destination of a routed packet to
+// dst: link broadcast for Broadcast, otherwise the neighbor entry of
+// dst's route next hop (or of dst itself when unrouted). A failure
+// counts a drop.
+func (s *Stack) linkDst(dst Addr) (frame.Addr, error) {
+	if dst == Broadcast {
+		return frame.Broadcast, nil
+	}
+	next := dst
+	if via, ok := s.routes[dst]; ok {
+		next = via
+	} else if s.RequireRoutes {
+		s.Dropped++
+		return frame.Addr{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
+	}
+	hw, ok := s.lookupNeighbor(next)
+	if !ok {
+		s.Dropped++
+		return frame.Addr{}, fmt.Errorf("%w: %v", ErrNoNeighbor, next)
+	}
+	return hw, nil
+}
+
+// queue hands an encoded packet to the MAC, counting a drop on refusal.
+func (s *Stack) queue(pkt []byte, hw frame.Addr) error {
+	if err := s.mac.Send(pkt, hw); err != nil {
 		s.Dropped++
 		return fmt.Errorf("network: %w", err)
 	}
@@ -422,7 +460,14 @@ func (s *Stack) receive(msdu []byte, from frame.Addr) {
 		return
 	}
 	h.TTL--
-	if err := s.send(h, payload); err == nil {
+	hw, err := s.linkDst(h.Dst)
+	if err != nil {
+		return
+	}
+	// A forwarded packet is re-encoded into a buffer of its own: the
+	// received bytes are shared by every station that heard the frame,
+	// so the new TTL and checksum must not be written into them.
+	if s.queue(EncodeHeader(h, payload), hw) == nil {
 		s.Forwarded++
 	}
 }

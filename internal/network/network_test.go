@@ -35,7 +35,11 @@ func TestHeaderRoundTrip(t *testing.T) {
 		h.Length = uint16(HeaderBytes + len(payload))
 		pkt := EncodeHeader(h, payload)
 		got, gotPayload, err := DecodeHeader(pkt)
-		return err == nil && got == h && bytes.Equal(gotPayload, payload)
+		// Written in place over stale headroom (SendPacket), the header
+		// must come out byte for byte as EncodeHeader writes it.
+		inPlace := append(bytes.Repeat([]byte{0xa5}, HeaderBytes), payload...)
+		putHeader(inPlace, h)
+		return err == nil && got == h && bytes.Equal(gotPayload, payload) && bytes.Equal(inPlace, pkt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestHierarchyMatchesFlat(t *testing.T) {
 			center := Position{X: rng.Float64()*24000 - 2000, Y: rng.Float64()*24000 - 2000}
 			check(center, []float64{30, 200, 1500, 6000}[i%4])
 		}
-		check(Position{X: -5000, Y: -5000}, 1000) // fully off-field
+		check(Position{X: -5000, Y: -5000}, 1000)  // fully off-field
 		check(Position{X: 10000, Y: 10000}, 40000) // covers everything
 	}
 	queries()

@@ -16,6 +16,16 @@
 // handles (held by MAC timers, TCP retransmit state, ...) safely inert
 // after their slot has been reused.
 //
+// Per-event paths schedule Actions, not closures. A capturing closure
+// passed to At or After is allocated on every call, and so is a method
+// value such as m.resume; on a path that fires once per frame or per
+// backoff slot that allocation is most of what the event costs. Hot
+// callers implement Action on a type they already own — a pooled record
+// (the medium's transmissions), an embedded field, or a pointer
+// conversion such as `type slotTick MAC` whose Act calls back into the
+// MAC — and schedule it with AtAction, AfterAction or Reschedule.
+// Closures are for cold paths: set-up, fault schedules, tests.
+//
 // The heap is the only queue. A calendar-queue backend used to run
 // beside it; on the city presets the heap measured about 3× faster with
 // the same fire order, and DESIGN.md ("Why one heap") keeps the numbers.
@@ -29,8 +39,8 @@ import (
 // Action is an alloc-free event payload: scheduling a pooled object that
 // implements Action costs no per-event allocation, unlike a closure,
 // which captures its variables on the heap. Hot paths (the medium's
-// arrival records) schedule Actions; cold paths keep the convenience of
-// closures via At/After.
+// arrival records, the MAC's DCF timers) schedule Actions; cold paths
+// keep the convenience of closures via At/After.
 type Action interface {
 	// Act runs the event. It is invoked exactly once, from the event
 	// loop, at the scheduled instant.
@@ -269,11 +279,13 @@ func (s *Scheduler) Cancel(e Event) {
 	s.removeHeap(int(s.slots[e.idx].heapIdx))
 }
 
-// Reschedule cancels e (if pending) and schedules fn at absolute time t,
-// returning the new event. It is a convenience for self-rearming timers.
-func (s *Scheduler) Reschedule(e Event, t time.Duration, fn func()) Event {
+// Reschedule cancels e (if pending) and schedules a.Act() at absolute
+// time t, returning the new event. It is the re-arm of self-rearming
+// timers, which are per-event paths, so it takes an Action and, like
+// AtAction, performs no allocation.
+func (s *Scheduler) Reschedule(e Event, t time.Duration, a Action) Event {
 	s.Cancel(e)
-	return s.At(t, fn)
+	return s.AtAction(t, a)
 }
 
 // release bumps the slot's generation (invalidating outstanding

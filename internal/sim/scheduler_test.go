@@ -153,7 +153,7 @@ func TestSchedulerReschedule(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	e := s.At(time.Millisecond, func() { count++ })
-	e = s.Reschedule(e, 2*time.Millisecond, func() { count += 10 })
+	e = s.Reschedule(e, 2*time.Millisecond, actionFunc(func() { count += 10 }))
 	s.Run()
 	if count != 10 {
 		t.Fatalf("count = %d, want 10 (original must not fire)", count)
@@ -237,7 +237,7 @@ func TestEventHandleSafeAcrossSlotReuse(t *testing.T) {
 		t.Fatal("cancelling a stale handle killed the slot's new event")
 	}
 	fired := 0
-	s.Reschedule(stale, s.Now()+time.Millisecond, func() { fired++ })
+	s.Reschedule(stale, s.Now()+time.Millisecond, actionFunc(func() { fired++ }))
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -358,10 +358,12 @@ func TestSchedulerReset(t *testing.T) {
 // its own lexicographic comparison (refLess, independent of the
 // scheduler's less). A byte-coded op interpreter, shared by a seeded
 // property test and a fuzz target, turns any byte stream into a program
-// of At/After/Cancel/Reschedule/InjectAt/Step/RunUntil/Reset operations,
-// including callbacks that schedule follow-ups from inside Step and
-// cancels of stale handles. Every fired event must be the reference's
-// head, and Len, PeekAt and Pending must agree with it after every op.
+// of At/After/AtAction/AfterAction/Cancel/Reschedule/InjectAt/Step/
+// RunUntil/Reset operations, including callbacks that schedule
+// follow-ups from inside Step and cancels and reschedules of stale
+// handles, closure and action alike. Every fired event must be the
+// reference's head, and Len, PeekAt and Pending must agree with it
+// after every op.
 
 // refEntry is one pending event of the reference queue: its ordering
 // key (idx unused) and the id the script minted for it.
@@ -532,13 +534,24 @@ func interpretOps(t *testing.T, data []byte) {
 	small := func() time.Duration { return time.Duration(next()%8) * time.Microsecond }
 	pick := func() int { return int(u16()) % len(env.live) }
 	for pos < len(data) {
-		switch next() % 12 {
+		op := next()
+		// The op is op%12; the otherwise unused op/12 picks the payload
+		// of ops 4 and 7 (closure or pooled action) without changing
+		// which bytes any script consumes or the events it files.
+		pooled := op/12%2 == 1
+		switch op % 12 {
 		case 0, 1, 2: // near future
 			env.at(s.Now() + small())
 		case 3: // far future
 			env.at(s.Now() + u16()*10*time.Millisecond)
 		case 4: // same-instant tie: FIFO order must hold
-			env.at(s.Now())
+			if pooled {
+				a := &chainAction{env: env, id: env.nextID}
+				ev := s.AtAction(s.Now(), a)
+				env.keep(ev, env.file(s.Now(), uint64(s.Now())<<1))
+			} else {
+				env.at(s.Now())
+			}
 		case 5: // pooled self-rescheduling chain
 			a := &chainAction{env: env, hops: int(next() % 5), gap: small()}
 			env.arm(a, u16()*time.Microsecond)
@@ -553,8 +566,12 @@ func interpretOps(t *testing.T, data []byte) {
 				old := env.live[pick()]
 				at := s.Now() + u16()*time.Microsecond
 				id := env.nextID
+				var a Action = actionFunc(func() { env.fire(id) })
+				if pooled {
+					a = &chainAction{env: env, id: id}
+				}
 				env.drop(old.refEntry)
-				ev := s.Reschedule(old.ev, at, func() { env.fire(id) })
+				ev := s.Reschedule(old.ev, at, a)
 				env.keep(ev, env.file(at, uint64(s.Now())<<1))
 			}
 		case 8: // inter-region message: sub carries sentAt and the message bit

@@ -10,7 +10,7 @@ func EncodeSegmentForTest(srcPort, dstPort uint16, seq, ack uint32, flags uint8,
 	return encodeSegment(&segment{
 		srcPort: srcPort, dstPort: dstPort,
 		seq: seq, ack: ack, flags: flags, wnd: wnd, payload: payload,
-	})
+	})[network.HeaderBytes:]
 }
 
 // DecodeSegmentForTest unmarshals a segment into raw fields.

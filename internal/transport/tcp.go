@@ -42,8 +42,12 @@ type segment struct {
 	payload          []byte
 }
 
+// encodeSegment marshals s into a new packet buffer, behind
+// network.HeaderBytes of headroom that Stack.SendPacket writes the
+// network header into.
 func encodeSegment(s *segment) []byte {
-	buf := make([]byte, TCPHeaderBytes+len(s.payload))
+	pkt := make([]byte, network.HeaderBytes+TCPHeaderBytes+len(s.payload))
+	buf := pkt[network.HeaderBytes:]
 	binary.BigEndian.PutUint16(buf[0:2], s.srcPort)
 	binary.BigEndian.PutUint16(buf[2:4], s.dstPort)
 	binary.BigEndian.PutUint32(buf[4:8], s.seq)
@@ -52,7 +56,7 @@ func encodeSegment(s *segment) []byte {
 	buf[13] = s.flags
 	binary.BigEndian.PutUint16(buf[14:16], s.wnd)
 	copy(buf[TCPHeaderBytes:], s.payload)
-	return buf
+	return pkt
 }
 
 func decodeSegment(b []byte) (*segment, error) {
@@ -108,11 +112,11 @@ type connKey struct {
 
 // TCP is one station's TCP instance.
 type TCP struct {
-	sched *sim.Scheduler
-	stack *network.Stack
+	sched  *sim.Scheduler
+	stack  *network.Stack
 	rng    *rand.Rand
 	rngKey sim.StreamKey // pre-hashed stream name, for allocation-free Reset
-	mss   int
+	mss    int
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]func(*Conn)
@@ -174,7 +178,7 @@ func (t *TCP) Dial(dst network.Addr, port uint16) *Conn {
 		// No route yet (dynamic routing still converging): poll rather
 		// than waiting out a full RTO for a SYN that never hit the air.
 		c.synLocalFail = true
-		c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+synRetryInterval, c.onRTO)
+		c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+synRetryInterval, (*rtoTimer)(c))
 		return c
 	}
 	c.armRTO()
@@ -229,7 +233,7 @@ func (t *TCP) receive(data []byte, src, _ network.Addr) {
 		c.sndNxt = c.iss + 1
 		if err := c.sendSYN(true); err != nil {
 			c.synLocalFail = true
-			c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+synRetryInterval, c.onRTO)
+			c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+synRetryInterval, (*rtoTimer)(c))
 			accept(c)
 			return
 		}
@@ -351,7 +355,7 @@ func (c *Conn) send(seg *segment) error {
 	if debugSeg != nil {
 		debugSeg(c.tcp.stack.Addr(), "->", seg, "")
 	}
-	if err := c.tcp.stack.Send(network.ProtoTCP, encodeSegment(seg), c.key.remote); err != nil {
+	if err := c.tcp.stack.SendPacket(network.ProtoTCP, encodeSegment(seg), c.key.remote); err != nil {
 		return err
 	}
 	c.Stats.SegsSent++
@@ -462,8 +466,24 @@ func (c *Conn) retransmit() {
 
 // timers -----------------------------------------------------------------
 
+// The retransmission and delayed-ACK timers are sim.Actions of
+// pointer-conversion types over Conn, so arming one (once per segment
+// sent or received) allocates neither a closure nor a method value.
+type (
+	rtoTimer    Conn
+	delackTimer Conn
+)
+
+func (t *rtoTimer) Act() { (*Conn)(t).onRTO() }
+
+func (t *delackTimer) Act() {
+	c := (*Conn)(t)
+	c.Stats.DelayedACKs++
+	c.sendACK()
+}
+
 func (c *Conn) armRTO() {
-	c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+c.rto, c.onRTO)
+	c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+c.rto, (*rtoTimer)(c))
 }
 
 func (c *Conn) onRTO() {
@@ -472,7 +492,7 @@ func (c *Conn) onRTO() {
 		if err := c.sendSYN(c.state == stateSynRcvd); err != nil {
 			// The SYN never left this host; retry soon, without backoff.
 			c.synLocalFail = true
-			c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+synRetryInterval, c.onRTO)
+			c.rtoEv = c.tcp.sched.Reschedule(c.rtoEv, c.tcp.sched.Now()+synRetryInterval, (*rtoTimer)(c))
 			return
 		}
 		if c.synLocalFail {
@@ -653,10 +673,7 @@ func (c *Conn) processData(seg *segment) {
 			c.sendACK()
 		} else if !c.delackEv.Pending() {
 			c.delackEv = c.tcp.sched.Reschedule(c.delackEv,
-				c.tcp.sched.Now()+delayedACKTime, func() {
-					c.Stats.DelayedACKs++
-					c.sendACK()
-				})
+				c.tcp.sched.Now()+delayedACKTime, (*delackTimer)(c))
 		}
 	case seqLT(c.rcvNxt, seg.seq):
 		// A hole: buffer and signal it with an immediate duplicate ACK.

@@ -51,14 +51,19 @@ func (u *UDP) Reset() {
 }
 
 // SendTo transmits one datagram. Errors propagate from the stack (e.g.
-// MAC queue full), letting sources implement backpressure.
+// MAC queue full), letting sources implement backpressure. The payload
+// is copied, so the caller may reuse its buffer as soon as SendTo
+// returns.
 func (u *UDP) SendTo(payload []byte, dst network.Addr, srcPort, dstPort uint16) error {
-	dgram := make([]byte, UDPHeaderBytes+len(payload))
+	// One buffer per datagram: the network header goes in front, in
+	// place (Stack.SendPacket).
+	pkt := make([]byte, network.HeaderBytes+UDPHeaderBytes+len(payload))
+	dgram := pkt[network.HeaderBytes:]
 	binary.BigEndian.PutUint16(dgram[0:2], srcPort)
 	binary.BigEndian.PutUint16(dgram[2:4], dstPort)
 	binary.BigEndian.PutUint16(dgram[4:6], uint16(UDPHeaderBytes+len(payload)))
 	copy(dgram[UDPHeaderBytes:], payload)
-	if err := u.stack.Send(network.ProtoUDP, dgram, dst); err != nil {
+	if err := u.stack.SendPacket(network.ProtoUDP, pkt, dst); err != nil {
 		return fmt.Errorf("udp: %w", err)
 	}
 	u.Sent++
