@@ -58,7 +58,6 @@ func main() {
 	parRegions := flag.String("parallel-regions", "", "run -scenario on the space-partitioned parallel kernel: COLSxROWS (e.g. 4x4) or auto; with -replications > 1 the worker budget splits between replications and regions")
 	partitioner := flag.String("partitioner", "", "cut-line placement for the parallel region grid: balanced (default) or uniform")
 	listScen := flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
-	rebuild := flag.Bool("rebuild-each-rep", false, "verification: rebuild the network for every scenario replication instead of re-seeding each worker's arena (results are identical, only slower)")
 	routingProto := flag.String("routing", "static", "route control plane for -exp chain: static or dsdv")
 	hops := flag.Int("hops", 8, "longest chain for -exp chain (hops, not stations)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -76,8 +75,6 @@ func main() {
 	// Flush profiles on normal return and on panic alike; flushProfiles
 	// (not exit) so a panic keeps unwinding and prints its trace.
 	defer flushProfiles()
-
-	scenario.SetRebuildEachRep(*rebuild)
 
 	if *listScen {
 		listScenarios()

@@ -52,14 +52,33 @@ func runMain(t *testing.T, args ...string) (int, string) {
 }
 
 // TestSchedulerFlagRetired pins the clean failure of the retired
-// -scheduler flag: the flag package's usage error, exit status 2.
+// -scheduler and -rebuild-each-rep flags: the flag package's usage
+// error, exit status 2.
 func TestSchedulerFlagRetired(t *testing.T) {
-	code, stderr := runMain(t, "-scheduler", "heap", "-scenario", "hidden-terminal")
-	if code != 2 {
-		t.Errorf("exit status %d, want 2", code)
+	for _, args := range [][]string{
+		{"-scheduler", "heap", "-scenario", "hidden-terminal"},
+		{"-rebuild-each-rep", "-scenario", "hidden-terminal"},
+	} {
+		code, stderr := runMain(t, args...)
+		if code != 2 {
+			t.Errorf("%s: exit status %d, want 2", args[0], code)
+		}
+		if !strings.Contains(stderr, "flag provided but not defined: "+args[0]) || !strings.Contains(stderr, "Usage of") {
+			t.Errorf("%s: stderr lacks the flag package's usage error:\n%s", args[0], stderr)
+		}
 	}
-	if !strings.Contains(stderr, "flag provided but not defined: -scheduler") || !strings.Contains(stderr, "Usage of") {
-		t.Errorf("stderr lacks the flag package's usage error:\n%s", stderr)
+}
+
+// TestOversizedRegionGridRejected: an explicit region grid beyond the
+// executor's bound fails validation with a non-zero exit instead of
+// exhausting memory building the lookahead matrix.
+func TestOversizedRegionGridRejected(t *testing.T) {
+	code, stderr := runMain(t, "-scenario", "hidden-terminal", "-parallel-regions", "1000x1000")
+	if code == 0 {
+		t.Errorf("exit status 0, want failure")
+	}
+	if !strings.Contains(stderr, "parallel region grid 1000x1000 exceeds 256 regions") {
+		t.Errorf("stderr lacks the validation error:\n%s", stderr)
 	}
 }
 

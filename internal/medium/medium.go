@@ -25,9 +25,10 @@
 // transmitter: per-transmission cost is proportional to the stations in
 // earshot, not the stations in existence, which is what makes
 // thousand-station fields tractable. Candidates are dispatched in
-// ascending radio-id order — identical to the pre-index insertion order
-// for networks built by internal/node — so fixed-seed runs are
-// bit-identical with and without the index (see SetBruteForce).
+// ascending radio-id order — the order of the exhaustive per-radio loop
+// Transmit keeps for degenerate radio models, and the insertion order
+// of networks built by internal/node — so the index changes which
+// radios are probed, never which receive or in what order.
 //
 // The per-transmission bookkeeping runs allocation-free in steady state:
 // transmission descriptors are pooled and carry their receiver set
@@ -112,17 +113,16 @@ type Medium struct {
 	// array.
 	idsMonotone bool
 
-	// index is the spatial neighbor grid; nil while dirty, after
-	// SetBruteForce(true), or when a degenerate radio model admits no
-	// finite relevance radius (Transmit then falls back to exhaustive
-	// propagation). It is rebuilt lazily on the first Transmit after a
-	// radio set change and updated incrementally by Radio.SetPos.
+	// index is the spatial neighbor grid; nil while dirty, on an empty
+	// field, or when a degenerate radio model admits no finite relevance
+	// radius (Transmit then falls back to exhaustive propagation). It is
+	// rebuilt lazily on the first Transmit after a radio set change and
+	// updated incrementally by Radio.SetPos.
 	index      *phy.CellIndex
 	indexDirty bool
-	bruteForce bool
 
 	// posEpoch stamps the station geometry. It advances on every radio
-	// insertion, move, arena reset, and reference-path toggle, and
+	// insertion, move, arena reset, and partition install, and
 	// validates the per-transmitter candidate memos (Radio.cand): while
 	// the geometry stands still, a repeat transmitter's index walk and
 	// dispatch-order sort collapse to a slice reuse.
@@ -132,17 +132,6 @@ type Medium struct {
 	// were drawn under; Reset invalidates the cache only when the seed
 	// it finds on the source differs.
 	gainSeed uint64
-
-	// gainCacheOff forces the direct per-arrival PHY computation, the
-	// pre-cache reference path (SetGainCache). The cache itself is
-	// gainRows above, indexed by transmitter then receiver slot, so a
-	// hot-path lookup is an array index rather than a map probe.
-	gainCacheOff bool
-
-	// incrementalOff forces the receivers' interference/CCA energy sums
-	// back to the per-edge recomputation loops, the reference path
-	// (SetIncremental).
-	incrementalOff bool
 
 	// deg is the run's link-degradation timeline (nil when no fault
 	// schedule is installed): an immutable piecewise-constant offset the
@@ -165,15 +154,34 @@ type Medium struct {
 	Deliveries    uint64
 	PHYErrors     uint64
 
-	// Out-of-band cache-efficiency counters (Stats). Plain fields: in
-	// sequential mode one goroutine owns the medium; in parallel mode
-	// the hot paths increment the per-region shard mirrors instead and
-	// FoldCounters folds them here at the post-join point. They are
-	// observability only — nothing reads them on a simulation path.
+	// Out-of-band cache-efficiency counters (Stats). In sequential mode
+	// one goroutine owns the medium; in parallel mode the hot paths
+	// increment the per-region shard copies instead (Radio.memo picks
+	// the right one) and FoldCounters folds them here at the post-join
+	// point.
+	memo memoCounters
+}
+
+// memoCounters are the cache-efficiency counters behind Stats. Plain
+// fields, each owned by one goroutine: the medium's in sequential mode,
+// a region shard's in parallel mode. They are observability only —
+// nothing reads them on a simulation path.
+type memoCounters struct {
 	gainHits, gainMisses     uint64
 	fanReplays, fanBuilds    uint64
 	candReuses, candRebuilds uint64
 	soaRescans               uint64
+}
+
+// add folds o into c.
+func (c *memoCounters) add(o *memoCounters) {
+	c.gainHits += o.gainHits
+	c.gainMisses += o.gainMisses
+	c.fanReplays += o.fanReplays
+	c.fanBuilds += o.fanBuilds
+	c.candReuses += o.candReuses
+	c.candRebuilds += o.candRebuilds
+	c.soaRescans += o.soaRescans
 }
 
 // Stats is a point-in-time copy of the medium's counters, the raw
@@ -199,13 +207,13 @@ func (m *Medium) Stats() Stats {
 		Transmissions: m.Transmissions,
 		Deliveries:    m.Deliveries,
 		PHYErrors:     m.PHYErrors,
-		GainHits:      m.gainHits,
-		GainMisses:    m.gainMisses,
-		FanReplays:    m.fanReplays,
-		FanBuilds:     m.fanBuilds,
-		CandReuses:    m.candReuses,
-		CandRebuilds:  m.candRebuilds,
-		SoARescans:    m.soaRescans,
+		GainHits:      m.memo.gainHits,
+		GainMisses:    m.memo.gainMisses,
+		FanReplays:    m.memo.fanReplays,
+		FanBuilds:     m.memo.fanBuilds,
+		CandReuses:    m.memo.candReuses,
+		CandRebuilds:  m.memo.candRebuilds,
+		SoARescans:    m.memo.soaRescans,
 	}
 }
 
@@ -224,44 +232,6 @@ func New(sched *sim.Scheduler, src *sim.Source) *Medium {
 
 // Now returns the current simulated time.
 func (m *Medium) Now() time.Duration { return m.sched.Now() }
-
-// SetBruteForce disables (true) or re-enables (false) the spatial
-// neighbor index, forcing Transmit back to exhaustive per-radio
-// propagation in radio insertion order — the pre-index reference
-// behaviour. It exists for verification: the mobility equivalence tests
-// run the same seed with and without the index and require identical
-// metrics. Production callers never need it.
-func (m *Medium) SetBruteForce(on bool) {
-	m.bruteForce = on
-	m.indexDirty = true
-	m.posEpoch++
-}
-
-// SetGainCache re-enables (true) or disables (false) the pairwise
-// link-gain cache, forcing every propagation back to the direct
-// per-arrival PHY computation — the pre-cache reference behaviour.
-// Like SetBruteForce it exists for verification: the equivalence tests
-// run the same seed with the cache on and off and require identical
-// metrics (including sim.Scheduler.Fired). Production callers never
-// need it. Re-enabling invalidates any stale entries.
-func (m *Medium) SetGainCache(on bool) {
-	m.gainCacheOff = !on
-	m.invalidateGains()
-}
-
-// SetIncremental re-enables (true) or disables (false) the maintained
-// per-receiver energy sums, forcing the interference floor, the
-// lock-time interference record and CCA back to their per-edge
-// recomputation loops — the pre-incremental reference behaviour. The
-// maintained sums are constructed to be bit-identical to those loops
-// (see arrivalStart), and the equivalence tests run the same seed both
-// ways to keep that claim honest. Production callers never need it.
-func (m *Medium) SetIncremental(on bool) {
-	m.incrementalOff = !on
-	for _, r := range m.radios {
-		r.recomputeSums()
-	}
-}
 
 // invalidateGains marks every link-gain entry stale without releasing
 // the allocated per-transmitter rows.
@@ -287,8 +257,7 @@ func (m *Medium) invalidateGains() {
 //     functions of (seed, link).
 //   - The spatial index and the candidate memos are NOT touched here:
 //     Radio.Reset dirties them if (and only if) its radio lands on a
-//     new position, and AddRadio/SetBruteForce cover the radio-set and
-//     reference-path changes.
+//     new position, and AddRadio covers radio-set changes.
 //
 // The arrival/transmission pools and the cache's allocated entries are
 // deliberately retained — reusing them is the point of the arena. Radio
@@ -296,10 +265,7 @@ func (m *Medium) invalidateGains() {
 // Radio.Reset.
 func (m *Medium) Reset() {
 	m.Transmissions, m.Deliveries, m.PHYErrors = 0, 0, 0
-	m.gainHits, m.gainMisses = 0, 0
-	m.fanReplays, m.fanBuilds = 0, 0
-	m.candReuses, m.candRebuilds = 0, 0
-	m.soaRescans = 0
+	m.memo = memoCounters{}
 	if seed := m.src.Seed(); seed != m.gainSeed {
 		m.gainSeed = seed
 		m.invalidateGains()
@@ -357,27 +323,15 @@ func (g *linkGain) milliwatt(dbm float64) float64 {
 // linkPower returns the instantaneous received power in dBm for the
 // directed link from the given radio to the receiver in slot rxSlot at
 // time now, served from the link-gain cache (the returned entry
-// memoizes the linear form; nil when the cache is disabled). The
-// receiver side is read entirely from the slot-indexed SoA arrays. The
-// composition — path-loss base plus static shadow plus epoch fade,
-// summed in that order, then the fault engine's degradation offset when
-// a timeline is installed — mirrors phy.Profile.RxPowerDBm exactly, so
-// a cache hit is bit-identical to the direct computation the
-// gainCacheOff path performs (which decomposes to the same ordered sum
-// when degradation is active).
+// memoizes the linear form). The receiver side is read entirely from
+// the slot-indexed SoA arrays. The composition — path-loss base plus
+// static shadow plus epoch fade, summed in that order, then the fault
+// engine's degradation offset when a timeline is installed — mirrors
+// phy.Profile.RxPowerDBm exactly, so a cache hit is bit-identical to the
+// direct computation, MeanRxPowerDBm(d) + (ShadowDB + linkOffset) under
+// degradation.
 func (m *Medium) linkPower(from *Radio, rxSlot int32, now time.Duration) (float64, *linkGain) {
 	rxID := uint64(m.soaID[rxSlot])
-	if m.gainCacheOff {
-		d := phy.Dist(from.pos, m.soaPos[rxSlot])
-		if dg := m.deg; dg != nil {
-			// Degradation composes after the shadowing sum — the same
-			// association as the cached path's base + ((static+fade)+deg).
-			shadow := from.profile.Fading.ShadowDB(m.src, uint64(from.id), rxID, now)
-			shadow += dg.linkOffset(from.slot, rxSlot, now)
-			return from.profile.MeanRxPowerDBm(d) + shadow, nil
-		}
-		return from.profile.RxPowerDBm(m.src, uint64(from.id), rxID, d, now), nil
-	}
 	// The per-transmitter row is sized lazily: only radios that
 	// actually transmit pay for one, and the row grows only when the
 	// radio set has grown since.
@@ -435,17 +389,11 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, now time.Duration) (float6
 	// Hit/miss bookkeeping: linkPower only ever runs on the transmitter's
 	// owning goroutine (its region's, in parallel mode — the same
 	// discipline that makes the row mutation above safe), so the plain
-	// shard/medium counters need no atomics.
-	if sh := from.shard; sh != nil {
-		if miss {
-			sh.gainMisses++
-		} else {
-			sh.gainHits++
-		}
-	} else if miss {
-		m.gainMisses++
+	// counters need no atomics.
+	if c := from.memo(); miss {
+		c.gainMisses++
 	} else {
-		m.gainHits++
+		c.gainHits++
 	}
 	return g.baseDBm + shadow, g
 }
@@ -461,7 +409,7 @@ func (m *Medium) ensureIndex() {
 	}
 	m.indexDirty = false
 	m.index = nil
-	if m.bruteForce || len(m.radios) == 0 {
+	if len(m.radios) == 0 {
 		return
 	}
 	minFloor := math.Inf(1)
@@ -571,10 +519,8 @@ type Radio struct {
 	// geometry (posEpoch) and the transmitter profile's fade epoch (all
 	// of one transmitter's links fade on its own profile's clock), so
 	// while both stamps stand still, replaying the memo is bit-identical
-	// to re-running the per-candidate power probes. Disabled alongside
-	// the gain cache so the reference path stays a genuinely direct
-	// computation; race-free in partitioned mode for the same reason the
-	// candidate memo is.
+	// to re-running the per-candidate power probes. Race-free in
+	// partitioned mode for the same reason the candidate memo is.
 	fan      []arrivalTarget
 	fanEpoch uint64 // posEpoch the fan was computed at (0 = never)
 	fanFade  uint64 // transmitter-profile fade epoch of the memo
@@ -596,15 +542,15 @@ type Radio struct {
 	txEndPending sim.Event
 
 	// Maintained energy folds over the arrivals list, updated at arrival
-	// edges instead of recomputed by the per-edge loops (the reference
-	// path SetIncremental(false) preserves): ccaMW is the total in-air
+	// edges instead of re-summed per decision: ccaMW is the total in-air
 	// energy CCA compares against its threshold; floorMW is the same
 	// fold seeded with the noise floor, serving the preamble
 	// interference-floor test; interfMW is the fold excluding the locked
-	// transmission, valid only while locked. Each is kept bit-identical
-	// to its reference loop — appends extend a left-to-right float fold
-	// exactly, and removals trigger recomputeSums because a mid-list
-	// removal changes the fold's association.
+	// transmission (the whole fold while nothing is locked). Each always
+	// equals a fresh left-to-right fold over the arrivals
+	// (recomputeSums): appends extend such a fold exactly, and removals
+	// call recomputeSums because a mid-list removal changes the fold's
+	// association.
 	ccaMW    float64
 	floorMW  float64
 	interfMW float64
@@ -847,8 +793,7 @@ func (r *Radio) Down() bool { return r.down }
 // scheduled at every receiver); the MAC layer discards its TxDone.
 func (r *Radio) PowerDown() {
 	r.down = true
-	r.locked = nil
-	r.maxInterfMW = 0
+	r.unlock()
 	r.updateCCA()
 }
 
@@ -882,57 +827,20 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 
 	// Half-duplex: abandon any lock; the abandoned frame still occupies
 	// the arrivals set (it remains energy in the air).
-	r.locked = nil
-	r.maxInterfMW = 0
+	r.unlock()
 	r.state = stateTransmit
 	r.updateCCA()
 
 	tx := m.newTransmission(r, f, rate, now+air)
 	m.ensureIndex()
 	if m.index == nil {
+		// No finite relevance radius (degenerate profile) or an empty
+		// field: probe every radio, in slot order.
 		for slot := range m.radios {
 			m.propagate(tx, r, int32(slot), now)
 		}
 	} else {
-		// Candidate cells are visited in deterministic grid order; the
-		// gathered slots are then put in ascending-id dispatch order,
-		// which coincides with the exhaustive path's insertion order for
-		// node-built networks (ids are assigned sequentially), keeping
-		// fixed-seed runs bit-identical across the index. The sorted list
-		// is memoized per transmitter: both steps are pure functions of
-		// the geometry, so while posEpoch stands still the memo IS the
-		// fresh query.
-		slots := r.cand
-		if r.candEpoch != m.posEpoch {
-			slots = m.index.AppendWithin(r.cand[:0], r.pos, r.reach)
-			m.sortCandidates(slots)
-			r.cand = slots
-			r.candEpoch = m.posEpoch
-			m.candRebuilds++
-		} else {
-			m.candReuses++
-		}
-		var fade uint64
-		if pf := &r.profile.Fading; pf.SigmaDB != 0 {
-			fade = pf.FadeEpoch(now)
-		}
-		var degE uint64
-		if m.deg != nil {
-			degE = m.deg.globalEpoch(now)
-		}
-		if !m.gainCacheOff && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
-			tx.targets = append(tx.targets, r.fan...)
-			m.fanReplays++
-		} else {
-			for _, slot := range slots {
-				m.propagate(tx, r, int32(slot), now)
-			}
-			if !m.gainCacheOff {
-				r.fan = append(r.fan[:0], tx.targets...)
-				r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
-			}
-			m.fanBuilds++
-		}
+		m.fanOut(tx, r, now)
 	}
 	r.txEndPending = m.sched.AtAction(now+air, &r.txEnd)
 	if len(tx.targets) == 0 {
@@ -948,11 +856,63 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 	return air
 }
 
+// memo returns the cache counters this radio's work charges: its region
+// shard's in parallel mode, the medium's otherwise.
+func (r *Radio) memo() *memoCounters {
+	if sh := r.shard; sh != nil {
+		return &sh.memo
+	}
+	return &r.m.memo
+}
+
+// fanOut appends r's receiver set for a transmission starting at now to
+// tx.targets, through the spatial index and r's two memos. Candidate
+// cells are visited in deterministic grid order; the gathered slots are
+// then put in ascending-id dispatch order, which coincides with the
+// exhaustive loop's slot order for node-built networks (ids are
+// assigned sequentially). Both steps are pure functions of the
+// geometry, so while posEpoch stands still the candidate memo IS the
+// fresh query. The fan-out memo goes one step further and keeps the
+// propagated targets themselves, valid while the geometry, r's fade
+// epoch and the degradation epoch all stand still. Only r's own
+// (region) goroutine transmits from r, so neither memo races.
+func (m *Medium) fanOut(tx *transmission, r *Radio, now time.Duration) {
+	c := r.memo()
+	slots := r.cand
+	if r.candEpoch != m.posEpoch {
+		slots = m.index.AppendWithin(r.cand[:0], r.pos, r.reach)
+		m.sortCandidates(slots)
+		r.cand = slots
+		r.candEpoch = m.posEpoch
+		c.candRebuilds++
+	} else {
+		c.candReuses++
+	}
+	var fade uint64
+	if pf := &r.profile.Fading; pf.SigmaDB != 0 {
+		fade = pf.FadeEpoch(now)
+	}
+	var degE uint64
+	if m.deg != nil {
+		degE = m.deg.globalEpoch(now)
+	}
+	if r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
+		tx.targets = append(tx.targets, r.fan...)
+		c.fanReplays++
+		return
+	}
+	for _, slot := range slots {
+		m.propagate(tx, r, int32(slot), now)
+	}
+	r.fan = append(r.fan[:0], tx.targets...)
+	r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
+	c.fanBuilds++
+}
+
 // sortCandidates puts a slot list gathered from the spatial index into
-// dispatch order: ascending radio id, the contract every reference path
-// shares. Node-built networks assign ids in slot order, so the common
-// case is a plain slot sort; hand-assembled media with out-of-order ids
-// sort through the id array instead.
+// dispatch order: ascending radio id. Node-built networks assign ids in
+// slot order, so the common case is a plain slot sort; hand-assembled
+// media with out-of-order ids sort through the id array instead.
 func (m *Medium) sortCandidates(slots []uint32) {
 	if m.idsMonotone {
 		slices.Sort(slots)
@@ -981,52 +941,28 @@ func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, now time
 	if p < m.soaIrrel[rxSlot] {
 		return
 	}
-	var mw float64
-	if g != nil {
-		mw = g.milliwatt(p)
-	} else {
-		mw = phy.DBmToMilliwatt(p)
-	}
 	rx := m.radios[rxSlot]
-	tx.targets = append(tx.targets, arrivalTarget{rx: rx, reg: rx.reg, dbm: p, mw: mw})
+	tx.targets = append(tx.targets, arrivalTarget{rx: rx, reg: rx.reg, dbm: p, mw: g.milliwatt(p)})
 }
-
-// DebugArrival, when set, observes every arrival edge (test hook).
-var DebugArrival func(rx uint32, from uint32, powerDBm float64, state string)
 
 // arrivalStart handles the leading edge of a transmission reaching this
 // radio. powerMW is the caller-supplied linear form of powerDBm.
 //
-// Incremental mode maintains the three energy folds at this edge
-// instead of looping over the arrivals per decision, and stays
-// bit-identical to the reference loops by a fold-prefix argument:
-// appending to a left-to-right float fold extends it exactly (the
-// prefix's association is unchanged), and the two "all but the new
-// arrival" quantities the decisions need — the preamble's interference
-// floor and a fresh lock's interference record — are precisely the
-// folds' values before this append.
+// The three energy folds are maintained at this edge rather than
+// re-summed per decision, and stay bit-identical to a fresh fold
+// (recomputeSums) by a fold-prefix argument: appending to a
+// left-to-right float fold extends it exactly (the prefix's association
+// is unchanged), and the two "all but the new arrival" quantities the
+// decisions need — the preamble's interference floor and a fresh lock's
+// interference record — are precisely the folds' values before this
+// append.
 func (r *Radio) arrivalStart(tx *transmission, powerDBm, powerMW float64) {
-	inc := !r.m.incrementalOff
 	preCCA, preFloor := r.ccaMW, r.floorMW
 	r.arrivals = append(r.arrivals, arrivalEntry{tx: tx, dbm: powerDBm, mw: powerMW})
-	if inc {
-		r.ccaMW += powerMW
-		r.floorMW += powerMW
-		if r.locked != nil {
-			// A lock switch below re-seeds interfMW from preCCA.
-			r.interfMW += powerMW
-		}
-	}
+	r.ccaMW += powerMW
+	r.floorMW += powerMW
+	r.interfMW += powerMW // a lock below re-seeds it from preCCA
 	prof := r.profile
-	if DebugArrival != nil {
-		st := "listen-unlocked"
-		if r.state == stateTransmit {
-			st = "transmitting"
-		} else if r.locked != nil {
-			st = "locked"
-		}
-		DebugArrival(r.id, tx.from.id, powerDBm, st)
-	}
 
 	switch {
 	case r.down:
@@ -1041,16 +977,9 @@ func (r *Radio) arrivalStart(tx *transmission, powerDBm, powerMW float64) {
 		// Too weak to synchronize: pure energy/interference.
 		r.FramesMissed++
 	case r.locked == nil:
-		// Preamble must clear the interference floor to synchronize.
-		// preFloor is noise plus every arrival before this one, the exact
-		// value the reference loop recomputes with tx excluded.
-		var floor float64
-		if inc {
-			floor = phy.MilliwattToDBm(preFloor)
-		} else {
-			floor = r.interferenceFloorDBm(tx)
-		}
-		if powerDBm >= floor+prof.SINRRequiredDB[phy.Rate1.Index()] {
+		// Preamble must clear the interference floor — noise plus every
+		// arrival before this one, which is exactly preFloor.
+		if powerDBm >= phy.MilliwattToDBm(preFloor)+prof.SINRRequiredDB[phy.Rate1.Index()] {
 			r.lock(tx, powerDBm, preCCA)
 		} else {
 			r.FramesMissed++
@@ -1065,81 +994,48 @@ func (r *Radio) arrivalStart(tx *transmission, powerDBm, powerMW float64) {
 		r.FramesMissed++
 	}
 
-	if r.locked != nil && r.locked != tx {
-		// Newcomer interferes with the locked frame.
-		if inc {
-			if r.interfMW > r.maxInterfMW {
-				r.maxInterfMW = r.interfMW
-			}
-		} else {
-			r.noteInterference()
-		}
+	if r.locked != nil && r.locked != tx && r.interfMW > r.maxInterfMW {
+		// Newcomer interferes with the locked frame; the decode verdict
+		// uses the worst cumulative interference seen during the lock.
+		r.maxInterfMW = r.interfMW
 	}
 	r.updateCCA()
 }
 
 // lock synchronizes the receive chain to tx, which is always the
 // arrival just appended. interfMW is the pre-append total-energy fold:
-// with tx last in the list, that is exactly the reference's "every
-// arrival except the locked one" fold — including a previously locked
-// frame a capture just abandoned, at its original fold position.
+// with tx last in the list, that is exactly the fold of every arrival
+// except the locked one — including a previously locked frame a capture
+// just abandoned, at its original fold position.
 func (r *Radio) lock(tx *transmission, powerDBm, interfMW float64) {
 	r.locked = tx
 	r.lockedPower = powerDBm
 	r.maxInterfMW = 0
-	if r.m.incrementalOff {
-		r.noteInterference()
-		return
-	}
 	r.interfMW = interfMW
 	if interfMW > 0 {
 		r.maxInterfMW = interfMW
 	}
 }
 
-// noteInterference records the current cumulative interference against
-// the locked frame. The decode verdict uses the worst value seen during
-// the whole reception.
-func (r *Radio) noteInterference() {
-	var mw float64
-	for _, a := range r.arrivals {
-		if a.tx != r.locked {
-			mw += a.mw
-		}
-	}
-	if mw > r.maxInterfMW {
-		r.maxInterfMW = mw
-	}
-}
-
-// interferenceFloorDBm returns noise + all arrivals except tx, in dBm.
-// The noise floor comes from the attach-time linear table rather than a
-// fresh dBm→mW conversion per call. Reference path only: incremental
-// mode reads the maintained floorMW fold instead (see arrivalStart).
-func (r *Radio) interferenceFloorDBm(except *transmission) float64 {
-	mw := r.lin.NoiseFloorMW
-	for _, a := range r.arrivals {
-		if a.tx != except {
-			mw += a.mw
-		}
-	}
-	return phy.MilliwattToDBm(mw)
+// unlock abandons any reception in progress (half-duplex transmit or
+// power-down). The abandoned frame stays in the arrivals — it is still
+// energy in the air — so with nothing locked the interference fold
+// widens back to the whole in-air fold.
+func (r *Radio) unlock() {
+	r.locked = nil
+	r.maxInterfMW = 0
+	r.interfMW = r.ccaMW
 }
 
 // recomputeSums rebuilds the three maintained energy folds from the
-// arrivals list in arrival order — the same left-to-right folds the
-// reference loops perform. Removing an arrival from the middle of the
-// list changes the folds' association, so the running values cannot be
-// maintained by subtraction without parting from the reference one ulp
-// at a time; one rebuild per trailing edge keeps them exact (and, with
-// the list empty, pins them back to exactly zero — no drift ever
+// arrivals list in arrival order. Removing an arrival from the middle
+// of the list changes the folds' association, so the running values
+// cannot be maintained by subtraction without drifting one ulp at a
+// time; one rebuild per trailing edge keeps them exact (and, with the
+// list empty, pins them back to exactly zero — no drift ever
 // accumulates).
 func (r *Radio) recomputeSums() {
-	if sh := r.shard; sh != nil {
-		sh.soaRescans++
-	} else {
-		r.m.soaRescans++
-	}
+	r.memo().soaRescans++
 	cca, interf := 0.0, 0.0
 	floor := r.lin.NoiseFloorMW
 	for _, a := range r.arrivals {
@@ -1162,9 +1058,7 @@ func (r *Radio) arrivalEnd(tx *transmission) {
 			copy(r.arrivals[i:], r.arrivals[i+1:])
 			r.arrivals[last] = arrivalEntry{}
 			r.arrivals = r.arrivals[:last]
-			if !r.m.incrementalOff {
-				r.recomputeSums()
-			}
+			r.recomputeSums()
 			break
 		}
 	}
@@ -1216,15 +1110,7 @@ func (r *Radio) verdict(tx *transmission) bool {
 func (r *Radio) updateCCA() {
 	busy := r.state == stateTransmit || r.locked != nil
 	if !busy && len(r.arrivals) > 0 {
-		if r.m.incrementalOff {
-			var mw float64
-			for _, a := range r.arrivals {
-				mw += a.mw
-			}
-			busy = mw >= r.lin.CCAThresholdMW
-		} else {
-			busy = r.ccaMW >= r.lin.CCAThresholdMW
-		}
+		busy = r.ccaMW >= r.lin.CCAThresholdMW
 	}
 	if busy != r.ccaBusy {
 		r.ccaBusy = busy

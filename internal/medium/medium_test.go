@@ -322,9 +322,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 // TestLinkGainCacheMatchesDirect pits the link-gain cache against the
 // direct per-call PHY computation across everything that can invalidate
 // an entry — time advancing through coherence epochs, either endpoint
-// moving, static and dynamic shadowing components — and requires the
-// returned power (and its memoized linear form) to be bit-identical on
-// every query, including repeat queries served from the cache.
+// moving, static and dynamic shadowing components, degradation epochs
+// opening and closing — and requires the returned power (and its
+// memoized linear form) to be bit-identical on every query, including
+// repeat queries served from the cache.
 func TestLinkGainCacheMatchesDirect(t *testing.T) {
 	prof := phy.TestbedProfile() // static + dynamic shadowing components
 	prof.Fading.Coherence = 10 * time.Millisecond
@@ -374,14 +375,30 @@ func TestLinkGainCacheMatchesDirect(t *testing.T) {
 		}
 	}
 
-	// The reference path (cache off) must agree too.
-	m.SetGainCache(false)
-	d := phy.Dist(a.Pos(), b.Pos())
-	want := prof.RxPowerDBm(src, 1, 2, d, 70*time.Millisecond)
-	got, g := m.linkPower(a, b.slot, 70*time.Millisecond)
-	if got != want || g != nil {
-		t.Fatalf("cache-off linkPower = (%v, %v), want (%v, nil)", got, g, want)
+	// A degradation timeline composes after the shadowing sum, as
+	// MeanRxPowerDBm(d) + (ShadowDB + offset): a station episode on b
+	// and a partition rule isolating c, each opening and closing mid-run.
+	dg := NewDegTimeline(3)
+	dg.AddStationEpisode(int(b.slot), 72*time.Millisecond, 95*time.Millisecond, -6)
+	dg.AddPairRule([]bool{false, false, true}, 80*time.Millisecond, 120*time.Millisecond, -15)
+	dg.Finalize()
+	m.SetDegradation(dg)
+	for _, now := range []time.Duration{70 * time.Millisecond, 72 * time.Millisecond,
+		85 * time.Millisecond, 96 * time.Millisecond, 130 * time.Millisecond} {
+		for _, p := range pairs {
+			from, rx := p[0], p[1]
+			d := phy.Dist(from.Pos(), rx.Pos())
+			want := prof.MeanRxPowerDBm(d) + (prof.Fading.ShadowDB(src, uint64(from.ID()), uint64(rx.ID()), now) +
+				dg.LinkOffsetDB(from.slot, rx.slot, now))
+			for i := 0; i < 2; i++ {
+				if got, _ := m.linkPower(from, rx.slot, now); got != want {
+					t.Fatalf("degraded linkPower(%d->%d, %v) query %d = %v, want direct %v",
+						from.ID(), rx.ID(), now, i, got, want)
+				}
+			}
+		}
 	}
-	m.SetGainCache(true)
-	check(a, b, 70*time.Millisecond)
+	if off := dg.LinkOffsetDB(a.slot, c.slot, 85*time.Millisecond); off != -15 {
+		t.Fatalf("partition offset a->c at 85ms = %v, want -15: the case does not exercise degradation", off)
+	}
 }

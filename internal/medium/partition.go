@@ -55,13 +55,10 @@ type medShard struct {
 	deliveries    uint64
 	phyErrors     uint64
 
-	// Per-region mirrors of the medium's cache-efficiency counters
+	// Per-region copy of the medium's cache-efficiency counters
 	// (Medium.Stats) — owned by the region goroutine, folded with the
 	// aggregates above.
-	gainHits, gainMisses     uint64
-	fanReplays, fanBuilds    uint64
-	candReuses, candRebuilds uint64
-	soaRescans               uint64
+	memo memoCounters
 
 	retMu   sync.Mutex
 	returns []*transmission
@@ -141,7 +138,7 @@ func (m *Medium) SetPartition(ex *sim.Exec, grid phy.RegionGrid) {
 	}
 	m.ensureIndex()
 	if m.index == nil {
-		panic("medium: parallel partition requires the spatial index (degenerate radio model or brute-force mode)")
+		panic("medium: parallel partition requires the spatial index (degenerate radio model)")
 	}
 	m.ex = ex
 	// Region assignments are baked into the fan-out memos (arrivalTarget
@@ -169,17 +166,8 @@ func (m *Medium) FoldCounters() {
 		m.Deliveries += sh.deliveries
 		m.PHYErrors += sh.phyErrors
 		sh.transmissions, sh.deliveries, sh.phyErrors = 0, 0, 0
-		m.gainHits += sh.gainHits
-		m.gainMisses += sh.gainMisses
-		m.fanReplays += sh.fanReplays
-		m.fanBuilds += sh.fanBuilds
-		m.candReuses += sh.candReuses
-		m.candRebuilds += sh.candRebuilds
-		m.soaRescans += sh.soaRescans
-		sh.gainHits, sh.gainMisses = 0, 0
-		sh.fanReplays, sh.fanBuilds = 0, 0
-		sh.candReuses, sh.candRebuilds = 0, 0
-		sh.soaRescans = 0
+		m.memo.add(&sh.memo)
+		sh.memo = memoCounters{}
 	}
 }
 
@@ -258,13 +246,12 @@ func (tx *transmission) finishOn(sh *medShard) {
 }
 
 // partTransmit is the partitioned counterpart of the sequential body of
-// Radio.Transmit: same candidate query, same propagation arithmetic
-// (the results are bit-identical — the equivalence tests insist), but
-// the receiver set is split into per-region segments. The transmitter's
-// own region is dispatched on the local scheduler exactly like the
-// sequential path; every other region's segment crosses the boundary as
-// one exec message (the leading edge, timestamped one propagation bound
-// out), which schedules the trailing edge locally on arrival.
+// Radio.Transmit: the same fanOut builds the receiver set, which is then
+// split into per-region segments. The transmitter's own region is
+// dispatched on the local scheduler exactly like the sequential path;
+// every other region's segment crosses the boundary as one exec message
+// (the leading edge, timestamped one propagation bound out), which
+// schedules the trailing edge locally on arrival.
 func (m *Medium) partTransmit(r *Radio, f *frame.Frame, rate phy.Rate) time.Duration {
 	if m.index == nil || m.indexDirty {
 		panic("medium: partitioned transmit without a live spatial index")
@@ -276,49 +263,12 @@ func (m *Medium) partTransmit(r *Radio, f *frame.Frame, rate phy.Rate) time.Dura
 	sh.transmissions++
 	r.FramesSent++
 
-	r.locked = nil
-	r.maxInterfMW = 0
+	r.unlock()
 	r.state = stateTransmit
 	r.updateCCA()
 
 	tx := sh.newTransmission(r, f, rate, now+air)
-	// Same per-transmitter memo as the sequential path; only this
-	// radio's region goroutine services its transmissions, so the memo
-	// never races across shards.
-	slots := r.cand
-	if r.candEpoch != m.posEpoch {
-		slots = m.index.AppendWithin(r.cand[:0], r.pos, r.reach)
-		m.sortCandidates(slots)
-		r.cand = slots
-		r.candEpoch = m.posEpoch
-		sh.candRebuilds++
-	} else {
-		sh.candReuses++
-	}
-	var fade uint64
-	if pf := &r.profile.Fading; pf.SigmaDB != 0 {
-		fade = pf.FadeEpoch(now)
-	}
-	var degE uint64
-	if m.deg != nil {
-		degE = m.deg.globalEpoch(now)
-	}
-	if !m.gainCacheOff && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
-		tx.targets = append(tx.targets, r.fan...)
-		sh.fanReplays++
-	} else {
-		if cap(tx.targets) < len(slots) {
-			tx.targets = make([]arrivalTarget, 0, len(slots))
-		}
-		for _, slot := range slots {
-			m.propagate(tx, r, int32(slot), now)
-		}
-		if !m.gainCacheOff {
-			r.fan = append(r.fan[:0], tx.targets...)
-			r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
-		}
-		sh.fanBuilds++
-	}
+	m.fanOut(tx, r, now)
 	r.txEndPending = sched.AtAction(now+air, &r.txEnd)
 	nt := len(tx.targets)
 	if nt == 0 {

@@ -27,13 +27,10 @@ func shortRangeProfile() *phy.Profile {
 // mobilityRun drives one fixed-seed network — a paced UDP flow from a
 // fast random-waypoint walker to a static sink, plus a second static
 // flow far outside their earshot — and returns every observable metric.
-// With bruteForce the medium propagates exhaustively (the pre-index
-// reference); otherwise the spatial grid serves the candidate sets.
-func mobilityRun(t *testing.T, bruteForce bool) (metrics []uint64, cellsVisited int) {
+func mobilityRun(t *testing.T) (metrics []uint64, cellsVisited int) {
 	t.Helper()
 	prof := shortRangeProfile()
 	n := NewNetwork(77, WithProfile(prof))
-	n.Medium.SetBruteForce(bruteForce)
 
 	sink := n.AddStation(phy.Pos(150, 150), mac.Config{DataRate: phy.Rate1})
 	walker := n.AddStation(phy.Pos(160, 150), mac.Config{DataRate: phy.Rate1})
@@ -95,26 +92,24 @@ func mobilityRun(t *testing.T, bruteForce bool) (metrics []uint64, cellsVisited 
 	return metrics, len(cells)
 }
 
-// TestMobilityIndexMatchesBruteForce is the PR 3 equivalence test: a
-// random-waypoint station crossing grid-cell boundaries mid-run must
-// produce bit-identical flow and medium metrics with the spatial index
-// and with the exhaustive reference propagation, at the same seed.
+// TestMobilityIndexMatchesBruteForce is the spatial index's
+// equivalence test: a random-waypoint station crossing grid-cell
+// boundaries mid-run must produce exactly the flow and medium metrics
+// the exhaustive per-radio propagation produced at the same seed
+// (testdata/golden_reference.json).
 func TestMobilityIndexMatchesBruteForce(t *testing.T) {
-	indexed, cellsIndexed := mobilityRun(t, false)
-	brute, _ := mobilityRun(t, true)
-
-	if cellsIndexed < 2 {
-		t.Fatalf("walker stayed inside one grid cell (%d visited): the run does not exercise index relocation", cellsIndexed)
+	got, cells := mobilityRun(t)
+	if cells < 2 {
+		t.Fatalf("walker stayed inside one grid cell (%d visited): the run does not exercise index relocation", cells)
 	}
-	if indexed[0] == 0 {
+	if got[0] == 0 {
 		t.Fatal("sink received nothing: the run does not exercise delivery")
 	}
-	if len(indexed) != len(brute) {
-		t.Fatalf("metric vectors differ in length: %d vs %d", len(indexed), len(brute))
+	ref := loadReference(t)
+	if *updateReference {
+		ref.Mobility = got
+		storeReference(t, ref)
+		return
 	}
-	for i := range indexed {
-		if indexed[i] != brute[i] {
-			t.Fatalf("metric %d diverged: indexed=%d brute=%d\nindexed: %v\nbrute:   %v", i, indexed[i], brute[i], indexed, brute)
-		}
-	}
+	compareMetrics(t, "walker", got, ref.Mobility)
 }

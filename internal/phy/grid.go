@@ -33,8 +33,7 @@ type cellKey struct{ cx, cy int32 }
 // consult the coarse layer to skip whole supercell rows and row
 // segments without probing each fine cell. The skip only ever elides
 // provably empty cells, so query output (and its deterministic row-
-// major order) is bit-identical with the hierarchy on or off;
-// SetHierarchy(false) forces the flat scan as the reference path.
+// major order) is the same as the flat scan's, which small boxes use.
 type CellIndex struct {
 	cell   float64
 	cells  map[cellKey][]uint32
@@ -53,16 +52,6 @@ const (
 	// cheaper than any amount of skipping.
 	coarseMinCells = 32
 )
-
-// flatOnly disables the coarse layer in queries (SetHierarchy).
-var flatOnly bool
-
-// SetHierarchy disables (false) or re-enables (true) the coarse
-// supercell layer in CellIndex queries. Like medium.SetBruteForce it
-// exists for verification: the skip is provably output-preserving, and
-// the equivalence tests run both ways to keep that proof honest.
-// Production callers never need it. Not safe to flip mid-query.
-func SetHierarchy(on bool) { flatOnly = !on }
 
 // superKey maps a cell to its supercell. Arithmetic shift floors
 // toward negative infinity, which is the correct block assignment for
@@ -147,23 +136,6 @@ func (ix *CellIndex) coarseDec(sk cellKey) {
 	}
 }
 
-// Remove deletes id from the index. Removing an unknown id is a no-op.
-// The medium never detaches radios today; Remove completes the index's
-// surface for the dynamic-membership media (station churn, sharding)
-// the roadmap points at.
-func (ix *CellIndex) Remove(id uint32) {
-	k, ok := ix.where[id]
-	if !ok {
-		return
-	}
-	delete(ix.where, id)
-	ix.cells[k] = removeSorted(ix.cells[k], id)
-	if len(ix.cells[k]) == 0 {
-		delete(ix.cells, k)
-	}
-	ix.coarseDec(superKey(k))
-}
-
 // AppendWithin appends to dst the ids of every indexed position within
 // radius meters of center, and returns the extended slice. It
 // over-approximates at cell granularity: every id within the radius is
@@ -187,8 +159,7 @@ func (ix *CellIndex) AppendWithin(dst []uint32, center Position, radius float64)
 	r2 := radius * radius
 	// The coarse layer pays only on wide boxes: a 3×3 query is cheaper
 	// probed directly.
-	useCoarse := !flatOnly &&
-		(int64(cx1-cx0)+1)*(int64(cy1-cy0)+1) >= coarseMinCells
+	useCoarse := (int64(cx1-cx0)+1)*(int64(cy1-cy0)+1) >= coarseMinCells
 	for cy := cy0; cy <= cy1; cy++ {
 		if useCoarse && cy&(coarseSize-1) == 0 && cy1-cy >= coarseSize-1 &&
 			ix.coarseRowEmpty(cy>>coarseShift, cx0, cx1) {

@@ -116,11 +116,6 @@ func TestCellIndexMoveAcrossCells(t *testing.T) {
 	if ix.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", ix.Len())
 	}
-	ix.Remove(1)
-	ix.Remove(1) // unknown id: no-op
-	if ix.Len() != 1 {
-		t.Fatalf("Len() after remove = %d, want 1", ix.Len())
-	}
 }
 
 func TestCellIndexDuplicateInsertPanics(t *testing.T) {

@@ -1,23 +1,47 @@
 package phy
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// withFlatScan runs fn with the coarse layer disabled, restoring it
-// afterwards.
-func withFlatScan(fn func()) {
-	SetHierarchy(false)
-	defer SetHierarchy(true)
-	fn()
+// withinCells is the query reference: every id whose cell's nearest
+// point lies within radius of center, ordered by (cy, cx, id) — the
+// output AppendWithin promises, computed from the positions alone.
+func withinCells(pos map[uint32]Position, cell float64, center Position, radius float64) []uint32 {
+	type hit struct {
+		cx, cy int32
+		id     uint32
+	}
+	var hits []hit
+	r2 := radius * radius
+	for id, p := range pos {
+		cx, cy := int32(math.Floor(p.X/cell)), int32(math.Floor(p.Y/cell))
+		nx := clampF(center.X, float64(cx)*cell, float64(cx+1)*cell)
+		ny := clampF(center.Y, float64(cy)*cell, float64(cy+1)*cell)
+		if dx, dy := nx-center.X, ny-center.Y; dx*dx+dy*dy <= r2 {
+			hits = append(hits, hit{cx, cy, id})
+		}
+	}
+	slices.SortFunc(hits, func(a, b hit) int {
+		return cmp.Or(cmp.Compare(a.cy, b.cy), cmp.Compare(a.cx, b.cx), cmp.Compare(a.id, b.id))
+	})
+	out := make([]uint32, len(hits))
+	for i, h := range hits {
+		out[i] = h.id
+	}
+	return out
 }
 
 // TestHierarchyMatchesFlat is the coarse layer's bit-identity check:
 // on clustered sparse fields (the layout the supercell skip exists
-// for), every query — wide, narrow, off-field, straddling empty
-// supercell rows — returns the identical id sequence with the
-// hierarchy on and off, across interleaved Move and Remove churn.
+// for), every query — wide ones that take the coarse skip, narrow ones
+// that walk the flat grid, off-field, straddling empty supercell rows
+// — returns exactly the reference id sequence, across interleaved Move
+// churn.
 func TestHierarchyMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ix := NewCellIndex(50) // 50 m cells, 400 m supercells
@@ -44,17 +68,16 @@ func TestHierarchyMatchesFlat(t *testing.T) {
 
 	check := func(center Position, radius float64) {
 		t.Helper()
-		fast := ix.AppendWithin(nil, center, radius)
-		var flat []uint32
-		withFlatScan(func() { flat = ix.AppendWithin(nil, center, radius) })
-		if len(fast) != len(flat) {
-			t.Fatalf("query (%.0f,%.0f) r=%.0f: hierarchy %d ids, flat %d ids",
-				center.X, center.Y, radius, len(fast), len(flat))
+		got := ix.AppendWithin(nil, center, radius)
+		want := withinCells(pos, ix.CellSize(), center, radius)
+		if len(got) != len(want) {
+			t.Fatalf("query (%.0f,%.0f) r=%.0f: index %d ids, reference %d ids",
+				center.X, center.Y, radius, len(got), len(want))
 		}
-		for i := range flat {
-			if fast[i] != flat[i] {
-				t.Fatalf("query (%.0f,%.0f) r=%.0f: id %d is %d with hierarchy, %d flat",
-					center.X, center.Y, radius, i, fast[i], flat[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("query (%.0f,%.0f) r=%.0f: id %d is %d from the index, %d in the reference",
+					center.X, center.Y, radius, i, got[i], want[i])
 			}
 		}
 	}
@@ -69,22 +92,19 @@ func TestHierarchyMatchesFlat(t *testing.T) {
 	}
 	queries()
 
-	// Churn: move a third of the ids (some across supercells), remove a
-	// few, and re-check.
-	ids := make([]uint32, 0, len(pos))
-	for i := range pos {
-		ids = append(ids, i)
-	}
-	for i, mv := range ids {
-		switch i % 3 {
+	// Churn: move a third of the ids anywhere on the field (most across
+	// supercells, emptying some) and a few by a meter, then re-check.
+	for mv := uint32(1); mv < id; mv++ {
+		switch mv % 3 {
 		case 0:
 			p := Position{X: rng.Float64() * 20000, Y: rng.Float64() * 20000}
 			ix.Move(mv, p)
 			pos[mv] = p
 		case 1:
-			if i%9 == 1 {
-				ix.Remove(mv)
-				delete(pos, mv)
+			if mv%9 == 1 {
+				p := Position{X: pos[mv].X + 1, Y: pos[mv].Y}
+				ix.Move(mv, p)
+				pos[mv] = p
 			}
 		}
 	}
@@ -92,9 +112,10 @@ func TestHierarchyMatchesFlat(t *testing.T) {
 }
 
 // TestHierarchyCoarseCounts checks the supercell occupancy bookkeeping
-// directly: after arbitrary insert/move/remove churn the coarse map
-// must hold exactly one count per occupied supercell, each matching
-// the ids beneath it.
+// directly: after arbitrary insert/move churn the coarse map must hold
+// exactly one count per occupied supercell, each matching the ids
+// beneath it. Long jumps across the field empty supercells, so the
+// delete-at-zero path runs too.
 func TestHierarchyCoarseCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ix := NewCellIndex(10)
@@ -106,17 +127,14 @@ func TestHierarchyCoarseCounts(t *testing.T) {
 			p := Position{X: rng.Float64()*2000 - 1000, Y: rng.Float64()*2000 - 1000}
 			ix.Insert(id, p)
 			live[id] = p
-		case r < 8:
-			for id := range live {
-				p := Position{X: rng.Float64()*2000 - 1000, Y: rng.Float64()*2000 - 1000}
-				ix.Move(id, p)
-				live[id] = p
-				break
-			}
 		default:
 			for id := range live {
-				ix.Remove(id)
-				delete(live, id)
+				p := Position{X: rng.Float64()*2000 - 1000, Y: rng.Float64()*2000 - 1000}
+				if r >= 8 {
+					p.X += 5000 // out to a second, sparser field
+				}
+				ix.Move(id, p)
+				live[id] = p
 				break
 			}
 		}
@@ -135,14 +153,10 @@ func TestHierarchyCoarseCounts(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendWithinSparse measures the wide-query case the coarse
-// layer targets: a clustered field where the query box spans hundreds
-// of mostly-empty cells.
-func benchmarkAppendWithinSparse(b *testing.B, hierarchy bool) {
-	if !hierarchy {
-		SetHierarchy(false)
-		defer SetHierarchy(true)
-	}
+// BenchmarkAppendWithinSparseHierarchy measures the wide-query case the
+// coarse layer targets: a clustered field where the query box spans
+// hundreds of mostly-empty cells.
+func BenchmarkAppendWithinSparseHierarchy(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	ix := NewCellIndex(100)
 	id := uint32(1)
@@ -162,6 +176,3 @@ func benchmarkAppendWithinSparse(b *testing.B, hierarchy bool) {
 		buf = ix.AppendWithin(buf[:0], centers[i%len(centers)], 8000)
 	}
 }
-
-func BenchmarkAppendWithinSparseHierarchy(b *testing.B) { benchmarkAppendWithinSparse(b, true) }
-func BenchmarkAppendWithinSparseFlat(b *testing.B)      { benchmarkAppendWithinSparse(b, false) }

@@ -29,6 +29,12 @@ const (
 	autoMinStationsPerRegion = 64
 )
 
+// maxParallelRegions bounds an explicit region grid. The executor keeps
+// a lookahead matrix quadratic in the region count and closes it in
+// cubic time, so an unbounded request (1000x1000) would exhaust memory
+// instead of failing; 16x16 is four times the auto-sizer's cap.
+const maxParallelRegions = 16 * 16
+
 // Instance is a compiled scenario: a live network plus the workload
 // endpoints, ready to run. Callers that need more than Run's metrics —
 // extra monitors, mid-run inspection, custom horizons — Build the

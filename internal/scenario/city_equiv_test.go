@@ -10,20 +10,17 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"adhocsim/internal/phy"
 )
 
-// The city-scale equivalence suite: every fast path the 16k/100k tier
-// leans on — the hierarchical spatial index, the incremental
-// interference sums, the parallel kernel — must be bit-identical to its
-// reference implementation on the city presets themselves, not just on
-// the small unit fixtures. The presets are far too large for the
+// The city-scale equivalence suite: the city presets' bytes are pinned
+// by goldens (TestCityGolden, golden_calendar.json), and the parallel
+// kernel must reproduce the sequential kernel on them, not just on the
+// small unit fixtures. The presets are far too large for the
 // full-horizon preset sweeps (parallel_equiv_test.go skips N > 2048),
-// so the toggle matrix runs here at a short horizon instead.
+// so those checks run here at a short horizon instead.
 
 // cityShortSpec returns the named city preset with its horizon cut to
-// something a test can afford — the toggle equivalences care about
+// something a test can afford — these checks care about
 // event-order agreement, not steady-state throughput.
 func cityShortSpec(t *testing.T, name string, horizon time.Duration) Spec {
 	t.Helper()
@@ -35,17 +32,11 @@ func cityShortSpec(t *testing.T, name string, horizon time.Duration) Spec {
 	return spec
 }
 
-// TestRandom16kKernelToggles runs random-16k once per kernel toggle and
-// requires the result JSON byte-identical to the preset's own
-// configuration (hierarchical index, incremental sums):
-//
-//   - calendar-vs-heap: the preset's own run must reproduce the result
-//     the retired calendar-queue backend recorded (checkCalendarDigest);
-//   - hierarchy-vs-flat: phy.SetHierarchy(false) forces every CellIndex
-//     query down the flat fine-grid reference path;
-//   - incremental-vs-recomputed: Medium.SetIncremental(false) forces
-//     CCA, the interference floor and the lock-time interference record
-//     back to their per-edge recomputation loops.
+// TestRandom16kKernelToggles requires random-16k at 50 ms to
+// reproduce the result the retired calendar-queue backend recorded
+// (checkCalendarDigest). The index hierarchy and the incremental sums
+// it also runs are pinned mechanism by mechanism by the phy and medium
+// oracle tests.
 func TestRandom16kKernelToggles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale preset run: skipped in -short")
@@ -55,31 +46,6 @@ func TestRandom16kKernelToggles(t *testing.T) {
 
 	t.Run("calendar-vs-heap", func(t *testing.T) {
 		checkCalendarDigest(t, spec.Name, base)
-	})
-
-	t.Run("hierarchy-vs-flat", func(t *testing.T) {
-		phy.SetHierarchy(false)
-		defer phy.SetHierarchy(true)
-		if got := runJSON(t, spec); !bytes.Equal(base, got) {
-			t.Errorf("random-16k: flat-index result differs from hierarchical")
-		}
-	})
-
-	t.Run("incremental-vs-recomputed", func(t *testing.T) {
-		inst, err := Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst.Net.Medium.SetIncremental(false)
-		horizon := inst.Spec.Duration.D()
-		inst.Net.Run(horizon)
-		got, err := json.Marshal(inst.Collect(horizon))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(base, got) {
-			t.Errorf("random-16k: recomputed-interference result differs from incremental")
-		}
 	})
 }
 

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"adhocsim/internal/runner"
 )
 
 // The fault-engine equivalence suite: injected faults are ordinary
@@ -51,12 +53,7 @@ func TestReplicateReuseWithFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetRebuildEachRep(true)
-			rebuild, err := Replicate(spec, reps, 1, nil)
-			SetRebuildEachRep(false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rebuild := summarize(spec, replicateRebuild(runner.Config{Workers: 1}, spec, reps))
 			a, b := marshalSummary(t, reuse), marshalSummary(t, rebuild)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("faulted arena reuse diverged from rebuild-per-rep:\nreuse:   %s\nrebuild: %s", a, b)

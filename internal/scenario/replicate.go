@@ -113,19 +113,6 @@ func (e *ExecSummary) Plan() string {
 		e.Grid, e.Partitioner, e.RegionWorkers, e.ReplicationWorkers)
 }
 
-// rebuildEachRep, when set, makes Replicate compile every replication
-// from scratch instead of re-seeding each worker's built network — the
-// pre-arena-reuse reference behaviour (see SetRebuildEachRep).
-var rebuildEachRep bool
-
-// SetRebuildEachRep disables (true) or re-enables (false) arena reuse
-// in Replicate, forcing every replication through a full Build. Like
-// medium.SetBruteForce it exists for verification — the equivalence
-// tests (and cmd/adhocsim -rebuild-each-rep) run the same sweep both
-// ways and require byte-identical summaries. Production callers never
-// need it. Not safe to flip while a Replicate call is in flight.
-func SetRebuildEachRep(on bool) { rebuildEachRep = on }
-
 // Replicate runs reps independently seeded copies of the spec across
 // workers goroutines (0 = all CPUs) and aggregates per-flow metrics.
 // Replication 0 reuses the spec's own seed, so a single-replication
@@ -178,12 +165,8 @@ func Replicate(spec Spec, reps, workers int, progress func(done, total int)) (Su
 	}
 	cfg := runner.Config{Workers: workers, Progress: progress, OnJobDone: ro.onJobDone()}
 	var runs []Result
-	if spec.MACHook != nil || rebuildEachRep {
-		runs = runner.Replicate(cfg, spec.Seed, reps, func(seed uint64) Result {
-			s := spec
-			s.Seed = seed
-			return MustRun(s)
-		})
+	if spec.MACHook != nil {
+		runs = replicateRebuild(cfg, spec, reps)
 	} else {
 		runs = runner.ReplicateWith(cfg, spec.Seed, reps, func(inst **Instance, seed uint64) Result {
 			return runReused(inst, spec, seed)
@@ -193,6 +176,17 @@ func Replicate(spec Spec, reps, workers int, progress func(done, total int)) (Su
 		ro.noteSweep(min(reps, resolveWorkers(workers)), time.Since(sweepStart))
 	}
 	return summarize(spec, runs), nil
+}
+
+// replicateRebuild runs a sweep that compiles every replication from
+// scratch with its own Build, the path for specs whose per-run state
+// Instance.Reset cannot reach (a MACHook's closures).
+func replicateRebuild(cfg runner.Config, spec Spec, reps int) []Result {
+	return runner.Replicate(cfg, spec.Seed, reps, func(seed uint64) Result {
+		s := spec
+		s.Seed = seed
+		return MustRun(s)
+	})
 }
 
 // resolveWorkers maps a Config-style worker count (0 = all CPUs) to the

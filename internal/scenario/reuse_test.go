@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"adhocsim/internal/runner"
 )
 
 // reuseSpecs returns the scenarios the arena-reuse equivalence tests
@@ -80,8 +82,9 @@ func marshalSummary(t *testing.T, s Summary) []byte {
 // TestReplicateReuseMatchesRebuild is the PR 4 arena-reuse equivalence
 // test: a replication sweep that builds each worker's network once and
 // re-seeds it per replication must produce a byte-identical summary to
-// the reference sweep that rebuilds the network for every replication,
-// across the preset library and the purpose-built specs above.
+// the sweep that rebuilds the network for every replication (the path
+// MACHook specs take), across the preset library and the purpose-built
+// specs above.
 func TestReplicateReuseMatchesRebuild(t *testing.T) {
 	const reps = 3
 	for _, spec := range reuseSpecs(t) {
@@ -95,12 +98,7 @@ func TestReplicateReuseMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetRebuildEachRep(true)
-			rebuild, err := Replicate(spec, reps, 1, nil)
-			SetRebuildEachRep(false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rebuild := summarize(spec, replicateRebuild(runner.Config{Workers: 1}, spec, reps))
 			a, b := marshalSummary(t, reuse), marshalSummary(t, rebuild)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("arena reuse diverged from rebuild-per-rep:\nreuse:   %s\nrebuild: %s", a, b)

@@ -236,6 +236,12 @@ func TestValidateErrors(t *testing.T) {
 		{"mobility station duplicated", func(s *Spec) {
 			s.Mobility = &Mobility{Model: ModelRandomWaypoint, Stations: []int{1, 1}}
 		}, "listed twice"},
+		{"oversized region grid", func(s *Spec) {
+			s.Parallel = &ParallelParams{Cols: 1000, Rows: 1000}
+		}, "exceeds 256 regions"},
+		{"oversized region grid, auto rows", func(s *Spec) {
+			s.Parallel = &ParallelParams{Cols: 40}
+		}, "exceeds 256 regions"},
 	}
 	for _, tc := range cases {
 		spec := validSpec()
@@ -247,6 +253,13 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := validSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for _, p := range []ParallelParams{{}, {Cols: 16, Rows: 16}, {Cols: 32}, {Cols: 2, Rows: 2}} {
+		spec := validSpec()
+		spec.Parallel = &p
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%dx%d region grid rejected: %v", p.Cols, p.Rows, err)
+		}
 	}
 }
 

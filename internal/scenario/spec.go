@@ -236,7 +236,8 @@ func (r *RoutingParams) linkRange(p *phy.Profile, mac MACParams) float64 {
 //
 // Any grid shape is sound — the lookahead between two regions scales
 // with their separation (see internal/phy/lookahead.go) — so explicit
-// Cols/Rows are honored exactly. Auto-sized dimensions (0) instead
+// Cols/Rows are honored exactly, up to 256 regions in all (counting an
+// auto-sized dimension at its cap). Auto-sized dimensions (0) instead
 // target load balance: one region per carrier-sense range the field
 // spans, capped at 8 per dimension and shrunk until regions average at
 // least 64 stations, so a small field ends up as a single region and
@@ -264,8 +265,9 @@ type ParallelParams struct {
 	// workloads — same equivalence class as parallel-vs-sequential.
 	Partitioner string `json:"partitioner,omitempty"`
 	// Sequential selects the executor's single-goroutine reference path
-	// (sim.Exec.SetSequential) — the parallel analog of the medium's
-	// SetBruteForce/SetGainCache escape hatches, for equivalence tests.
+	// (sim.Exec.SetSequential), the kernel's only reference switch: the
+	// parallel-equivalence and fault-schedule fuzz targets use it to
+	// tell a race in the executor from a protocol bug.
 	Sequential bool `json:"sequential,omitempty"`
 }
 
@@ -551,6 +553,17 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 	if p := s.Parallel; p != nil {
 		if p.Cols < 0 || p.Rows < 0 {
 			return nil, nil, fmt.Errorf("scenario: negative parallel region grid %dx%d", p.Cols, p.Rows)
+		}
+		// An auto-sized dimension (0) counts at its cap.
+		c, r := p.Cols, p.Rows
+		if c == 0 {
+			c = autoMaxRegionsPerDim
+		}
+		if r == 0 {
+			r = autoMaxRegionsPerDim
+		}
+		if c > maxParallelRegions || r > maxParallelRegions || c*r > maxParallelRegions {
+			return nil, nil, fmt.Errorf("scenario: parallel region grid %dx%d exceeds %d regions", p.Cols, p.Rows, maxParallelRegions)
 		}
 		if p.Workers < 0 {
 			return nil, nil, fmt.Errorf("scenario: negative parallel worker count %d", p.Workers)

@@ -301,9 +301,10 @@ func (e *Exec) SetWorkers(n int) {
 // SetSequential forces (true) or releases (false) the single-goroutine
 // reference path: Run services all regions from the calling goroutine
 // under the identical window protocol. It is the parallel kernel's
-// verification escape hatch, the analog of medium.SetBruteForce and
-// medium.SetGainCache — equivalence tests run the same seed both ways
-// and require byte-identical results. Production callers never need it.
+// verification escape hatch: equivalence tests and fuzz targets run the
+// same seed both ways and require byte-identical results, which
+// separates executor races from protocol bugs. Production callers never
+// need it.
 func (e *Exec) SetSequential(on bool) { e.sequential = on }
 
 // Send delivers act to region to at absolute simulated time at. It must
