@@ -24,10 +24,10 @@
 // cell size. Transmit then touches only the 3×3 cell neighborhood of the
 // transmitter: per-transmission cost is proportional to the stations in
 // earshot, not the stations in existence, which is what makes
-// thousand-station fields tractable. Candidates are dispatched in
-// ascending radio-id order — the order of the exhaustive per-radio loop
-// Transmit keeps for degenerate radio models, and the insertion order
-// of networks built by internal/node — so the index changes which
+// thousand-station fields tractable. A degenerate radio model with no
+// finite radius has no index; every radio is then a candidate.
+// Candidates are dispatched in ascending radio-id order — the insertion
+// order of networks built by internal/node — so the index changes which
 // radios are probed, never which receive or in what order.
 //
 // The per-transmission bookkeeping runs allocation-free in steady state:
@@ -102,10 +102,9 @@ type Medium struct {
 	soaMove  []uint64
 	soaIrrel []float64
 
-	// gainRows is the link-gain cache: one row per transmitter slot,
-	// indexed by receiver slot, rows allocated lazily on first
-	// transmission (see linkGain).
-	gainRows [][]linkGain
+	// candBuf stages candidate-memo rebuilds in sequential mode (see
+	// rebuildCandidates); each parallel region has its own in its shard.
+	candBuf []uint32
 
 	// idsMonotone records whether radio ids ascend in slot order — true
 	// for node-built networks, which assign ids sequentially. It lets
@@ -115,9 +114,9 @@ type Medium struct {
 
 	// index is the spatial neighbor grid; nil while dirty, on an empty
 	// field, or when a degenerate radio model admits no finite relevance
-	// radius (Transmit then falls back to exhaustive propagation). It is
-	// rebuilt lazily on the first Transmit after a radio set change and
-	// updated incrementally by Radio.SetPos.
+	// radius (every radio is then a candidate). It is rebuilt lazily on
+	// the first Transmit after a radio set change and updated
+	// incrementally by Radio.SetPos.
 	index      *phy.CellIndex
 	indexDirty bool
 
@@ -125,7 +124,8 @@ type Medium struct {
 	// insertion, move, arena reset, and partition install, and
 	// validates the per-transmitter candidate memos (Radio.cand): while
 	// the geometry stands still, a repeat transmitter's index walk and
-	// dispatch-order sort collapse to a slice reuse.
+	// dispatch-order sort collapse to a slice reuse. Seed changes and
+	// degradation installs advance it too, after clearing the gain rows.
 	posEpoch uint64
 
 	// gainSeed is the sim.Source root seed the link-gain cache contents
@@ -199,10 +199,15 @@ type Stats struct {
 	CandReuses    uint64 // candidate-memo reuses (index walk + sort skipped)
 	CandRebuilds  uint64 // candidate-memo rebuilds after a geometry change
 	SoARescans    uint64 // arrival-list energy-fold rebuilds (trailing edges)
+	GainEntries   uint64 // link-gain entries held: the sum of all gain-row lengths
 }
 
 // Stats returns the medium's observability counters.
 func (m *Medium) Stats() Stats {
+	entries := 0
+	for _, r := range m.radios {
+		entries += len(r.gains)
+	}
 	return Stats{
 		Transmissions: m.Transmissions,
 		Deliveries:    m.Deliveries,
@@ -214,6 +219,7 @@ func (m *Medium) Stats() Stats {
 		CandReuses:    m.memo.candReuses,
 		CandRebuilds:  m.memo.candRebuilds,
 		SoARescans:    m.memo.soaRescans,
+		GainEntries:   uint64(entries),
 	}
 }
 
@@ -234,11 +240,11 @@ func New(sched *sim.Scheduler, src *sim.Source) *Medium {
 func (m *Medium) Now() time.Duration { return m.sched.Now() }
 
 // invalidateGains marks every link-gain entry stale without releasing
-// the allocated per-transmitter rows.
+// the transmitters' gain rows (Radio.gains).
 func (m *Medium) invalidateGains() {
-	for _, row := range m.gainRows {
-		for i := range row {
-			row[i].have = 0
+	for _, r := range m.radios {
+		for i := range r.gains {
+			r.gains[i].have = 0
 		}
 	}
 }
@@ -322,25 +328,16 @@ func (g *linkGain) milliwatt(dbm float64) float64 {
 
 // linkPower returns the instantaneous received power in dBm for the
 // directed link from the given radio to the receiver in slot rxSlot at
-// time now, served from the link-gain cache (the returned entry
-// memoizes the linear form). The receiver side is read entirely from
-// the slot-indexed SoA arrays. The composition — path-loss base plus
-// static shadow plus epoch fade, summed in that order, then the fault
-// engine's degradation offset when a timeline is installed — mirrors
-// phy.Profile.RxPowerDBm exactly, so a cache hit is bit-identical to the
-// direct computation, MeanRxPowerDBm(d) + (ShadowDB + linkOffset) under
-// degradation.
-func (m *Medium) linkPower(from *Radio, rxSlot int32, now time.Duration) (float64, *linkGain) {
+// time now, served from g, the link's entry in the transmitter's gain
+// row (which then memoizes the linear form). The receiver side is read
+// entirely from the slot-indexed SoA arrays. The composition —
+// path-loss base plus static shadow plus epoch fade, summed in that
+// order, then the fault engine's degradation offset when a timeline is
+// installed — mirrors phy.Profile.RxPowerDBm exactly, so a cache hit is
+// bit-identical to the direct computation, MeanRxPowerDBm(d) +
+// (ShadowDB + linkOffset) under degradation.
+func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration) float64 {
 	rxID := uint64(m.soaID[rxSlot])
-	// The per-transmitter row is sized lazily: only radios that
-	// actually transmit pay for one, and the row grows only when the
-	// radio set has grown since.
-	row := m.gainRows[from.slot]
-	if int(rxSlot) >= len(row) {
-		row = append(row, make([]linkGain, len(m.radios)-len(row))...)
-		m.gainRows[from.slot] = row
-	}
-	g := &row[rxSlot]
 	// Hit/miss classification: the cache exists to skip the
 	// transcendental path-loss base (PR 4), so a lookup is a miss only
 	// when that base recomputes. Fade/degradation epoch refreshes are
@@ -388,14 +385,14 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, now time.Duration) (float6
 	}
 	// Hit/miss bookkeeping: linkPower only ever runs on the transmitter's
 	// owning goroutine (its region's, in parallel mode — the same
-	// discipline that makes the row mutation above safe), so the plain
+	// discipline that makes the entry mutation above safe), so the plain
 	// counters need no atomics.
 	if c := from.memo(); miss {
 		c.gainMisses++
 	} else {
 		c.gainHits++
 	}
-	return g.baseDBm + shadow, g
+	return g.baseDBm + shadow
 }
 
 // ensureIndex rebuilds the neighbor grid if the radio set changed since
@@ -477,7 +474,7 @@ type Radio struct {
 
 	// slot is this radio's dense index in Medium.radios and in the
 	// medium's slot-indexed SoA arrays (positions, mobility epochs,
-	// irrelevance cuts, link-gain rows).
+	// irrelevance cuts).
 	slot int32
 
 	// Parallel partition bindings (zero in sequential mode): the radio's
@@ -509,7 +506,12 @@ type Radio struct {
 	// posEpoch; any geometry change invalidates every memo at once. In
 	// partitioned mode the memo is touched only by the region goroutine
 	// servicing this radio's transmissions, so it stays race-free.
+	//
+	// gains is this radio's link-gain row, parallel to cand: gains[i]
+	// caches the link to receiver slot cand[i]. A radio that never
+	// transmits holds neither.
 	cand      []uint32
+	gains     []linkGain
 	candEpoch uint64
 
 	// fan memoizes this radio's full propagation fan-out: the candidates
@@ -711,7 +713,6 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 	m.soaPos = append(m.soaPos, pos)
 	m.soaMove = append(m.soaMove, 0)
 	m.soaIrrel = append(m.soaIrrel, r.irrelevantDBm)
-	m.gainRows = append(m.gainRows, nil)
 	m.indexDirty = true
 	m.posEpoch++
 	return r
@@ -833,15 +834,7 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 
 	tx := m.newTransmission(r, f, rate, now+air)
 	m.ensureIndex()
-	if m.index == nil {
-		// No finite relevance radius (degenerate profile) or an empty
-		// field: probe every radio, in slot order.
-		for slot := range m.radios {
-			m.propagate(tx, r, int32(slot), now)
-		}
-	} else {
-		m.fanOut(tx, r, now)
-	}
+	m.fanOut(tx, r, now)
 	r.txEndPending = m.sched.AtAction(now+air, &r.txEnd)
 	if len(tx.targets) == 0 {
 		// Nobody in earshot: the descriptor never entered any receiver's
@@ -866,24 +859,17 @@ func (r *Radio) memo() *memoCounters {
 }
 
 // fanOut appends r's receiver set for a transmission starting at now to
-// tx.targets, through the spatial index and r's two memos. Candidate
-// cells are visited in deterministic grid order; the gathered slots are
-// then put in ascending-id dispatch order, which coincides with the
-// exhaustive loop's slot order for node-built networks (ids are
-// assigned sequentially). Both steps are pure functions of the
-// geometry, so while posEpoch stands still the candidate memo IS the
-// fresh query. The fan-out memo goes one step further and keeps the
-// propagated targets themselves, valid while the geometry, r's fade
-// epoch and the degradation epoch all stand still. Only r's own
-// (region) goroutine transmits from r, so neither memo races.
+// tx.targets, through r's candidate memo, its gain row and its fan-out
+// memo. The candidate list is a pure function of the geometry, so while
+// posEpoch stands still the memo IS the fresh query. The fan-out memo
+// goes one step further and keeps the propagated targets themselves,
+// valid while the geometry, r's fade epoch and the degradation epoch
+// all stand still. Only r's own (region) goroutine transmits from r, so
+// none of the three races.
 func (m *Medium) fanOut(tx *transmission, r *Radio, now time.Duration) {
 	c := r.memo()
-	slots := r.cand
 	if r.candEpoch != m.posEpoch {
-		slots = m.index.AppendWithin(r.cand[:0], r.pos, r.reach)
-		m.sortCandidates(slots)
-		r.cand = slots
-		r.candEpoch = m.posEpoch
+		m.rebuildCandidates(r)
 		c.candRebuilds++
 	} else {
 		c.candReuses++
@@ -901,18 +887,76 @@ func (m *Medium) fanOut(tx *transmission, r *Radio, now time.Duration) {
 		c.fanReplays++
 		return
 	}
-	for _, slot := range slots {
-		m.propagate(tx, r, int32(slot), now)
+	for i, slot := range r.cand {
+		m.propagate(tx, r, int32(slot), &r.gains[i], now)
 	}
 	r.fan = append(r.fan[:0], tx.targets...)
 	r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
 	c.fanBuilds++
 }
 
-// sortCandidates puts a slot list gathered from the spatial index into
-// dispatch order: ascending radio id. Node-built networks assign ids in
-// slot order, so the common case is a plain slot sort; hand-assembled
-// media with out-of-order ids sort through the id array instead.
+// rebuildCandidates recomputes r's candidate list for the current
+// geometry — the spatial index's cells in deterministic grid order, or
+// every slot when there is no index — puts it in dispatch order, and
+// rebuilds the gain row alongside, in place. An entry whose receiver is
+// still a candidate carries over: both lists are in ascending-id order,
+// so one merge walk compacts the surviving entries to the front of the
+// row, and a backward walk spreads them to their new positions (an
+// entry only ever moves toward the back, so nothing is overwritten
+// before it is read). A carried entry keeps its epoch stamps and
+// revalidates itself at its next lookup like any other; every new
+// receiver's entry starts empty. The new list is staged in a scratch
+// buffer — the medium's in sequential mode, the region shard's in
+// parallel mode — since the old one is read until the end.
+func (m *Medium) rebuildCandidates(r *Radio) {
+	buf := &m.candBuf
+	if sh := r.shard; sh != nil {
+		buf = &sh.candBuf
+	}
+	cand := (*buf)[:0]
+	if m.index != nil {
+		cand = m.index.AppendWithin(cand, r.pos, r.reach)
+	} else {
+		for slot := range m.radios {
+			cand = append(cand, uint32(slot))
+		}
+	}
+	m.sortCandidates(cand)
+	*buf = cand
+
+	ids, old, gains := m.soaID, r.cand, r.gains
+	kept, j := 0, 0
+	for k, slot := range old {
+		for j < len(cand) && ids[cand[j]] < ids[slot] {
+			j++
+		}
+		if j < len(cand) && cand[j] == slot {
+			old[kept], gains[kept] = slot, gains[k]
+			kept++
+			j++
+		}
+	}
+	if cap(gains) < len(cand) {
+		gains = append(make([]linkGain, 0, len(cand)), gains[:kept]...)
+	}
+	gains = gains[:len(cand)]
+	for i, k := len(cand)-1, kept-1; i >= 0; i-- {
+		if k >= 0 && old[k] == cand[i] {
+			gains[i] = gains[k]
+			k--
+		} else {
+			gains[i] = linkGain{}
+		}
+	}
+	r.cand = append(old[:0], cand...)
+	r.gains = gains
+	r.candEpoch = m.posEpoch
+}
+
+// sortCandidates puts a candidate slot list into dispatch order:
+// ascending radio id. Node-built networks assign ids in slot order, so
+// the common case is a plain slot sort; hand-assembled media with
+// out-of-order ids sort through the id array instead.
 func (m *Medium) sortCandidates(slots []uint32) {
 	if m.idsMonotone {
 		slices.Sort(slots)
@@ -927,17 +971,17 @@ func (m *Medium) sortCandidates(slots []uint32) {
 // propagate adds the radio in slot rxSlot to tx's receiver set, unless
 // the frame arrives so far under that receiver's noise floor that it
 // cannot shift any CCA, lock, or SINR decision there. The candidate
-// test runs entirely on the slot-indexed SoA arrays and the link-gain
-// row — for static link/epoch combinations already seen this run the
-// transcendental PHY arithmetic is skipped entirely, and the *Radio is
-// only dereferenced for candidates that survive the power cut. The
+// test runs entirely on the slot-indexed SoA arrays and g, the link's
+// gain entry — for static link/epoch combinations already seen this run
+// the transcendental PHY arithmetic is skipped entirely, and the *Radio
+// is only dereferenced for candidates that survive the power cut. The
 // edges themselves are scheduled once per transmission by Transmit,
 // not once per receiver.
-func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, now time.Duration) {
+func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, g *linkGain, now time.Duration) {
 	if rxSlot == from.slot {
 		return
 	}
-	p, g := m.linkPower(from, rxSlot, now)
+	p := m.linkPower(from, rxSlot, g, now)
 	if p < m.soaIrrel[rxSlot] {
 		return
 	}

@@ -1,6 +1,8 @@
 package medium
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -319,29 +321,79 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
+// gainEntry returns from's link-gain entry for the link to rx,
+// refreshing from's candidate memo and gain row first, as fanOut does
+// at a transmission. rx must be one of from's candidates.
+func gainEntry(t *testing.T, m *Medium, from, rx *Radio) *linkGain {
+	t.Helper()
+	m.ensureIndex()
+	if from.candEpoch != m.posEpoch {
+		m.rebuildCandidates(from)
+	}
+	i := slices.Index(from.cand, uint32(rx.slot))
+	if i < 0 {
+		t.Fatalf("radio %d is not a candidate of radio %d", rx.id, from.id)
+	}
+	return &from.gains[i]
+}
+
+// linksTouching counts the cached candidate links with x at either end:
+// the most path-loss recomputations a move of x alone can cost, when
+// every other entry carries over.
+func linksTouching(m *Medium, x *Radio) uint64 {
+	n := uint64(0)
+	for _, r := range m.radios {
+		for _, slot := range r.cand {
+			if int32(slot) != r.slot && (r == x || int32(slot) == x.slot) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestLinkGainCacheMatchesDirect pits the link-gain cache against the
 // direct per-call PHY computation across everything that can invalidate
 // an entry — time advancing through coherence epochs, either endpoint
-// moving, static and dynamic shadowing components, degradation epochs
-// opening and closing — and requires the returned power (and its
-// memoized linear form) to be bit-identical on every query, including
-// repeat queries served from the cache.
+// moving (within its grid cell and across cells), static and dynamic
+// shadowing components, degradation epochs opening and closing — and
+// requires the returned power (and its memoized linear form) to be
+// bit-identical on every query, including repeat queries served from
+// the cache. It runs with ids rising and falling as slots rise, and
+// after each move only links touching the moved radio may recompute
+// their path-loss base: every other entry must carry over into the
+// rebuilt gain rows.
 func TestLinkGainCacheMatchesDirect(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ids  [3]uint32
+	}{
+		{"ascending-ids", [3]uint32{1, 2, 3}},
+		{"descending-ids", [3]uint32{3, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testLinkGainCache(t, tc.ids) })
+	}
+}
+
+func testLinkGainCache(t *testing.T, ids [3]uint32) {
 	prof := phy.TestbedProfile() // static + dynamic shadowing components
 	prof.Fading.Coherence = 10 * time.Millisecond
 	sched := sim.NewScheduler()
 	src := sim.NewSource(99)
 	m := New(sched, src)
-	a := m.AddRadio(1, phy.Pos(0, 0), prof, &mockHandler{})
-	b := m.AddRadio(2, phy.Pos(35, 0), prof, &mockHandler{})
-	c := m.AddRadio(3, phy.Pos(10, 40), prof, &mockHandler{})
+	a := m.AddRadio(ids[0], phy.Pos(0, 0), prof, &mockHandler{})
+	b := m.AddRadio(ids[1], phy.Pos(35, 0), prof, &mockHandler{})
+	c := m.AddRadio(ids[2], phy.Pos(10, 40), prof, &mockHandler{})
+	m.ensureIndex()
+	cell := a.reach // the grid's cell size: every radio shares the profile
 
 	check := func(from, rx *Radio, now time.Duration) {
 		t.Helper()
 		d := phy.Dist(from.Pos(), rx.Pos())
 		want := from.Profile().RxPowerDBm(src, uint64(from.ID()), uint64(rx.ID()), d, now)
 		for i := 0; i < 3; i++ { // repeat: later queries come from the cache
-			got, g := m.linkPower(from, rx.slot, now)
+			g := gainEntry(t, m, from, rx)
+			got := m.linkPower(from, rx.slot, g, now)
 			if got != want {
 				t.Fatalf("linkPower(%d->%d, %v) query %d = %v, want direct %v",
 					from.ID(), rx.ID(), now, i, got, want)
@@ -362,16 +414,35 @@ func TestLinkGainCacheMatchesDirect(t *testing.T) {
 		}
 	}
 
-	// Move one endpoint: both link directions touching it must pick up
-	// the new distance; untouched links must stay cached and correct.
-	b.SetPos(phy.Pos(80, 5))
-	for _, p := range pairs {
-		check(p[0], p[1], 50*time.Millisecond)
+	// Move one endpoint at a time: both link directions touching it must
+	// pick up the new distance; untouched links must stay cached and
+	// correct, carried over into the rebuilt rows.
+	cellOf := func(p phy.Position) [2]float64 {
+		return [2]float64{math.Floor(p.X / cell), math.Floor(p.Y / cell)}
 	}
-	a.SetPos(phy.Pos(-20, -20))
-	for _, now := range []time.Duration{50 * time.Millisecond, 61 * time.Millisecond} {
-		for _, p := range pairs {
-			check(p[0], p[1], now)
+	for _, mv := range []struct {
+		r      *Radio
+		to     phy.Position
+		across bool // the move changes the radio's grid cell
+		at     []time.Duration
+	}{
+		{b, phy.Pos(80, 5), false, []time.Duration{50 * time.Millisecond}},
+		{a, phy.Pos(-20, -20), true, []time.Duration{50 * time.Millisecond, 61 * time.Millisecond}},
+		{c, phy.Pos(10, -40), true, []time.Duration{61 * time.Millisecond}},
+	} {
+		if got := cellOf(mv.to) != cellOf(mv.r.Pos()); got != mv.across {
+			t.Fatalf("move of %d to %v crosses cells = %v, want %v", mv.r.id, mv.to, got, mv.across)
+		}
+		before := m.Stats().GainMisses
+		mv.r.SetPos(mv.to)
+		for _, now := range mv.at {
+			for _, p := range pairs {
+				check(p[0], p[1], now)
+			}
+		}
+		if misses, bound := m.Stats().GainMisses-before, linksTouching(m, mv.r); misses > bound {
+			t.Fatalf("move of %d: %d path-loss recomputations, want at most the %d links touching it",
+				mv.r.id, misses, bound)
 		}
 	}
 
@@ -391,7 +462,7 @@ func TestLinkGainCacheMatchesDirect(t *testing.T) {
 			want := prof.MeanRxPowerDBm(d) + (prof.Fading.ShadowDB(src, uint64(from.ID()), uint64(rx.ID()), now) +
 				dg.LinkOffsetDB(from.slot, rx.slot, now))
 			for i := 0; i < 2; i++ {
-				if got, _ := m.linkPower(from, rx.slot, now); got != want {
+				if got := m.linkPower(from, rx.slot, gainEntry(t, m, from, rx), now); got != want {
 					t.Fatalf("degraded linkPower(%d->%d, %v) query %d = %v, want direct %v",
 						from.ID(), rx.ID(), now, i, got, want)
 				}
@@ -400,5 +471,62 @@ func TestLinkGainCacheMatchesDirect(t *testing.T) {
 	}
 	if off := dg.LinkOffsetDB(a.slot, c.slot, 85*time.Millisecond); off != -15 {
 		t.Fatalf("partition offset a->c at 85ms = %v, want -15: the case does not exercise degradation", off)
+	}
+}
+
+// TestGainRowsTrackCandidates gates the link-gain cache's footprint:
+// after a run, every transmitter's gain row is exactly as long as its
+// candidate list — not as wide as the field — and a radio that never
+// transmitted holds no row at all. One transmitter crosses the field
+// mid-run, so its row is rebuilt at a new size.
+func TestGainRowsTrackCandidates(t *testing.T) {
+	env, prof := newEnv()
+	sched, m := env.sched, env.m
+	const side = 8
+	var radios []*Radio
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			id := uint32(len(radios) + 1)
+			radios = append(radios, m.AddRadio(id, phy.Pos(float64(x)*700, float64(y)*700), prof, &mockHandler{}))
+		}
+	}
+	movedFrom := 0
+	for step := 0; step < 6; step++ {
+		sched.RunUntil(time.Duration(step) * 5 * time.Millisecond)
+		if step == 3 {
+			movedFrom = len(radios[0].gains)
+			radios[0].SetPos(phy.Pos(side*700, side*700))
+		}
+		for i := 0; i < len(radios); i += 3 {
+			radios[i].Transmit(dataFrame(radios[i].id, 0, 100), phy.Rate11)
+		}
+	}
+	sched.Run()
+
+	entries, narrow := 0, 0
+	for _, r := range radios {
+		if r.FramesSent == 0 {
+			if r.gains != nil || r.cand != nil {
+				t.Fatalf("radio %d never transmitted but holds %d gain entries, %d candidates",
+					r.id, len(r.gains), len(r.cand))
+			}
+			continue
+		}
+		if len(r.gains) != len(r.cand) {
+			t.Fatalf("radio %d: gain row of %d entries for %d candidates", r.id, len(r.gains), len(r.cand))
+		}
+		if len(r.cand) < len(radios) {
+			narrow++
+		}
+		entries += len(r.gains)
+	}
+	if len(radios[0].gains) == movedFrom {
+		t.Fatalf("the moved transmitter's row stayed at %d entries: the move does not resize it", movedFrom)
+	}
+	if narrow == 0 {
+		t.Fatal("every transmitter reaches the whole field: the case cannot tell candidate rows from dense ones")
+	}
+	if got := m.Stats().GainEntries; got != uint64(entries) {
+		t.Fatalf("Stats().GainEntries = %d, want the %d entries the rows hold", got, entries)
 	}
 }

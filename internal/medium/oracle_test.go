@@ -62,114 +62,149 @@ func dispatched(m *Medium, r *Radio) []arrivalTarget {
 
 // TestFanOutMatchesExhaustive checks the receiver set of every
 // transmission — whether replayed from the fan-out memo or rebuilt from
-// the (memoized) index query — against the exhaustive walk, with exact
-// float equality on both power forms. The schedule repeats
+// the (memoized) candidate list — against the exhaustive walk, with
+// exact float equality on both power forms. The schedule repeats
 // transmissions inside one fade epoch (memo replays), rolls fade epochs
 // over, opens and closes degradation episodes, and moves stations
-// across grid cells; it runs once with node-style ascending ids and
-// once with ids out of slot order.
+// across grid cells. It runs with node-style ascending ids, with ids
+// out of slot order and with ids falling as slots rise, each on a field
+// the spatial index prunes and on a degenerate one (path-loss exponent
+// 0) that has no index, where every radio is a candidate. After a step
+// that moves one station, only links touching it may recompute their
+// path-loss base: every other gain entry carries over into the rebuilt
+// rows.
 func TestFanOutMatchesExhaustive(t *testing.T) {
-	for _, tc := range []struct {
+	const n = 18
+	for _, ids := range []struct {
 		name string
 		id   func(i int) uint32
 	}{
 		{"ascending-ids", func(i int) uint32 { return uint32(i + 1) }},
-		{"shuffled-ids", func(i int) uint32 { return uint32((i*7)%18 + 1) }},
+		{"shuffled-ids", func(i int) uint32 { return uint32((i*7)%n + 1) }},
+		{"descending-ids", func(i int) uint32 { return uint32(n - i) }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// A steep urban-canyon exponent keeps the relevance radius
-			// (the grid's cell size) to about a hundred meters, so the
-			// index prunes; static and dynamic shadowing both feed the
-			// gain cache.
-			prof := phy.DefaultProfile()
-			prof.PathLoss.Exponent = 5
-			prof.Fading.StaticSigmaDB = 1
-			prof.Fading.SigmaDB = 1
-			prof.Fading.Coherence = 10 * time.Millisecond
-			sched := sim.NewScheduler()
-			m := New(sched, sim.NewSource(5))
-			cell := prof.ReachRange(prof.NoiseFloorDBm - IrrelevantMarginDB)
+		for _, degenerate := range []bool{false, true} {
+			name := ids.name
+			if degenerate {
+				name += "/degenerate"
+			}
+			t.Run(name, func(t *testing.T) { testFanOut(t, n, ids.id, degenerate) })
+		}
+	}
+}
 
-			// A 4×4 lattice straddling a cell corner, wide enough that its
-			// far corners fall out of each other's earshot, and a pair
-			// three cells away that no lattice query returns.
-			const n = 18
-			radios := make([]*Radio, n)
-			for i := range radios {
-				p := phy.Pos((0.6+float64(i%4)*0.3)*cell, (0.6+float64(i/4)*0.3)*cell)
-				if i >= 16 {
-					p = phy.Pos((4.5+float64(i-16)*0.1)*cell, 4.5*cell)
+func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate bool) {
+	// A steep urban-canyon exponent keeps the relevance radius (the
+	// grid's cell size) to about a hundred meters, so the index prunes;
+	// static and dynamic shadowing both feed the gain cache. The
+	// degenerate field keeps the same geometry with a zero exponent.
+	prof := phy.DefaultProfile()
+	prof.PathLoss.Exponent = 5
+	prof.Fading.StaticSigmaDB = 1
+	prof.Fading.SigmaDB = 1
+	prof.Fading.Coherence = 10 * time.Millisecond
+	sched := sim.NewScheduler()
+	m := New(sched, sim.NewSource(5))
+	cell := prof.ReachRange(prof.NoiseFloorDBm - IrrelevantMarginDB)
+	if degenerate {
+		prof.PathLoss.Exponent = 0
+	}
+
+	// A 4×4 lattice straddling a cell corner, wide enough that its far
+	// corners fall out of each other's earshot, and a pair three cells
+	// away that no lattice query returns.
+	radios := make([]*Radio, n)
+	for i := range radios {
+		p := phy.Pos((0.6+float64(i%4)*0.3)*cell, (0.6+float64(i/4)*0.3)*cell)
+		if i >= 16 {
+			p = phy.Pos((4.5+float64(i-16)*0.1)*cell, 4.5*cell)
+		}
+		radios[i] = m.AddRadio(id(i), p, prof, &mockHandler{})
+	}
+
+	dg := NewDegTimeline(n)
+	dg.AddStationEpisode(3, 31*time.Millisecond, 57*time.Millisecond, -8)
+	inside := make([]bool, n)
+	for i := 0; i < 4; i++ {
+		inside[i] = true
+	}
+	dg.AddPairRule(inside, 45*time.Millisecond, 75*time.Millisecond, -12)
+	dg.Finalize()
+	m.SetDegradation(dg)
+
+	cellOf := func(p phy.Position) [2]float64 {
+		return [2]float64{math.Floor(p.X / cell), math.Floor(p.Y / cell)}
+	}
+	crossings := 0
+	move := func(r *Radio, dx, dy float64) {
+		before := cellOf(r.Pos())
+		r.SetPos(phy.Pos(r.Pos().X+dx, r.Pos().Y+dy))
+		if cellOf(r.Pos()) != before {
+			crossings++
+		}
+	}
+
+	checked, bounded := 0, 0
+	for step := 0; step < 60; step++ {
+		now := time.Duration(step) * 2 * time.Millisecond
+		sched.RunUntil(now)
+		var moved *Radio // the one station this step moves, if just one
+		switch step {
+		case 20:
+			moved = radios[5]
+			move(moved, 0.5*cell, 0)
+		case 21:
+			moved = radios[10]
+			move(moved, -0.4*cell, 0.3*cell)
+		case 40:
+			moved = radios[16]
+			move(moved, -3.45*cell, -3.45*cell) // from the far pair into the lattice
+		case 50:
+			move(radios[0], 2.2*cell, 2.2*cell) // out of everyone's earshot
+			move(radios[15], 0.01, 0)           // inside its cell
+		}
+		misses := m.Stats().GainMisses
+		for _, r := range radios {
+			want := exhaustiveFanOut(m, r, now)
+			got := dispatched(m, r)
+			if len(got) != len(want) {
+				t.Fatalf("t=%v tx %d: dispatched %d receivers, exhaustive walk %d",
+					now, r.id, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.rx != w.rx || g.dbm != w.dbm || g.mw != w.mw {
+					t.Fatalf("t=%v tx %d receiver %d: got (id %d, %v dBm, %v mW), exhaustive (id %d, %v dBm, %v mW)",
+						now, r.id, i, g.rx.id, g.dbm, g.mw, w.rx.id, w.dbm, w.mw)
 				}
-				radios[i] = m.AddRadio(tc.id(i), p, prof, &mockHandler{})
 			}
+			checked += len(want)
+		}
+		if moved != nil {
+			if misses, bound := m.Stats().GainMisses-misses, linksTouching(m, moved); misses > bound {
+				t.Fatalf("t=%v: moving %d cost %d path-loss recomputations, want at most the %d links touching it",
+					now, moved.id, misses, bound)
+			}
+			bounded++
+		}
+	}
+	sched.Run()
 
-			dg := NewDegTimeline(n)
-			dg.AddStationEpisode(3, 31*time.Millisecond, 57*time.Millisecond, -8)
-			inside := make([]bool, n)
-			for i := 0; i < 4; i++ {
-				inside[i] = true
-			}
-			dg.AddPairRule(inside, 45*time.Millisecond, 75*time.Millisecond, -12)
-			dg.Finalize()
-			m.SetDegradation(dg)
-
-			cellOf := func(p phy.Position) [2]float64 {
-				return [2]float64{math.Floor(p.X / cell), math.Floor(p.Y / cell)}
-			}
-			crossings := 0
-			move := func(r *Radio, dx, dy float64) {
-				before := cellOf(r.Pos())
-				r.SetPos(phy.Pos(r.Pos().X+dx, r.Pos().Y+dy))
-				if cellOf(r.Pos()) != before {
-					crossings++
-				}
-			}
-
-			checked := 0
-			for step := 0; step < 60; step++ {
-				now := time.Duration(step) * 2 * time.Millisecond
-				sched.RunUntil(now)
-				switch step {
-				case 20:
-					move(radios[5], 0.5*cell, 0)
-				case 21:
-					move(radios[10], -0.4*cell, 0.3*cell)
-				case 40:
-					move(radios[16], -3.45*cell, -3.45*cell) // from the far pair into the lattice
-				case 50:
-					move(radios[0], 2.2*cell, 2.2*cell) // out of everyone's earshot
-					move(radios[15], 0.01, 0)           // inside its cell
-				}
-				for _, r := range radios {
-					want := exhaustiveFanOut(m, r, now)
-					got := dispatched(m, r)
-					if len(got) != len(want) {
-						t.Fatalf("t=%v tx %d: dispatched %d receivers, exhaustive walk %d",
-							now, r.id, len(got), len(want))
-					}
-					for i := range want {
-						g, w := got[i], want[i]
-						if g.rx != w.rx || g.dbm != w.dbm || g.mw != w.mw {
-							t.Fatalf("t=%v tx %d receiver %d: got (id %d, %v dBm, %v mW), exhaustive (id %d, %v dBm, %v mW)",
-								now, r.id, i, g.rx.id, g.dbm, g.mw, w.rx.id, w.dbm, w.mw)
-						}
-					}
-					checked += len(want)
-				}
-			}
-			sched.Run()
-
-			st := m.Stats()
-			if crossings < 4 {
-				t.Fatalf("only %d cell crossings: the schedule does not exercise index relocation", crossings)
-			}
-			if st.FanReplays == 0 || st.FanBuilds == 0 || st.CandReuses == 0 || st.CandRebuilds < 4 {
-				t.Fatalf("memo paths not all exercised: %+v", st)
-			}
-			if checked < 60*n {
-				t.Fatalf("only %d receivers checked: the field is too sparse to prove anything", checked)
-			}
-		})
+	st := m.Stats()
+	if crossings < 4 {
+		t.Fatalf("only %d cell crossings: the schedule does not exercise index relocation", crossings)
+	}
+	if st.FanReplays == 0 || st.FanBuilds == 0 || st.CandReuses == 0 || st.CandRebuilds < 4 {
+		t.Fatalf("memo paths not all exercised: %+v", st)
+	}
+	if checked < 60*n {
+		t.Fatalf("only %d receivers checked: the field is too sparse to prove anything", checked)
+	}
+	if bounded != 3 {
+		t.Fatalf("%d single-move steps bounded, want 3", bounded)
+	}
+	if degenerate != (m.index == nil) {
+		t.Fatalf("degenerate=%v but spatial index present=%v", degenerate, m.index != nil)
 	}
 }
 

@@ -1,6 +1,10 @@
 package scenario
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestWarmReplicationAllocs gates the allocation-free frame path: a
 // warm Reset+Run replication allocates well under one object per
@@ -46,4 +50,48 @@ func TestWarmReplicationAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCityLiveHeap gates the medium's memory on the largest field the
+// tests build: the quartered block city (25 000 stations) at 2 s, seed
+// 42, as TestCityGolden builds it. After its first run the instance
+// holds under 100 MB of live heap. A link-gain row as wide as the field
+// per transmitter, the layout before candidate-sized rows, held about
+// 192 MB here.
+func TestCityLiveHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("city-scale preset run: skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const maxMB = 100
+	spec := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
+	quarterCity(&spec)
+	spec.Seed = 42
+	before := liveHeap()
+	inst, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := spec.Duration.D()
+	inst.Net.Run(horizon)
+	inst.Collect(horizon)
+	held := float64(liveHeap()-before) / (1 << 20)
+	runtime.KeepAlive(inst)
+	t.Logf("quartered block city: %.1f MB live after the first run", held)
+	if held >= maxMB {
+		t.Errorf("quartered block city holds %.1f MB after its first run, want under %d MB", held, maxMB)
+	}
+}
+
+// liveHeap is the heap still reachable after a full collection, in
+// bytes. The second collection empties the sync.Pool victim caches the
+// first one fills.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

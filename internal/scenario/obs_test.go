@@ -59,6 +59,9 @@ func TestObsTogglesByteIdentical(t *testing.T) {
 			if v := reg.Counter("medium_transmissions_total", "").Value(); v == 0 {
 				t.Fatal("registry saw no transmissions")
 			}
+			if v := reg.Gauge("medium_gain_cache_entries", "").Value(); v == 0 {
+				t.Fatal("registry saw no link-gain entries")
+			}
 			if spec.Parallel != nil {
 				if v := reg.Counter("exec_windows_total", "").Value(); v == 0 {
 					t.Fatal("parallel run published no exec windows")
