@@ -141,7 +141,8 @@ func Table2(payloads ...int) []Table2Row {
 }
 
 // PaperTable2 returns the values printed in the paper's Table 2, for
-// comparison in tests, benches, and EXPERIMENTS.md.
+// comparison in tests, benches, and DESIGN.md ("Table 2 against the
+// model").
 func PaperTable2() map[phy.Rate]map[int][2]float64 {
 	return map[phy.Rate]map[int][2]float64{
 		phy.Rate11:  {512: {3.06, 2.549}, 1024: {4.788, 4.139}},

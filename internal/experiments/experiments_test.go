@@ -187,7 +187,7 @@ func TestFigure11SymmetricScenario(t *testing.T) {
 		// static channel asymmetry of that particular field and set of
 		// cards. Our zero-mean fading model is symmetric by construction,
 		// so the scenario is balanced in the long run and either session
-		// may lead per seed (see EXPERIMENTS.md; Fading.StaticSigmaDB
+		// may lead per seed (see DESIGN.md, "The EIFS-asymmetry mechanism"; Fading.StaticSigmaDB
 		// reintroduces persistent asymmetry). Assert the scenario's
 		// invariant instead: both sessions coexist.
 		if c.Transport == UDP {

@@ -8,7 +8,8 @@ import (
 
 // TestDCFTimersAllocs gates the allocation-free DCF timers: a full
 // 31-slot backoff countdown and an ACK-timeout re-arm allocate nothing
-// once the scheduler's arena is warm.
+// once the scheduler's arena is warm, and the countdown costs one heap
+// push while still counting one fired event per slot.
 func TestDCFTimersAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -26,6 +27,17 @@ func TestDCFTimersAllocs(t *testing.T) {
 	}
 	if countdown != 0 {
 		t.Errorf("31-slot backoff countdown: %v allocations, want 0", countdown)
+	}
+	before := tb.sched.Stats()
+	m.backoff = 31
+	m.tickSlot()
+	tb.sched.Run()
+	after := tb.sched.Stats()
+	if pushes := after.Pushes - before.Pushes; pushes > 1 {
+		t.Errorf("31-slot backoff countdown: %d heap pushes, want at most 1", pushes)
+	}
+	if fired := after.Fired - before.Fired; fired != 31 {
+		t.Errorf("31-slot backoff countdown: %d events fired, want one per slot, 31", fired)
 	}
 
 	if err := m.Send(make([]byte, 100), addr(2)); err != nil {

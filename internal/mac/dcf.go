@@ -17,8 +17,13 @@ import (
 //
 //   - resumeEv fires when the channel has stayed available for a full
 //     IFS (DIFS, or EIFS after a PHY error); it starts/resumes backoff.
-//   - slotEv ticks one backoff slot; both are cancelled the instant the
-//     channel becomes unavailable (CCA busy or NAV set).
+//   - slotEv is the backoff countdown: one sim.Countdown entry for all
+//     the remaining slots, firing when the last one elapses. Like
+//     resumeEv it is cancelled the instant the channel becomes
+//     unavailable (CCA busy or NAV set); channelBusy first reads Left,
+//     the slots still owed, back into m.backoff. The countdown fires,
+//     freezes and counts its slots in Fired exactly as a chain of
+//     one-slot events would (DESIGN.md, "Backoff without slot events").
 //   - sifsEv carries SIFS-spaced actions (CTS/ACK responses, the data
 //     frame of an RTS/CTS exchange) and is never cancelled by busy
 //     channel: the standard sends these regardless of carrier state.
@@ -33,7 +38,7 @@ import (
 // timers -----------------------------------------------------------------
 
 type (
-	slotTick     MAC // one backoff slot elapsed
+	slotTick     MAC // the last backoff slot elapsed
 	resumeTimer  MAC // the IFS after an idle edge elapsed
 	navTimer     MAC // the NAV expired
 	ctsTimer     MAC // no CTS arrived
@@ -45,7 +50,7 @@ type (
 
 func (t *slotTick) Act() {
 	m := (*MAC)(t)
-	m.backoff--
+	m.backoff = 0
 	m.tickSlot()
 }
 
@@ -81,7 +86,10 @@ func (m *MAC) CCAChanged(busy bool) {
 func (m *MAC) channelBusy() {
 	m.available = false
 	m.sched.Cancel(m.resumeEv)
-	m.sched.Cancel(m.slotEv)
+	if m.slotEv.Pending() {
+		m.backoff = m.sched.Left(m.slotEv) // freeze the countdown
+		m.sched.Cancel(m.slotEv)
+	}
 	// A frame that was eligible for immediate access loses that
 	// eligibility the moment the medium turns busy before it got out.
 	if m.current != nil {
@@ -180,7 +188,10 @@ func (m *MAC) resume() {
 	m.tickSlot()
 }
 
-// tickSlot consumes backoff slots while the channel stays available.
+// tickSlot counts the remaining backoff slots down while the channel
+// stays available, transmitting when none are left. While the countdown
+// runs, m.backoff holds the count it started from; channelBusy writes
+// back what is left when it freezes.
 func (m *MAC) tickSlot() {
 	if m.backoff == 0 {
 		m.backoff = -1
@@ -189,7 +200,7 @@ func (m *MAC) tickSlot() {
 		}
 		return
 	}
-	m.slotEv = m.sched.AfterAction(phy.SlotTime, (*slotTick)(m))
+	m.slotEv = m.sched.Countdown(phy.SlotTime, m.backoff, (*slotTick)(m))
 }
 
 // transmit paths -------------------------------------------------------

@@ -205,7 +205,7 @@ type MAC struct {
 	spare   *msdu // free list of msdu records back from the pipeline
 
 	cw      int // current contention window (slots)
-	backoff int // remaining backoff slots; -1 = not drawn
+	backoff int // remaining backoff slots (at the countdown's start while slotEv runs); -1 = not drawn
 
 	nav         time.Duration // virtual carrier sense expiry (absolute)
 	available   bool          // channel available (CCA idle && NAV expired)
@@ -214,7 +214,7 @@ type MAC struct {
 	down        bool // station crashed (PowerDown); all PHY callbacks gated
 
 	resumeEv  sim.Event // fires when IFS after idle has elapsed
-	slotEv    sim.Event // next backoff slot tick
+	slotEv    sim.Event // the backoff countdown
 	navEv     sim.Event // NAV expiry
 	timeoutEv sim.Event // CTS/ACK timeout
 	sifsEv    sim.Event // pending SIFS response

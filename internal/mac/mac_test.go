@@ -231,7 +231,7 @@ func TestRTSCTSThroughputLower(t *testing.T) {
 	// With long-PLCP control frames at 2 Mbit/s the exchange adds
 	// RTS(272µs)+CTS(248µs)+2·SIFS ≈ 540 µs to a ≈1209 µs cycle:
 	// expected ratio ≈ 1209/1749 ≈ 0.69. (The paper's Table 2 implies
-	// ≈0.83; see EXPERIMENTS.md for the accounting difference.)
+	// ≈0.83; see DESIGN.md, "Table 2 against the model", for the gap.)
 	ratio := float64(rts) / float64(basic)
 	if ratio < 0.64 || ratio > 0.75 {
 		t.Fatalf("RTS/basic ratio = %.2f, want ≈0.69", ratio)

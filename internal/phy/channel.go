@@ -49,8 +49,9 @@ type Fading struct {
 	Symmetric bool          // if true, both directions of a link share the fade
 	// StaticSigmaDB adds a per-directed-link offset drawn once per run:
 	// persistent location-dependent channel asymmetry (antenna placement,
-	// ground multipath). Zero by default; the EXPERIMENTS.md discussion of
-	// Figure 11 uses it to model the testbed's fixed asymmetries.
+	// ground multipath). Zero by default; DESIGN.md ("The EIFS-asymmetry
+	// mechanism", point 3) discusses it as a model of the testbed's fixed
+	// asymmetries.
 	StaticSigmaDB float64
 }
 
@@ -224,7 +225,7 @@ func DefaultProfile() *Profile {
 //
 // Which session wins is a property of the drawn offsets (i.e. of the
 // run seed), just as it was a property of the field on the measurement
-// day; see EXPERIMENTS.md.
+// day; see DESIGN.md ("The EIFS-asymmetry mechanism", point 3).
 func TestbedProfile() *Profile {
 	p := DefaultProfile()
 	p.Name = "dlink-dwl650-outdoor-asymmetric"

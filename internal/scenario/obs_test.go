@@ -59,6 +59,14 @@ func TestObsTogglesByteIdentical(t *testing.T) {
 			if v := reg.Counter("medium_transmissions_total", "").Value(); v == 0 {
 				t.Fatal("registry saw no transmissions")
 			}
+			// Every preset here contends, so backoff countdowns cross
+			// slots without heap events, and those slots are part of
+			// the fired count.
+			slots := reg.Counter("sim_countdown_slots_total", "").Value()
+			fired := reg.Counter("sim_events_fired_total", "").Value()
+			if slots == 0 || slots >= fired {
+				t.Fatalf("sim_countdown_slots_total = %d of %d fired events, want a nonzero part", slots, fired)
+			}
 			if v := reg.Gauge("medium_gain_cache_entries", "").Value(); v == 0 {
 				t.Fatal("registry saw no link-gain entries")
 			}

@@ -19,7 +19,7 @@
 // Per-event paths schedule Actions, not closures. A capturing closure
 // passed to At or After is allocated on every call, and so is a method
 // value such as m.resume; on a path that fires once per frame or per
-// backoff slot that allocation is most of what the event costs. Hot
+// backoff countdown that allocation is most of what the event costs. Hot
 // callers implement Action on a type they already own — a pooled record
 // (the medium's transmissions), an embedded field, or a pointer
 // conversion such as `type slotTick MAC` whose Act calls back into the
@@ -29,6 +29,15 @@
 // The heap is the only queue. A calendar-queue backend used to run
 // beside it; on the city presets the heap measured about 3× faster with
 // the same fire order, and DESIGN.md ("Why one heap") keeps the numbers.
+//
+// A chain of one-slot events — the DCF backoff, which used to be most of
+// every contended run's events — is one heap entry (Countdown): the
+// slot boundaries before its last are never pushed or popped. They still
+// count in Fired, one per boundary crossed, and the entry and any event
+// scheduled exactly one slot ahead carry ordering bands in seq that
+// reproduce the chain's (at, sub, seq) order exactly, so a countdown
+// fires and freezes (Left) where the chain would have. countdown.go has
+// the argument; DESIGN.md ("Backoff without slot events") the numbers.
 package sim
 
 import (
@@ -76,6 +85,7 @@ func (e Event) Pending() bool {
 type slot struct {
 	gen     uint64
 	heapIdx int32
+	lane    int32 // 1 + the countdown's index, 0 for a plain event
 	fn      func()
 	act     Action
 }
@@ -122,19 +132,36 @@ type Scheduler struct {
 	// scheduler is owned by exactly one goroutine; the obs layer copies
 	// them out only at barrier-safe points.
 	pushes uint64 // heap insertions
+
+	// Countdowns (countdown.go). cur is the key of the event firing, or
+	// last fired; afterAll once RunUntil has passed the instant.
+	slot      time.Duration
+	cur       heapEntry
+	cds       []countdown
+	cdFree    []int32
+	grids     []grid
+	gridOf    map[time.Duration]int32 // residue modulo slot → grid
+	gridFree  []int32
+	idleGrids []int32 // grids with no countdown, recyclable once their instant passes
+	live      int     // running countdowns
+	cdSlots   uint64  // virtual ticks of countdowns already ended
 }
 
 // Stats is a point-in-time copy of a scheduler's out-of-band counters.
 // Read it only from the goroutine driving the scheduler (or across a
 // barrier in parallel mode); it never influences event order.
 type Stats struct {
-	Fired  uint64 // events executed
+	Fired  uint64 // events executed, a countdown's virtual ticks included
 	Pushes uint64 // heap insertions
+	// CountdownSlots counts the slot boundaries countdowns crossed
+	// without a heap event: the part of Fired that Pushes never paid.
+	CountdownSlots uint64
 }
 
 // Stats returns the scheduler's observability counters.
 func (s *Scheduler) Stats() Stats {
-	return Stats{Fired: s.fired, Pushes: s.pushes}
+	r := s.running()
+	return Stats{Fired: s.fired + r, Pushes: s.pushes, CountdownSlots: s.cdSlots + r}
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -149,7 +176,7 @@ func (s *Scheduler) Len() int {
 }
 
 // Fired returns the total number of events executed so far.
-func (s *Scheduler) Fired() uint64 { return s.fired }
+func (s *Scheduler) Fired() uint64 { return s.fired + s.running() }
 
 // At schedules fn to run at absolute simulated time t.
 // Scheduling in the past panics: it always indicates a logic bug in a
@@ -193,20 +220,31 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{})
-		idx = int32(len(s.slots) - 1)
-	}
+	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.fn = fn
 	sl.act = act
-	s.push(heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq, idx: idx})
+	seq := s.seq
+	if s.slot != 0 && t-s.now == s.slot {
+		// One slot ahead: the event ties on (at, sub) with the ticks of
+		// countdowns on this instant's grid; its band places it among
+		// them (countdown.go).
+		seq = s.band()<<bandShift | (s.seq + 1)
+	}
+	s.push(heapEntry{at: t, sub: uint64(s.now) << 1, seq: seq, idx: idx})
 	s.seq++
 	return Event{s: s, idx: idx, gen: sl.gen, at: t}
+}
+
+// alloc takes a slot from the free list, or grows the arena.
+func (s *Scheduler) alloc() int32 {
+	if n := len(s.free); n > 0 {
+		idx := s.free[n-1]
+		s.free = s.free[:n-1]
+		return idx
+	}
+	s.slots = append(s.slots, slot{})
+	return int32(len(s.slots) - 1)
 }
 
 // push files an entry into the heap.
@@ -236,14 +274,7 @@ func (s *Scheduler) InjectAt(t, sentAt time.Duration, a Action) {
 		// violated — corrupt, not recoverable.
 		panic(fmt.Sprintf("sim: injecting message at %v before now %v", t, s.now))
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{})
-		idx = int32(len(s.slots) - 1)
-	}
+	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.fn = nil
 	sl.act = a
@@ -273,10 +304,15 @@ func (s *Scheduler) Cancel(e Event) {
 	if e.s != s {
 		panic("sim: Cancel of an event from a different scheduler")
 	}
-	if s.slots[e.idx].gen != e.gen {
+	sl := &s.slots[e.idx]
+	if sl.gen != e.gen {
 		return
 	}
-	s.removeHeap(int(s.slots[e.idx].heapIdx))
+	if sl.lane != 0 {
+		ci := sl.lane - 1
+		s.endCountdown(ci, s.passed(&s.cds[ci]), false)
+	}
+	s.removeHeap(int(sl.heapIdx))
 }
 
 // Reschedule cancels e (if pending) and schedules a.Act() at absolute
@@ -295,6 +331,7 @@ func (s *Scheduler) release(idx int32) {
 	sl := &s.slots[idx]
 	sl.gen++
 	sl.heapIdx = -1
+	sl.lane = 0
 	sl.fn = nil
 	sl.act = nil
 	s.free = append(s.free, idx)
@@ -324,10 +361,11 @@ func (s *Scheduler) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	idx := s.heap[0].idx
+	s.cur = s.heap[0]
+	idx := s.cur.idx
 	sl := &s.slots[idx]
-	s.now = s.heap[0].at
-	fn, act := sl.fn, sl.act
+	s.now = s.cur.at
+	fn, act, lane := sl.fn, sl.act, sl.lane
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]
@@ -338,7 +376,11 @@ func (s *Scheduler) Step() bool {
 	// Release before running: the callback observes its own event as no
 	// longer pending, and may immediately reuse the slot for a follow-up.
 	s.release(idx)
-	s.fired++
+	if lane != 0 {
+		s.endCountdown(lane-1, s.cds[lane-1].n, true)
+	} else {
+		s.fired++
+	}
 	if fn != nil {
 		fn()
 	} else {
@@ -358,6 +400,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 		s.Step()
 	}
 	s.now = t
+	s.cur = afterAll
 }
 
 // Run executes events until the queue is empty. Most experiments should
@@ -383,10 +426,12 @@ func (s *Scheduler) Reset() {
 		sl := &s.slots[i]
 		sl.gen++
 		sl.heapIdx = -1
+		sl.lane = 0
 		sl.fn = nil
 		sl.act = nil
 		s.free = append(s.free, int32(i))
 	}
+	s.resetCountdowns()
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
