@@ -171,6 +171,7 @@ type memoCounters struct {
 	fanReplays, fanBuilds    uint64
 	candReuses, candRebuilds uint64
 	soaRescans               uint64
+	fadeCuts                 uint64
 }
 
 // add folds o into c.
@@ -182,6 +183,7 @@ func (c *memoCounters) add(o *memoCounters) {
 	c.candReuses += o.candReuses
 	c.candRebuilds += o.candRebuilds
 	c.soaRescans += o.soaRescans
+	c.fadeCuts += o.fadeCuts
 }
 
 // Stats is a point-in-time copy of the medium's counters, the raw
@@ -199,6 +201,7 @@ type Stats struct {
 	CandReuses    uint64 // candidate-memo reuses (index walk + sort skipped)
 	CandRebuilds  uint64 // candidate-memo rebuilds after a geometry change
 	SoARescans    uint64 // arrival-list energy-fold rebuilds (trailing edges)
+	FadeCuts      uint64 // epoch fade draws skipped: the link provably stays under the cut
 	GainEntries   uint64 // link-gain entries held: the sum of all gain-row lengths
 }
 
@@ -219,6 +222,7 @@ func (m *Medium) Stats() Stats {
 		CandReuses:    m.memo.candReuses,
 		CandRebuilds:  m.memo.candRebuilds,
 		SoARescans:    m.memo.soaRescans,
+		FadeCuts:      m.memo.fadeCuts,
 		GainEntries:   uint64(entries),
 	}
 }
@@ -288,6 +292,7 @@ const (
 	gainFade                     // fadeDB matches fadeEpoch
 	gainDeg                      // degDB matches both endpoints' degradation epochs
 	gainMW                       // mw matches the current composed power
+	gainCut                      // uMax matches baseDBm and staticDB
 )
 
 // linkGain caches the deterministic pieces of one directed link's
@@ -304,11 +309,20 @@ const (
 //     (seed, link, coherence epoch), valid until the epoch rolls over.
 //   - mw: the linear-milliwatt form of the composed power, memoized so
 //     repeat arrivals within one epoch skip the dBm→mW exponential.
+//   - uMax: the link's fade-cut bound, phy.Fading.EpochCutBound of how
+//     far baseDBm + staticDB lies under the receiver's irrelevance cut
+//     — a pure function of the two cached terms and the receiver's
+//     fixed cut, recomputed when either term is. It lets propagate
+//     reject a link whose epoch fade cannot lift it over the cut from
+//     the fade's uniform deviates alone (see DESIGN.md, "Fade draws the
+//     cut throws away"). It sits in the padding after have, so the
+//     entry stays 88 bytes (TestLinkGainSize).
 type linkGain struct {
-	txMove, rxMove uint64 // mobility epochs the base term was computed at
-	fadeEpoch      uint64 // coherence epoch of the cached dynamic fade
-	txDegE, rxDegE uint64 // degradation epochs of the cached deg offset
-	have           uint8  // gain* validity bits
+	txMove, rxMove uint64  // mobility epochs the base term was computed at
+	fadeEpoch      uint64  // coherence epoch of the cached dynamic fade
+	txDegE, rxDegE uint64  // degradation epochs of the cached deg offset
+	have           uint8   // gain* validity bits
+	uMax           float32 // fade-cut bound, valid under gainCut
 	baseDBm        float64
 	staticDB       float64
 	fadeDB         float64
@@ -336,7 +350,17 @@ func (g *linkGain) milliwatt(dbm float64) float64 {
 // installed — mirrors phy.Profile.RxPowerDBm exactly, so a cache hit is
 // bit-identical to the direct computation, MeanRxPowerDBm(d) +
 // (ShadowDB + linkOffset) under degradation.
-func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration) float64 {
+//
+// With cut set, linkPower may instead report ok=false: the power is
+// certainly below the receiver's irrelevance cut, decided from the
+// epoch fade's uniform deviates before the transcendental draw. The
+// entry then caches no fade and no linear form — its fade stays stale,
+// so any later lookup recomputes it in full. The cut ignores a
+// degradation timeline's offset, which is sound because the offset is
+// never positive (DegTimeline panics on one, the invariant the spatial
+// index rests on too): it can only push the composed power further
+// under the cut.
+func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration, cut bool) (p float64, ok bool) {
 	rxID := uint64(m.soaID[rxSlot])
 	// Hit/miss classification: the cache exists to skip the
 	// transcendental path-loss base (PR 4), so a lookup is a miss only
@@ -344,14 +368,20 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 	// cheap keyed lookups that by construction accompany *every* fan-out
 	// rebuild (the memo is keyed on those same epochs), so charging them
 	// as misses would pin the hit counter at zero forever.
-	miss := false
+	//
+	// linkPower only ever runs on the transmitter's owning goroutine (its
+	// region's, in parallel mode — the same discipline that makes the
+	// entry mutations here safe), so the plain counters need no atomics.
+	c := from.memo()
 	txMove, rxMove := m.soaMove[from.slot], m.soaMove[rxSlot]
 	if g.have&gainBase == 0 || g.txMove != txMove || g.rxMove != rxMove {
 		g.baseDBm = from.profile.MeanRxPowerDBm(phy.Dist(from.pos, m.soaPos[rxSlot]))
 		g.txMove, g.rxMove = txMove, rxMove
 		g.have |= gainBase
-		g.have &^= gainMW
-		miss = true
+		g.have &^= gainMW | gainCut
+		c.gainMisses++
+	} else {
+		c.gainHits++
 	}
 	fad := &from.profile.Fading
 	var shadow float64
@@ -359,14 +389,27 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 		if g.have&gainStatic == 0 {
 			g.staticDB = fad.StaticShadowDB(m.src, uint64(from.id), rxID)
 			g.have |= gainStatic
-			g.have &^= gainMW
+			g.have &^= gainMW | gainCut
 		}
 		shadow = g.staticDB
 	}
 	if fad.SigmaDB != 0 {
 		epoch := fad.FadeEpoch(now)
 		if g.have&gainFade == 0 || g.fadeEpoch != epoch {
-			g.fadeDB = fad.EpochShadowDB(m.src, uint64(from.id), rxID, epoch)
+			u1Max := float32(math.Inf(1))
+			if cut {
+				if g.have&gainCut == 0 {
+					g.uMax = fad.EpochCutBound(m.soaIrrel[rxSlot] - (g.baseDBm + shadow))
+					g.have |= gainCut
+				}
+				u1Max = g.uMax
+			}
+			fade, above := fad.EpochShadowAbove(m.src, uint64(from.id), rxID, epoch, u1Max)
+			if !above {
+				c.fadeCuts++
+				return 0, false
+			}
+			g.fadeDB = fade
 			g.fadeEpoch = epoch
 			g.have |= gainFade
 			g.have &^= gainMW
@@ -383,16 +426,7 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 		}
 		shadow += g.degDB
 	}
-	// Hit/miss bookkeeping: linkPower only ever runs on the transmitter's
-	// owning goroutine (its region's, in parallel mode — the same
-	// discipline that makes the entry mutation above safe), so the plain
-	// counters need no atomics.
-	if c := from.memo(); miss {
-		c.gainMisses++
-	} else {
-		c.gainHits++
-	}
-	return g.baseDBm + shadow
+	return g.baseDBm + shadow, true
 }
 
 // ensureIndex rebuilds the neighbor grid if the radio set changed since
@@ -973,16 +1007,18 @@ func (m *Medium) sortCandidates(slots []uint32) {
 // cannot shift any CCA, lock, or SINR decision there. The candidate
 // test runs entirely on the slot-indexed SoA arrays and g, the link's
 // gain entry — for static link/epoch combinations already seen this run
-// the transcendental PHY arithmetic is skipped entirely, and the *Radio
-// is only dereferenced for candidates that survive the power cut. The
-// edges themselves are scheduled once per transmission by Transmit,
-// not once per receiver.
+// the transcendental PHY arithmetic is skipped entirely, and a link
+// whose new epoch fade provably cannot lift it over the cut is rejected
+// before its fade is drawn (linkPower's cut), which is the fate of most
+// candidates on a sparse field. The *Radio is only dereferenced for
+// candidates that survive the power cut. The edges themselves are
+// scheduled once per transmission by Transmit, not once per receiver.
 func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, g *linkGain, now time.Duration) {
 	if rxSlot == from.slot {
 		return
 	}
-	p := m.linkPower(from, rxSlot, g, now)
-	if p < m.soaIrrel[rxSlot] {
+	p, ok := m.linkPower(from, rxSlot, g, now, true)
+	if !ok || p < m.soaIrrel[rxSlot] {
 		return
 	}
 	rx := m.radios[rxSlot]

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"adhocsim/internal/frame"
 	"adhocsim/internal/phy"
@@ -393,7 +394,7 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 		want := from.Profile().RxPowerDBm(src, uint64(from.ID()), uint64(rx.ID()), d, now)
 		for i := 0; i < 3; i++ { // repeat: later queries come from the cache
 			g := gainEntry(t, m, from, rx)
-			got := m.linkPower(from, rx.slot, g, now)
+			got, _ := m.linkPower(from, rx.slot, g, now, false)
 			if got != want {
 				t.Fatalf("linkPower(%d->%d, %v) query %d = %v, want direct %v",
 					from.ID(), rx.ID(), now, i, got, want)
@@ -462,7 +463,7 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 			want := prof.MeanRxPowerDBm(d) + (prof.Fading.ShadowDB(src, uint64(from.ID()), uint64(rx.ID()), now) +
 				dg.LinkOffsetDB(from.slot, rx.slot, now))
 			for i := 0; i < 2; i++ {
-				if got := m.linkPower(from, rx.slot, gainEntry(t, m, from, rx), now); got != want {
+				if got, _ := m.linkPower(from, rx.slot, gainEntry(t, m, from, rx), now, false); got != want {
 					t.Fatalf("degraded linkPower(%d->%d, %v) query %d = %v, want direct %v",
 						from.ID(), rx.ID(), now, i, got, want)
 				}
@@ -471,6 +472,17 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 	}
 	if off := dg.LinkOffsetDB(a.slot, c.slot, 85*time.Millisecond); off != -15 {
 		t.Fatalf("partition offset a->c at 85ms = %v, want -15: the case does not exercise degradation", off)
+	}
+}
+
+// TestLinkGainSize pins the link-gain entry at 88 bytes. Every
+// candidate link of every transmitter holds one, so the entry size
+// scales blocks-25k's live heap (about 69 MB, most of it gain rows) and
+// TestCityLiveHeap's bound: a new field must fit the existing padding,
+// as the fade-cut bound uMax does, or grow every gain row on purpose.
+func TestLinkGainSize(t *testing.T) {
+	if got := unsafe.Sizeof(linkGain{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(linkGain{}) = %d bytes, want 88", got)
 	}
 }
 

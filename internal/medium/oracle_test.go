@@ -73,6 +73,11 @@ func dispatched(m *Medium, r *Radio) []arrivalTarget {
 // that moves one station, only links touching it may recompute their
 // path-loss base: every other gain entry carries over into the rebuilt
 // rows.
+//
+// Each id order also runs a leg without the degradation timeline and
+// with Symmetric fading. On every non-degenerate leg the fade cut (a
+// link rejected from its fade's uniform deviates alone) must fire, and
+// every rejection must agree with the exhaustive walk.
 func TestFanOutMatchesExhaustive(t *testing.T) {
 	const n = 18
 	for _, ids := range []struct {
@@ -83,17 +88,24 @@ func TestFanOutMatchesExhaustive(t *testing.T) {
 		{"shuffled-ids", func(i int) uint32 { return uint32((i*7)%n + 1) }},
 		{"descending-ids", func(i int) uint32 { return uint32(n - i) }},
 	} {
-		for _, degenerate := range []bool{false, true} {
-			name := ids.name
-			if degenerate {
-				name += "/degenerate"
-			}
-			t.Run(name, func(t *testing.T) { testFanOut(t, n, ids.id, degenerate) })
+		for _, leg := range []struct {
+			suffix                string
+			degenerate, undegrade bool
+		}{
+			{"", false, false},
+			{"/degenerate", true, false},
+			{"/symmetric-no-timeline", false, true},
+		} {
+			t.Run(ids.name+leg.suffix, func(t *testing.T) {
+				testFanOut(t, n, ids.id, leg.degenerate, leg.undegrade)
+			})
 		}
 	}
 }
 
-func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate bool) {
+// testFanOut runs the fan-out oracle on one field. undegrade drops the
+// degradation timeline and makes the fading Symmetric.
+func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate, undegrade bool) {
 	// A steep urban-canyon exponent keeps the relevance radius (the
 	// grid's cell size) to about a hundred meters, so the index prunes;
 	// static and dynamic shadowing both feed the gain cache. The
@@ -103,6 +115,7 @@ func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate bool) {
 	prof.Fading.StaticSigmaDB = 1
 	prof.Fading.SigmaDB = 1
 	prof.Fading.Coherence = 10 * time.Millisecond
+	prof.Fading.Symmetric = undegrade
 	sched := sim.NewScheduler()
 	m := New(sched, sim.NewSource(5))
 	cell := prof.ReachRange(prof.NoiseFloorDBm - IrrelevantMarginDB)
@@ -130,7 +143,9 @@ func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate bool) {
 	}
 	dg.AddPairRule(inside, 45*time.Millisecond, 75*time.Millisecond, -12)
 	dg.Finalize()
-	m.SetDegradation(dg)
+	if !undegrade {
+		m.SetDegradation(dg)
+	}
 
 	cellOf := func(p phy.Position) [2]float64 {
 		return [2]float64{math.Floor(p.X / cell), math.Floor(p.Y / cell)}
@@ -202,6 +217,9 @@ func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate bool) {
 	}
 	if bounded != 3 {
 		t.Fatalf("%d single-move steps bounded, want 3", bounded)
+	}
+	if cuts := st.FadeCuts; degenerate == (cuts > 0) {
+		t.Fatalf("fade cut fired %d times on a degenerate=%v field: want it to fire exactly when the path loss leaves links under the cut", cuts, degenerate)
 	}
 	if degenerate != (m.index == nil) {
 		t.Fatalf("degenerate=%v but spatial index present=%v", degenerate, m.index != nil)

@@ -116,11 +116,70 @@ func (f Fading) FadeEpoch(now time.Duration) uint64 {
 // (seed, link, epoch), so caching the value for the duration of the
 // epoch is bit-identical to recomputing it per arrival.
 func (f Fading) EpochShadowDB(src *sim.Source, tx, rx, epoch uint64) float64 {
+	db, _ := f.EpochShadowAbove(src, tx, rx, epoch, float32(math.Inf(1)))
+	return db
+}
+
+// fadeCutGuardDB is the round-off guard EpochCutBound takes off a
+// link's margin under the cut: the link-power composition sums three
+// terms of at most a few hundred dB, whose rounding errors are some
+// thirteen orders of magnitude smaller, so a 1e-9 dB guard keeps every
+// rejection sound without costing a measurable share of them.
+const fadeCutGuardDB = 1e-9
+
+// EpochCutBound returns the first-uniform bound EpochShadowAbove takes
+// for a link whose fade-free power lies belowDB under a receiver's
+// power cut. The epoch fade must then reach need = belowDB −
+// fadeCutGuardDB, i.e. its standard deviate must reach k = need/σ, for
+// the link to clear the cut:
+//
+//   - need ≤ 0 (or a σ that is not positive and finite): any fade may
+//     clear it; the result, +Inf, disables the cut.
+//   - k ≥ MaxShadowSigmas: no clamped deviate reaches it; the result,
+//     −1, rejects every draw.
+//   - otherwise exp(−k²/2), the Box–Muller bound of sim.HashNormCut,
+//     widened by a relative 1e-9 against the round-off of the Log and
+//     Sqrt the real draw takes and rounded up to float32.
+//
+// The bound depends only on the link's geometry, its static draw and
+// the receiver's fixed cut, so the medium computes it once per link.
+func (f Fading) EpochCutBound(belowDB float64) float32 {
+	need := belowDB - fadeCutGuardDB
+	if !(need > 0) || !(f.SigmaDB > 0) || math.IsInf(f.SigmaDB, 1) {
+		return float32(math.Inf(1))
+	}
+	k := need / f.SigmaDB
+	if k >= MaxShadowSigmas {
+		return -1
+	}
+	u := math.Exp(-k*k/2) * (1 + 1e-9)
+	b := float32(u)
+	if float64(b) < u {
+		b = math.Nextafter32(b, float32(math.Inf(1)))
+	}
+	return b
+}
+
+// EpochShadowAbove is EpochShadowDB for a link that matters only if its
+// epoch fade can lift it over a cut, given that cut's EpochCutBound
+// u1Max. It returns (0, false) without the transcendental math when
+// the fade certainly falls short of the cut, and otherwise
+// (EpochShadowDB(src, tx, rx, epoch), true), bit for bit: the same
+// orientation, the same hashed words, the same Box–Muller draw
+// (EpochShadowDB is this call with u1Max = +Inf, the cut off).
+func (f Fading) EpochShadowAbove(src *sim.Source, tx, rx, epoch uint64, u1Max float32) (float64, bool) {
 	if f.SigmaDB == 0 {
-		return 0
+		return 0, true
+	}
+	if u1Max < 0 {
+		return 0, false
 	}
 	a, b := f.orient(tx, rx)
-	return f.SigmaDB * clampNorm(src.HashNorm(0xfade, a, b, epoch))
+	z, ok := src.HashNormCut(float64(u1Max), 0xfade, a, b, epoch)
+	if !ok {
+		return 0, false
+	}
+	return f.SigmaDB * clampNorm(z), true
 }
 
 // ShadowDB returns the shadowing offset in dB for the directed link
@@ -415,8 +474,101 @@ func (p *Profile) Linearize() Linear {
 	return l
 }
 
-// DBmToMilliwatt converts dBm to linear milliwatts.
-func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
+// DBmToMilliwatt converts dBm to linear milliwatts: 10^(dbm/10),
+// bit-identical to math.Pow(10, dbm/10) but through pow10, which skips
+// the per-call work math.Pow repeats for the constant base. The medium
+// runs it once per surviving link per fade epoch.
+func DBmToMilliwatt(dbm float64) float64 { return pow10(dbm / 10) }
+
+// pow10Ln10 and pow10Sq are the base-dependent values math.Pow
+// recomputes on every call: Log(10), and the Frexp squaring chain of
+// 10 — pow10Sq[i] is the mantissa and exponent math.Pow's loop holds at
+// its i-th iteration. The chain ends at the first exponent past ±2^12,
+// where math.Pow's loop breaks out to the final Ldexp.
+var (
+	pow10Ln10 = math.Log(10)
+	pow10Sq   = func() (sq []pow10Step) {
+		x1, xe := math.Frexp(10)
+		for {
+			sq = append(sq, pow10Step{x1, xe})
+			if xe < -1<<12 || 1<<12 < xe {
+				return sq
+			}
+			x1 *= x1
+			xe <<= 1
+			if x1 < .5 {
+				x1 += x1
+				xe--
+			}
+		}
+	}()
+)
+
+// pow10Step is one step of math.Pow's squaring chain: 10^(2^i) as
+// x1·2^xe, x1 in [0.5, 1).
+type pow10Step struct {
+	x1 float64
+	xe int
+}
+
+// pow10 returns math.Pow(10, y) bit for bit: the same special cases,
+// and the same float operations in the same order, with the Log(10)
+// factor and the squaring chain of the base read from precomputed
+// tables instead of recomputed (FuzzPow10MatchesPow pins the bits).
+// It follows math.Pow's pure-Go algorithm, which every platform but
+// s390x (which has an assembly Pow) runs.
+func pow10(y float64) float64 {
+	switch {
+	case y == 0:
+		return 1
+	case y == 1:
+		return 10
+	case math.IsNaN(y):
+		return math.NaN()
+	case math.IsInf(y, 1):
+		return math.Inf(1)
+	case math.IsInf(y, -1):
+		return 0
+	case y == 0.5:
+		return math.Sqrt(10)
+	case y == -0.5:
+		return 1 / math.Sqrt(10)
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	if yi >= 1<<63 {
+		if y > 0 {
+			return math.Inf(1)
+		}
+		return 0
+	}
+	a1 := 1.0
+	ae := 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * pow10Ln10)
+	}
+	k := 0
+	for i := int64(yi); i != 0; i >>= 1 {
+		s := &pow10Sq[k]
+		if s.xe < -1<<12 || 1<<12 < s.xe {
+			ae += s.xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= s.x1
+			ae += s.xe
+		}
+		k++
+	}
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
+}
 
 // MilliwattToDBm converts linear milliwatts to dBm.
 func MilliwattToDBm(mw float64) float64 {

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -326,4 +327,131 @@ func TestLinearizeMatchesDirect(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pow10Seeds are the special and boundary inputs of math.Pow(10, y):
+// NaN, ±Inf, ±0, the ±0.5 and 1 shortcuts, exponents whose result is
+// subnormal or underflows (y below −307), overflow past y ≈ 308.25,
+// |y| ≥ 2^63, and the dBm/10 range the medium converts.
+var pow10Seeds = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	0.5, -0.5, 1, -1, 2, 0.25, 0.75, 0.5000000000000001, 0.49999999999999994,
+	-307.5, -308, -310.3, -320, -323.3, -323.9, -324, -330, -400, -1e5,
+	308, 308.25, 308.26, 309, 400, 1e5,
+	1 << 62, 1 << 63, -(1 << 63), 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	-12.3456789, -9.99, 1.5, -1.5, 2.5, 7.000000000000001,
+}
+
+func checkPow10(t *testing.T, y float64) {
+	t.Helper()
+	got, want := pow10(y), math.Pow(10, y)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("pow10(%v) [bits %#016x] = %v [%#016x], math.Pow(10, y) = %v [%#016x]",
+			y, math.Float64bits(y), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestPow10MatchesPow checks pow10 against math.Pow(10, y) bit for bit
+// on the boundary seeds, on uniform random exponents over the medium's
+// dBm/10 range and beyond, and on random bit patterns (every float64
+// class, NaN payloads included).
+func TestPow10MatchesPow(t *testing.T) {
+	for _, y := range pow10Seeds {
+		checkPow10(t, y)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200000; i++ {
+		checkPow10(t, (rng.Float64()-0.5)*800)
+		checkPow10(t, -30*rng.Float64())
+		checkPow10(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// FuzzPow10MatchesPow hunts for an exponent where pow10 and
+// math.Pow(10, y) differ in any bit.
+func FuzzPow10MatchesPow(f *testing.F) {
+	for _, y := range pow10Seeds {
+		f.Add(y)
+	}
+	f.Fuzz(checkPow10)
+}
+
+// checkFadeCut runs one EpochShadowAbove decision and holds it to its
+// contract: a rejection must mean that the full composition the medium
+// would have summed, base + (static + EpochShadowDB), lands below the
+// cut; an acceptance must return EpochShadowDB's exact bits. It
+// reports whether the draw was accepted.
+func checkFadeCut(t *testing.T, seed, tx, rx, epoch uint64, symmetric bool, sigma, base, static, cut float64) bool {
+	t.Helper()
+	f := Fading{SigmaDB: sigma, Coherence: time.Second, Symmetric: symmetric}
+	src := sim.NewSource(seed)
+	u1Max := f.EpochCutBound(cut - (base + static))
+	got, above := f.EpochShadowAbove(src, tx, rx, epoch, u1Max)
+	want := f.EpochShadowDB(src, tx, rx, epoch)
+	if !above {
+		if p := base + (static + want); !(p < cut) {
+			t.Fatalf("seed %d link %d->%d epoch %d σ=%v: rejected (u1Max %v), but base %v + (static %v + fade %v) = %v clears the cut %v",
+				seed, tx, rx, epoch, sigma, u1Max, base, static, want, p, cut)
+		}
+		return false
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("seed %d link %d->%d epoch %d σ=%v: accepted fade %v, EpochShadowDB %v",
+			seed, tx, rx, epoch, sigma, got, want)
+	}
+	return true
+}
+
+// TestFadeCutConservative sweeps fade-free margins from well above the
+// cut to far below it, over many links and epochs: every rejection is
+// sound, every acceptance exact, and the cut does reject most draws
+// whose margin is a few σ under the cut.
+func TestFadeCutConservative(t *testing.T) {
+	const sigma, cut = 2.0, -120.0
+	rejected, draws := 0, 0
+	for _, below := range []float64{-10, -1e-9, 0, 1e-9, 2e-9, 0.5, 2, 5, 9, 15.999, 16, 16.001, 40} {
+		for link := uint64(0); link < 400; link++ {
+			for epoch := uint64(0); epoch < 4; epoch++ {
+				above := checkFadeCut(t, 3, link, link*7+1, epoch, link%2 == 0, sigma, cut-below-1.5, 1.5, cut)
+				if below >= 5 {
+					draws++
+					if !above {
+						rejected++
+					}
+				}
+			}
+		}
+	}
+	if rejected < draws*9/10 {
+		t.Fatalf("cut rejected %d of %d draws at least 2.5σ under the cut, want at least 90%%", rejected, draws)
+	}
+}
+
+// FuzzFadeCutConservative hunts for a seed, link, epoch, σ and power
+// budget where the fade cut rejects a link whose full composition
+// clears the cut, or accepts one with other bits than EpochShadowDB.
+// Inputs outside the physical range (non-finite, |power| over 1000 dB,
+// σ outside (0, 100]) are skipped.
+func FuzzFadeCutConservative(f *testing.F) {
+	const cut = -120.0
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(0), false, 2.0, cut-2e-9, 0.0, cut)      // need just above 0
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(0), true, 2.0, cut-16+1e-9, 0.0, cut)    // k just below 8
+	f.Add(uint64(7), uint64(9), uint64(4), uint64(5), false, 2.0, cut-16+2e-9, 0.0, cut)   // k a hair under 8
+	f.Add(uint64(7), uint64(9), uint64(4), uint64(5), false, 1e-12, cut-1e-6, 0.0, cut)    // tiny σ
+	f.Add(uint64(5), uint64(4), uint64(9), uint64(1), true, 1e-300, cut-1, 0.0, cut)       // vanishing σ
+	f.Add(uint64(42), uint64(10), uint64(11), uint64(12), false, 4.0, -130.0, 3.0, cut)    // a static draw
+	f.Add(uint64(42), uint64(11), uint64(10), uint64(12), true, 3.0, -110.0, -4.0, -100.0) // above the cut
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), false, 100.0, -400.0, 0.0, cut)      // huge σ
+	f.Fuzz(func(t *testing.T, seed, tx, rx, epoch uint64, symmetric bool, sigma, base, static, cut float64) {
+		for _, v := range []float64{base, static, cut} {
+			if !(math.Abs(v) <= 1000) {
+				return
+			}
+		}
+		if !(sigma > 0 && sigma <= 100) {
+			return
+		}
+		checkFadeCut(t, seed, tx, rx, epoch, symmetric, sigma, base, static, cut)
+	})
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // TestIndexedAdjacencyMatchesBrute pins the spatial-hash edge discovery
-// against the all-pairs reference scan on a field big enough to take
-// the indexed path: identical adjacency lists (order included, so BFS
-// tie-breaks agree), identical next-hop tables, identical hop counts.
+// against an all-pairs scan the test runs itself, on a field big enough
+// to take the indexed path: identical adjacency lists (order included,
+// so BFS tie-breaks agree), and identical next-hop tables and hop
+// counts when both graphs are solved.
 func TestIndexedAdjacencyMatchesBrute(t *testing.T) {
 	rng := sim.NewSource(7).Stream("routing.adjacency-test")
 	n := 4 * indexedAdjacencyMin
@@ -22,9 +23,22 @@ func TestIndexedAdjacencyMatchesBrute(t *testing.T) {
 	const linkRange = 130.0
 
 	indexed := NewGraph(positions, linkRange)
-	bruteAdjacency = true
-	defer func() { bruteAdjacency = false }()
-	brute := NewGraph(positions, linkRange)
+	brute := &Graph{
+		n:         n,
+		linkRange: linkRange,
+		adj:       make([][]int32, n),
+		next:      make([][]int32, n),
+		hops:      make([][]int32, n),
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if phy.Dist(positions[i], positions[j]) <= linkRange {
+				brute.adj[i] = append(brute.adj[i], int32(j))
+				brute.adj[j] = append(brute.adj[j], int32(i))
+			}
+		}
+	}
+	brute.solve()
 
 	edges := 0
 	for i := range indexed.adj {

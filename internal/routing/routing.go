@@ -76,11 +76,6 @@ type Graph struct {
 // below it the scan is cheaper than building the index.
 const indexedAdjacencyMin = 256
 
-// bruteAdjacency forces the all-pairs edge scan regardless of size —
-// the reference path the equivalence test compares the indexed
-// discovery against.
-var bruteAdjacency bool
-
 // NewGraph builds the connectivity graph over the given positions with
 // the given link radius (meters) and solves min-hop paths between every
 // pair.
@@ -93,8 +88,7 @@ func NewGraph(positions []phy.Position, linkRange float64) *Graph {
 		next:      make([][]int32, n),
 		hops:      make([][]int32, n),
 	}
-	if n >= indexedAdjacencyMin && !bruteAdjacency &&
-		linkRange > 0 && !math.IsInf(linkRange, 1) {
+	if n >= indexedAdjacencyMin && linkRange > 0 && !math.IsInf(linkRange, 1) {
 		// Edge discovery through a spatial hash with the link radius as
 		// cell size: each station probes its 3×3 cell neighborhood instead
 		// of the whole field, O(n·earshot) against the scan's O(n²). The
@@ -127,10 +121,17 @@ func NewGraph(positions []phy.Position, linkRange float64) *Graph {
 			}
 		}
 	}
-	// The i<j order (either discovery path) leaves every adjacency list
-	// ascending (a vertex receives all smaller neighbors before any
-	// larger one), so BFS visits neighbors in index order and
-	// tie-breaks are stable.
+	g.solve()
+	return g
+}
+
+// solve fills the next-hop and hop-count tables from the adjacency
+// lists by one BFS per source. The i<j discovery order (either path in
+// NewGraph) leaves every adjacency list ascending (a vertex receives
+// all smaller neighbors before any larger one), so BFS visits neighbors
+// in index order and tie-breaks are stable.
+func (g *Graph) solve() {
+	n := g.n
 	queue := make([]int32, 0, n)
 	for src := 0; src < n; src++ {
 		next := make([]int32, n)
@@ -160,7 +161,6 @@ func NewGraph(positions []phy.Position, linkRange float64) *Graph {
 		g.next[src] = next
 		g.hops[src] = hops
 	}
-	return g
 }
 
 // LinkRange returns the link radius the graph was built with.

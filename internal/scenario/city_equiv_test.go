@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
+
+	"adhocsim/internal/phy"
 )
 
 // The city-scale equivalence suite: the city presets' bytes are pinned
@@ -191,10 +193,10 @@ func TestRandom16kBuildBudget(t *testing.T) {
 }
 
 // TestNearestDstIndexedMatchesBrute pins the indexed nearest-neighbor
-// resolver against the reference linear scan on a field large enough to
-// take the indexed path: every resolved destination identical,
-// including equidistant ties (the growing-radius probe breaks ties
-// toward the lowest index, exactly like the scan).
+// resolver against a linear scan the test runs itself, on a field large
+// enough to take the indexed path: every resolved destination is the
+// first station at the minimum distance from the source, the scan's
+// answer, so equidistant ties break toward the lowest index.
 func TestNearestDstIndexedMatchesBrute(t *testing.T) {
 	topo := Topology{Kind: KindRandomUniform, N: 4 * nearestIndexMin, Width: 8000, Height: 8000}
 	positions, err := topo.Expand(1234)
@@ -216,18 +218,19 @@ func TestNearestDstIndexedMatchesBrute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nearestBruteOnly = true
-	defer func() { nearestBruteOnly = false }()
-	brute, err := resolveFlows(flows, positions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(indexed, brute) {
-		for i := range indexed {
-			if indexed[i].Dst != brute[i].Dst {
-				t.Errorf("flow %d (src %d): indexed dst %d, brute dst %d",
-					i, flows[i].Src, indexed[i].Dst, brute[i].Dst)
+	for i, f := range flows {
+		brute, best := -1, math.Inf(1)
+		for j, p := range positions {
+			if j == f.Src {
+				continue
 			}
+			if d := phy.Dist(positions[f.Src], p); d < best {
+				brute, best = j, d
+			}
+		}
+		if got := indexed[i]; got.Dst != brute || got.NearestDst {
+			t.Errorf("flow %d (src %d): indexed dst %d (nearest_dst still %v), linear scan dst %d",
+				i, f.Src, got.Dst, got.NearestDst, brute)
 		}
 	}
 }

@@ -32,7 +32,7 @@ type obsPub struct {
 	gainHits, gainMisses       *obs.Counter
 	fanReplays, fanBuilds      *obs.Counter
 	candReuses, candRebuilds   *obs.Counter
-	soaRescans                 *obs.Counter
+	soaRescans, fadeCuts       *obs.Counter
 	gainEntries                *obs.Gauge
 
 	windowWall, barrierWait *obs.Histogram
@@ -76,6 +76,7 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		candReuses:   reg.Counter("medium_candidate_reuses_total", "candidate-memo reuses (index walk skipped)"),
 		candRebuilds: reg.Counter("medium_candidate_rebuilds_total", "candidate-memo rebuilds after geometry changes"),
 		soaRescans:   reg.Counter("medium_soa_rescans_total", "arrival-list energy-fold rebuilds at trailing edges"),
+		fadeCuts:     reg.Counter("medium_fade_cuts_total", "epoch fade draws skipped for links provably under the irrelevance cut"),
 		gainEntries:  reg.Gauge("medium_gain_cache_entries", "link-gain entries the transmitters' gain rows hold"),
 		windowWall:   reg.Histogram("exec_window_wall_ns", "wall nanoseconds per executor window (worker 0)"),
 		barrierWait:  reg.Histogram("exec_barrier_wait_ns", "wall nanoseconds each worker waits per barrier crossing"),
@@ -145,6 +146,7 @@ func (p *obsPub) publish(inst *Instance) {
 	p.candReuses.Add(dsub(cur.med.CandReuses, p.last.med.CandReuses))
 	p.candRebuilds.Add(dsub(cur.med.CandRebuilds, p.last.med.CandRebuilds))
 	p.soaRescans.Add(dsub(cur.med.SoARescans, p.last.med.SoARescans))
+	p.fadeCuts.Add(dsub(cur.med.FadeCuts, p.last.med.FadeCuts))
 	p.gainEntries.Set(float64(cur.med.GainEntries))
 	p.last = cur
 }

@@ -74,6 +74,12 @@ func TestObsTogglesByteIdentical(t *testing.T) {
 				if v := reg.Counter("exec_windows_total", "").Value(); v == 0 {
 					t.Fatal("parallel run published no exec windows")
 				}
+				// Most of random-1024's candidate links sit under the
+				// irrelevance cut, and the region shards' cut counts
+				// must fold into the medium's.
+				if v := reg.Counter("medium_fade_cuts_total", "").Value(); v == 0 {
+					t.Fatal("parallel random-1024 run published no fade cuts")
+				}
 			}
 		})
 	}

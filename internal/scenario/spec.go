@@ -623,11 +623,6 @@ func (s Spec) staticReachability(positions []phy.Position, flows []Flow) (*routi
 // position; below it the scan wins.
 const nearestIndexMin = 1024
 
-// nearestBruteOnly forces the reference linear scan in resolveFlows —
-// the path the nearest-pairing equivalence test compares the indexed
-// search against.
-var nearestBruteOnly bool
-
 // nearestStationIndexed finds the station nearest positions[src]
 // through a growing-radius query over ix. The over-approximating query
 // guarantees every station within the radius is returned, so once the
@@ -692,7 +687,7 @@ func resolveFlows(flows []Flow, positions []phy.Position) ([]Flow, error) {
 			resolved = append([]Flow(nil), flows...)
 			copied = true
 		}
-		if len(positions) >= nearestIndexMin && !nearestBruteOnly {
+		if len(positions) >= nearestIndexMin {
 			if ix == nil {
 				// Density-scaled cells (~1 station per cell) keep both the
 				// build and each growing-radius probe O(earshot).

@@ -118,17 +118,38 @@ func (s *Source) HashFloat01(words ...uint64) float64 {
 // two full Hash64 calls while keeping the variadic slice on the stack —
 // this runs once per (link, fade-epoch) on the medium's hot path, where
 // an append-per-call heap allocation used to dominate the profile.
+// HashNorm is HashNormCut with the cut off.
 func (s *Source) HashNorm(words ...uint64) float64 {
+	z, _ := s.HashNormCut(math.Inf(1), words...)
+	return z
+}
+
+// HashNormCut is HashNorm for a caller that needs the deviate z only if
+// it can reach some threshold k > 0, and decides that from the two
+// uniforms before any transcendental math. In z = √(−2 ln u1)·cos 2πu2
+// the radius reaches k only if u1 ≤ exp(−k²/2), and the cosine is
+// negative for u2 strictly inside (1/4, 3/4). u1Max must be at least
+// exp(−k²/2); a draw whose (clamped) u1 exceeds it, or whose u2 lies in
+// that open interval, is certainly below k, and HashNormCut returns
+// (0, false) for it. Every other draw returns (HashNorm(words...),
+// true), bit for bit. u1Max = +Inf disables both tests.
+func (s *Source) HashNormCut(u1Max float64, words ...uint64) (float64, bool) {
 	x := s.seed
 	for _, w := range words {
 		x = splitmix64(x ^ w)
 	}
 	u1 := float64(splitmix64(splitmix64(x^0x9e3779b97f4a7c15))>>11) / (1 << 53)
-	u2 := float64(splitmix64(splitmix64(x^0xbf58476d1ce4e5b9))>>11) / (1 << 53)
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	if u1 > u1Max {
+		return 0, false
+	}
+	u2 := float64(splitmix64(splitmix64(x^0xbf58476d1ce4e5b9))>>11) / (1 << 53)
+	if u2 > 0.25 && u2 < 0.75 && !math.IsInf(u1Max, 1) {
+		return 0, false
+	}
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2), true
 }
 
 // splitmix64 is the SplitMix64 finalizer: a fast, well-mixed 64-bit hash

@@ -101,3 +101,54 @@ func TestHashFloat01Uniformity(t *testing.T) {
 		}
 	}
 }
+
+// TestHashNormCut pins the early-exit Box–Muller draw: with a bound
+// u1Max = exp(−k²/2) every draw it keeps is HashNorm's (the same call
+// with the cut off), and every draw it rejects is below k. It also checks the two facts about the hashed uniforms the
+// rejections rest on: on the 2^−53 grid the uniforms live on, the
+// computed cos 2πu2 is never positive strictly inside (1/4, 3/4), and
+// the computed radius √(−2 ln u1) stays below k once u1 exceeds the
+// bound.
+func TestHashNormCut(t *testing.T) {
+	s := NewSource(77)
+	for _, k := range []float64{0.01, 0.5, 1, 2, 3.5, 5, 7.99} {
+		u1Max := math.Exp(-k * k / 2)
+		kept := 0
+		for i := uint64(0); i < 20000; i++ {
+			want := s.HashNorm(0xfade, i, math.Float64bits(k))
+			z, ok := s.HashNormCut(u1Max, 0xfade, i, math.Float64bits(k))
+			switch {
+			case ok && math.Float64bits(z) != math.Float64bits(want):
+				t.Fatalf("k=%v: kept draw %v, HashNorm %v", k, z, want)
+			case !ok && want >= k:
+				t.Fatalf("k=%v: rejected a draw of %v", k, want)
+			case ok:
+				kept++
+			}
+		}
+		if kept == 20000 {
+			t.Fatalf("k=%v: the cut rejected nothing", k)
+		}
+	}
+
+	const ulp = 1.0 / (1 << 53)
+	for i := 1; i <= 1<<17; i++ {
+		for _, u2 := range []float64{0.25 + float64(i)*ulp, 0.75 - float64(i)*ulp, 0.5 + float64(i-1<<16)*ulp} {
+			if c := math.Cos(2 * math.Pi * u2); c > 0 {
+				t.Fatalf("cos(2π·%v) = %v > 0 inside (1/4, 3/4)", u2, c)
+			}
+		}
+	}
+	// Just above exp(−k²/2) the computed radius can still round to k
+	// itself (k = 6 does), which is why callers widen the bound by a
+	// relative 1e-9 (phy.Fading.EpochCutBound).
+	for _, k := range []float64{1e-4, 0.1, 1, 2.5, 4, 6, 7.999} {
+		u1 := math.Exp(-k*k/2) * (1 + 1e-9)
+		for i := 0; i < 1000; i++ {
+			if r := math.Sqrt(-2 * math.Log(u1)); r >= k {
+				t.Fatalf("k=%v: radius %v at u1 %v above the widened bound", k, r, u1)
+			}
+			u1 = math.Nextafter(u1, 2)
+		}
+	}
+}
