@@ -201,7 +201,7 @@ type Stats struct {
 	CandReuses    uint64 // candidate-memo reuses (index walk + sort skipped)
 	CandRebuilds  uint64 // candidate-memo rebuilds after a geometry change
 	SoARescans    uint64 // arrival-list energy-fold rebuilds (trailing edges)
-	FadeCuts      uint64 // epoch fade draws skipped: the link provably stays under the cut
+	FadeCuts      uint64 // link evaluations the fade cut rejected; a re-rejection within one epoch counts again
 	GainEntries   uint64 // link-gain entries held: the sum of all gain-row lengths
 }
 
@@ -351,16 +351,16 @@ func (g *linkGain) milliwatt(dbm float64) float64 {
 // bit-identical to the direct computation, MeanRxPowerDBm(d) +
 // (ShadowDB + linkOffset) under degradation.
 //
-// With cut set, linkPower may instead report ok=false: the power is
-// certainly below the receiver's irrelevance cut, decided from the
-// epoch fade's uniform deviates before the transcendental draw. The
-// entry then caches no fade and no linear form — its fade stays stale,
-// so any later lookup recomputes it in full. The cut ignores a
+// linkPower may instead report ok=false: the power is certainly below
+// the receiver's irrelevance cut, decided from the epoch fade's uniform
+// deviates before the transcendental draw. The entry then caches no
+// fade and no linear form — its fade stays stale, so any later lookup
+// recomputes it in full. The cut ignores a
 // degradation timeline's offset, which is sound because the offset is
 // never positive (DegTimeline panics on one, the invariant the spatial
 // index rests on too): it can only push the composed power further
 // under the cut.
-func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration, cut bool) (p float64, ok bool) {
+func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration) (p float64, ok bool) {
 	rxID := uint64(m.soaID[rxSlot])
 	// Hit/miss classification: the cache exists to skip the
 	// transcendental path-loss base (PR 4), so a lookup is a miss only
@@ -396,15 +396,11 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 	if fad.SigmaDB != 0 {
 		epoch := fad.FadeEpoch(now)
 		if g.have&gainFade == 0 || g.fadeEpoch != epoch {
-			u1Max := float32(math.Inf(1))
-			if cut {
-				if g.have&gainCut == 0 {
-					g.uMax = fad.EpochCutBound(m.soaIrrel[rxSlot] - (g.baseDBm + shadow))
-					g.have |= gainCut
-				}
-				u1Max = g.uMax
+			if g.have&gainCut == 0 {
+				g.uMax = fad.EpochCutBound(m.soaIrrel[rxSlot] - (g.baseDBm + shadow))
+				g.have |= gainCut
 			}
-			fade, above := fad.EpochShadowAbove(m.src, uint64(from.id), rxID, epoch, u1Max)
+			fade, above := fad.EpochShadowAbove(m.src, uint64(from.id), rxID, epoch, g.uMax)
 			if !above {
 				c.fadeCuts++
 				return 0, false
@@ -1017,7 +1013,7 @@ func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, g *linkG
 	if rxSlot == from.slot {
 		return
 	}
-	p, ok := m.linkPower(from, rxSlot, g, now, true)
+	p, ok := m.linkPower(from, rxSlot, g, now)
 	if !ok || p < m.soaIrrel[rxSlot] {
 		return
 	}

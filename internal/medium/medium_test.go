@@ -360,23 +360,25 @@ func linksTouching(m *Medium, x *Radio) uint64 {
 // shadowing components, degradation epochs opening and closing — and
 // requires the returned power (and its memoized linear form) to be
 // bit-identical on every query, including repeat queries served from
-// the cache. It runs with ids rising and falling as slots rise, and
-// after each move only links touching the moved radio may recompute
-// their path-loss base: every other entry must carry over into the
-// rebuilt gain rows.
+// the cache. A fourth radio receives a's mean power 2 dB under the
+// irrelevance cut, so the fade cut rejects some lookups: each of those
+// must have a direct power under the cut. It runs with ids rising and
+// falling as slots rise, and after each move only links touching the
+// moved radio may recompute their path-loss base: every other entry
+// must carry over into the rebuilt gain rows.
 func TestLinkGainCacheMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		ids  [3]uint32
+		ids  [4]uint32
 	}{
-		{"ascending-ids", [3]uint32{1, 2, 3}},
-		{"descending-ids", [3]uint32{3, 2, 1}},
+		{"ascending-ids", [4]uint32{1, 2, 3, 4}},
+		{"descending-ids", [4]uint32{4, 3, 2, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { testLinkGainCache(t, tc.ids) })
 	}
 }
 
-func testLinkGainCache(t *testing.T, ids [3]uint32) {
+func testLinkGainCache(t *testing.T, ids [4]uint32) {
 	prof := phy.TestbedProfile() // static + dynamic shadowing components
 	prof.Fading.Coherence = 10 * time.Millisecond
 	sched := sim.NewScheduler()
@@ -385,19 +387,44 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 	a := m.AddRadio(ids[0], phy.Pos(0, 0), prof, &mockHandler{})
 	b := m.AddRadio(ids[1], phy.Pos(35, 0), prof, &mockHandler{})
 	c := m.AddRadio(ids[2], phy.Pos(10, 40), prof, &mockHandler{})
+	// e sits where the mean power from a is 2 dB under the irrelevance
+	// cut: a candidate of a, whose static and epoch draws decide, link by
+	// link and epoch by epoch, whether the fade cut rejects it.
+	irrel := prof.NoiseFloorDBm - IrrelevantMarginDB
+	e := m.AddRadio(ids[3], phy.Pos(prof.PathLoss.RangeFor(prof.TxPowerDBm-(irrel-2)), 0), prof, &mockHandler{})
 	m.ensureIndex()
 	cell := a.reach // the grid's cell size: every radio shares the profile
 
+	// query holds one linkPower lookup to the direct power want: a kept
+	// link must match it bit for bit, and a link the fade cut rejects
+	// must really lie under the receiver's irrelevance cut.
+	kept := 0
+	query := func(from, rx *Radio, g *linkGain, now time.Duration, want float64, i int) (float64, bool) {
+		t.Helper()
+		got, ok := m.linkPower(from, rx.slot, g, now)
+		if !ok {
+			if irrel := m.soaIrrel[rx.slot]; !(want < irrel) {
+				t.Fatalf("linkPower(%d->%d, %v) query %d cut the link, but its direct power %v clears the cut %v",
+					from.ID(), rx.ID(), now, i, want, irrel)
+			}
+			return 0, false
+		}
+		kept++
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("linkPower(%d->%d, %v) query %d = %v, want direct %v",
+				from.ID(), rx.ID(), now, i, got, want)
+		}
+		return got, true
+	}
 	check := func(from, rx *Radio, now time.Duration) {
 		t.Helper()
 		d := phy.Dist(from.Pos(), rx.Pos())
 		want := from.Profile().RxPowerDBm(src, uint64(from.ID()), uint64(rx.ID()), d, now)
 		for i := 0; i < 3; i++ { // repeat: later queries come from the cache
 			g := gainEntry(t, m, from, rx)
-			got, _ := m.linkPower(from, rx.slot, g, now, false)
-			if got != want {
-				t.Fatalf("linkPower(%d->%d, %v) query %d = %v, want direct %v",
-					from.ID(), rx.ID(), now, i, got, want)
+			got, ok := query(from, rx, g, now, want, i)
+			if !ok {
+				continue
 			}
 			if mw := g.milliwatt(got); mw != phy.DBmToMilliwatt(want) {
 				t.Fatalf("milliwatt(%d->%d, %v) = %v, want direct %v",
@@ -408,7 +435,7 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 
 	times := []time.Duration{0, 3 * time.Millisecond, 10 * time.Millisecond,
 		14 * time.Millisecond, 50 * time.Millisecond}
-	pairs := [][2]*Radio{{a, b}, {b, a}, {a, c}, {c, a}, {b, c}, {c, b}}
+	pairs := [][2]*Radio{{a, b}, {b, a}, {a, c}, {c, a}, {b, c}, {c, b}, {a, e}, {e, a}}
 	for _, now := range times {
 		for _, p := range pairs {
 			check(p[0], p[1], now)
@@ -450,9 +477,9 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 	// A degradation timeline composes after the shadowing sum, as
 	// MeanRxPowerDBm(d) + (ShadowDB + offset): a station episode on b
 	// and a partition rule isolating c, each opening and closing mid-run.
-	dg := NewDegTimeline(3)
+	dg := NewDegTimeline(4)
 	dg.AddStationEpisode(int(b.slot), 72*time.Millisecond, 95*time.Millisecond, -6)
-	dg.AddPairRule([]bool{false, false, true}, 80*time.Millisecond, 120*time.Millisecond, -15)
+	dg.AddPairRule([]bool{false, false, true, false}, 80*time.Millisecond, 120*time.Millisecond, -15)
 	dg.Finalize()
 	m.SetDegradation(dg)
 	for _, now := range []time.Duration{70 * time.Millisecond, 72 * time.Millisecond,
@@ -463,15 +490,15 @@ func testLinkGainCache(t *testing.T, ids [3]uint32) {
 			want := prof.MeanRxPowerDBm(d) + (prof.Fading.ShadowDB(src, uint64(from.ID()), uint64(rx.ID()), now) +
 				dg.LinkOffsetDB(from.slot, rx.slot, now))
 			for i := 0; i < 2; i++ {
-				if got, _ := m.linkPower(from, rx.slot, gainEntry(t, m, from, rx), now, false); got != want {
-					t.Fatalf("degraded linkPower(%d->%d, %v) query %d = %v, want direct %v",
-						from.ID(), rx.ID(), now, i, got, want)
-				}
+				query(from, rx, gainEntry(t, m, from, rx), now, want, i)
 			}
 		}
 	}
 	if off := dg.LinkOffsetDB(a.slot, c.slot, 85*time.Millisecond); off != -15 {
 		t.Fatalf("partition offset a->c at 85ms = %v, want -15: the case does not exercise degradation", off)
+	}
+	if cuts := m.Stats().FadeCuts; kept == 0 || cuts == 0 {
+		t.Fatalf("%d lookups kept, %d cut: the case must exercise both the cache comparison and the fade cut", kept, cuts)
 	}
 }
 

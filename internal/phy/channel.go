@@ -474,101 +474,10 @@ func (p *Profile) Linearize() Linear {
 	return l
 }
 
-// DBmToMilliwatt converts dBm to linear milliwatts: 10^(dbm/10),
-// bit-identical to math.Pow(10, dbm/10) but through pow10, which skips
-// the per-call work math.Pow repeats for the constant base. The medium
-// runs it once per surviving link per fade epoch.
-func DBmToMilliwatt(dbm float64) float64 { return pow10(dbm / 10) }
-
-// pow10Ln10 and pow10Sq are the base-dependent values math.Pow
-// recomputes on every call: Log(10), and the Frexp squaring chain of
-// 10 — pow10Sq[i] is the mantissa and exponent math.Pow's loop holds at
-// its i-th iteration. The chain ends at the first exponent past ±2^12,
-// where math.Pow's loop breaks out to the final Ldexp.
-var (
-	pow10Ln10 = math.Log(10)
-	pow10Sq   = func() (sq []pow10Step) {
-		x1, xe := math.Frexp(10)
-		for {
-			sq = append(sq, pow10Step{x1, xe})
-			if xe < -1<<12 || 1<<12 < xe {
-				return sq
-			}
-			x1 *= x1
-			xe <<= 1
-			if x1 < .5 {
-				x1 += x1
-				xe--
-			}
-		}
-	}()
-)
-
-// pow10Step is one step of math.Pow's squaring chain: 10^(2^i) as
-// x1·2^xe, x1 in [0.5, 1).
-type pow10Step struct {
-	x1 float64
-	xe int
-}
-
-// pow10 returns math.Pow(10, y) bit for bit: the same special cases,
-// and the same float operations in the same order, with the Log(10)
-// factor and the squaring chain of the base read from precomputed
-// tables instead of recomputed (FuzzPow10MatchesPow pins the bits).
-// It follows math.Pow's pure-Go algorithm, which every platform but
-// s390x (which has an assembly Pow) runs.
-func pow10(y float64) float64 {
-	switch {
-	case y == 0:
-		return 1
-	case y == 1:
-		return 10
-	case math.IsNaN(y):
-		return math.NaN()
-	case math.IsInf(y, 1):
-		return math.Inf(1)
-	case math.IsInf(y, -1):
-		return 0
-	case y == 0.5:
-		return math.Sqrt(10)
-	case y == -0.5:
-		return 1 / math.Sqrt(10)
-	}
-	yi, yf := math.Modf(math.Abs(y))
-	if yi >= 1<<63 {
-		if y > 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	a1 := 1.0
-	ae := 0
-	if yf != 0 {
-		if yf > 0.5 {
-			yf--
-			yi++
-		}
-		a1 = math.Exp(yf * pow10Ln10)
-	}
-	k := 0
-	for i := int64(yi); i != 0; i >>= 1 {
-		s := &pow10Sq[k]
-		if s.xe < -1<<12 || 1<<12 < s.xe {
-			ae += s.xe
-			break
-		}
-		if i&1 == 1 {
-			a1 *= s.x1
-			ae += s.xe
-		}
-		k++
-	}
-	if y < 0 {
-		a1 = 1 / a1
-		ae = -ae
-	}
-	return math.Ldexp(a1, ae)
-}
+// DBmToMilliwatt converts dBm to linear milliwatts. The medium runs it
+// once per link that survives its irrelevance cut per fade epoch, and
+// memoizes the result on the link's gain entry.
+func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
 // MilliwattToDBm converts linear milliwatts to dBm.
 func MilliwattToDBm(mw float64) float64 {

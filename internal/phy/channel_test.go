@@ -2,7 +2,6 @@ package phy
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -327,54 +326,6 @@ func TestLinearizeMatchesDirect(t *testing.T) {
 			}
 		}
 	}
-}
-
-// pow10Seeds are the special and boundary inputs of math.Pow(10, y):
-// NaN, ±Inf, ±0, the ±0.5 and 1 shortcuts, exponents whose result is
-// subnormal or underflows (y below −307), overflow past y ≈ 308.25,
-// |y| ≥ 2^63, and the dBm/10 range the medium converts.
-var pow10Seeds = []float64{
-	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
-	0.5, -0.5, 1, -1, 2, 0.25, 0.75, 0.5000000000000001, 0.49999999999999994,
-	-307.5, -308, -310.3, -320, -323.3, -323.9, -324, -330, -400, -1e5,
-	308, 308.25, 308.26, 309, 400, 1e5,
-	1 << 62, 1 << 63, -(1 << 63), 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
-	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-	-12.3456789, -9.99, 1.5, -1.5, 2.5, 7.000000000000001,
-}
-
-func checkPow10(t *testing.T, y float64) {
-	t.Helper()
-	got, want := pow10(y), math.Pow(10, y)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("pow10(%v) [bits %#016x] = %v [%#016x], math.Pow(10, y) = %v [%#016x]",
-			y, math.Float64bits(y), got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-}
-
-// TestPow10MatchesPow checks pow10 against math.Pow(10, y) bit for bit
-// on the boundary seeds, on uniform random exponents over the medium's
-// dBm/10 range and beyond, and on random bit patterns (every float64
-// class, NaN payloads included).
-func TestPow10MatchesPow(t *testing.T) {
-	for _, y := range pow10Seeds {
-		checkPow10(t, y)
-	}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 200000; i++ {
-		checkPow10(t, (rng.Float64()-0.5)*800)
-		checkPow10(t, -30*rng.Float64())
-		checkPow10(t, math.Float64frombits(rng.Uint64()))
-	}
-}
-
-// FuzzPow10MatchesPow hunts for an exponent where pow10 and
-// math.Pow(10, y) differ in any bit.
-func FuzzPow10MatchesPow(f *testing.F) {
-	for _, y := range pow10Seeds {
-		f.Add(y)
-	}
-	f.Fuzz(checkPow10)
 }
 
 // checkFadeCut runs one EpochShadowAbove decision and holds it to its

@@ -76,7 +76,7 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		candReuses:   reg.Counter("medium_candidate_reuses_total", "candidate-memo reuses (index walk skipped)"),
 		candRebuilds: reg.Counter("medium_candidate_rebuilds_total", "candidate-memo rebuilds after geometry changes"),
 		soaRescans:   reg.Counter("medium_soa_rescans_total", "arrival-list energy-fold rebuilds at trailing edges"),
-		fadeCuts:     reg.Counter("medium_fade_cuts_total", "epoch fade draws skipped for links provably under the irrelevance cut"),
+		fadeCuts:     reg.Counter("medium_fade_cuts_total", "link evaluations the fade cut rejected before the draw (a link rejected again within one epoch counts again)"),
 		gainEntries:  reg.Gauge("medium_gain_cache_entries", "link-gain entries the transmitters' gain rows hold"),
 		windowWall:   reg.Histogram("exec_window_wall_ns", "wall nanoseconds per executor window (worker 0)"),
 		barrierWait:  reg.Histogram("exec_barrier_wait_ns", "wall nanoseconds each worker waits per barrier crossing"),
