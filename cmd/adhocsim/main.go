@@ -66,8 +66,6 @@ func main() {
 	obsOut := flag.String("obs", "", "write a run report (metrics snapshot, per-phase spans, trace tail) as JSON to this file after a -scenario run")
 	obsServe := flag.String("obs-serve", "", "serve live observability during a -scenario run on this address: /metrics (Prometheus text), /report (JSON), /debug/pprof/")
 	traceLv := flag.String("trace", "", "trace MAC retry/backoff and route-change events to stderr during a -scenario run: info or debug")
-	benchJSON := flag.String("bench-json", "", "benchmark the -scenario workload and write ns/logical-event and allocation figures as JSON to this file instead of running normally")
-	benchIters := flag.Int("bench-iterations", 5, "timed iterations for -bench-json (the report takes medians)")
 	flag.Parse()
 
 	startWallGuard(*maxWall)
@@ -103,13 +101,12 @@ func main() {
 			seed: seedOv, dur: durOv,
 			parRegions: *parRegions, partitioner: *partitioner,
 			obsOut: *obsOut, obsServe: *obsServe, traceLevel: *traceLv,
-			benchJSON: *benchJSON, benchIters: *benchIters,
 		})
 		return
 	}
 	for _, f := range []struct{ name, v string }{
 		{"parallel-regions", *parRegions}, {"partitioner", *partitioner}, {"obs", *obsOut},
-		{"obs-serve", *obsServe}, {"trace", *traceLv}, {"bench-json", *benchJSON},
+		{"obs-serve", *obsServe}, {"trace", *traceLv},
 	} {
 		if f.v != "" {
 			fmt.Fprintf(os.Stderr, "adhocsim: -%s has no effect outside -scenario mode\n", f.name)
@@ -362,8 +359,6 @@ type scenarioOpts struct {
 	dur                          *time.Duration
 	parRegions, partitioner      string
 	obsOut, obsServe, traceLevel string
-	benchJSON                    string
-	benchIters                   int
 }
 
 // runScenario resolves ref as a spec file (when it exists or ends in
@@ -455,13 +450,6 @@ func runScenario(ref string, o scenarioOpts) {
 			fail(1, err)
 		}
 		status.Linef("adhocsim: observability on http://%s (/metrics /report /debug/pprof/)", addr)
-	}
-
-	if o.benchJSON != "" {
-		if err := runBenchJSON(spec, o.benchIters, o.benchJSON, status); err != nil {
-			fail(1, err)
-		}
-		return
 	}
 
 	if o.progress {

@@ -1,17 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"adhocsim/internal/obs"
-	"adhocsim/internal/scenario"
 )
 
 // TestMain lets a test re-run this binary as the adhocsim command: with
@@ -52,12 +47,14 @@ func runMain(t *testing.T, args ...string) (int, string) {
 }
 
 // TestSchedulerFlagRetired pins the clean failure of the retired
-// -scheduler and -rebuild-each-rep flags: the flag package's usage
-// error, exit status 2.
+// -scheduler, -rebuild-each-rep, -bench-json and -bench-iterations
+// flags: the flag package's usage error, exit status 2.
 func TestSchedulerFlagRetired(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scheduler", "heap", "-scenario", "hidden-terminal"},
 		{"-rebuild-each-rep", "-scenario", "hidden-terminal"},
+		{"-bench-json", "-", "-scenario", "hidden-terminal"},
+		{"-bench-iterations", "5", "-scenario", "hidden-terminal"},
 	} {
 		code, stderr := runMain(t, args...)
 		if code != 2 {
@@ -79,42 +76,5 @@ func TestOversizedRegionGridRejected(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "parallel region grid 1000x1000 exceeds 256 regions") {
 		t.Errorf("stderr lacks the validation error:\n%s", stderr)
-	}
-}
-
-// TestBenchJSONCountsLogicalEvents pins -bench-json's denominator: one
-// full random-1024 replication at seed 42 is 3 695 653 logical events,
-// the same count the bench module's TestLogicalEventsRandom1024 pins.
-func TestBenchJSONCountsLogicalEvents(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full 5 s random-1024 replication")
-	}
-	spec, err := scenario.Preset("random-1024")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Seed = 42
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := runBenchJSON(spec, 1, out, obs.NewStatus(io.Discard)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Entry struct {
-			Sequential *benchLeg `json:"sequential"`
-		} `json:"random_1024"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	leg := doc.Entry.Sequential
-	if leg == nil {
-		t.Fatalf("no sequential leg in %s", data)
-	}
-	if leg.LogicalEventsPerRun != 3695653 {
-		t.Errorf("logical_events_per_run = %d, want 3695653", leg.LogicalEventsPerRun)
 	}
 }

@@ -65,11 +65,14 @@ type Config struct {
 	// observes transmission outcomes (e.g. ARF). When nil the MAC uses
 	// the fixed DataRate, as the paper's experiments do.
 	//
-	// Observation-wise this field is a deprecated alias: the controller
-	// is adapted onto the generalized transmit-observer list (see
-	// TxObserver and MAC.AddTxObserver), so rate adaptation and other
-	// outcome consumers — routing link-failure detection — coexist.
-	// Rate *selection* still goes through RateControl.Rate alone.
+	// Observation-wise the controller is adapted onto the generalized
+	// transmit-observer list (see TxObserver and MAC.AddTxObserver), so
+	// rate adaptation and other outcome consumers — routing link-failure
+	// detection — coexist. Rate *selection* goes through
+	// RateControl.Rate alone (MAC.DataRate), and no other hook selects a
+	// rate: experiments.Config.RateController wires ARF in here, through
+	// the spec's MACHook. Retiring this field needs a rate-selection hook
+	// first; a TxObserver only observes.
 	RateControl RateController
 	// DisableEIFS is an ablation switch: PHY errors defer by plain DIFS
 	// instead of EIFS. The four-node asymmetry benches use it to isolate

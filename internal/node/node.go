@@ -223,6 +223,7 @@ func (n *Network) KernelStats() sim.Stats {
 		s := n.Exec.Sched(i).Stats()
 		agg.Fired += s.Fired
 		agg.Pushes += s.Pushes
+		agg.FIFOAppends += s.FIFOAppends
 		agg.CountdownSlots += s.CountdownSlots
 	}
 	return agg

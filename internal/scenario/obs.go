@@ -26,7 +26,7 @@ type obsPub struct {
 	reg *obs.Registry
 
 	simFired, simPushes        *obs.Counter
-	simCountdown               *obs.Counter
+	simAppends, simCountdown   *obs.Counter
 	execWindows, execMessages  *obs.Counter
 	medTx, medDeliv, medPHYErr *obs.Counter
 	gainHits, gainMisses       *obs.Counter
@@ -63,6 +63,7 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		reg:          reg,
 		simFired:     reg.Counter("sim_events_fired_total", "events executed across all schedulers"),
 		simPushes:    reg.Counter("sim_queue_pushes_total", "event-queue insertions"),
+		simAppends:   reg.Counter("sim_fifo_appends_total", "event-queue insertions filed in a constant-delay FIFO instead of the heap"),
 		simCountdown: reg.Counter("sim_countdown_slots_total", "backoff slot boundaries crossed without a heap event"),
 		execWindows:  reg.Counter("exec_windows_total", "parallel executor barrier windows run"),
 		execMessages: reg.Counter("exec_messages_total", "cross-region messages delivered into region schedulers"),
@@ -133,6 +134,7 @@ func (p *obsPub) publish(inst *Instance) {
 	cur := p.gather(inst)
 	p.simFired.Add(dsub(cur.sched.Fired, p.last.sched.Fired))
 	p.simPushes.Add(dsub(cur.sched.Pushes, p.last.sched.Pushes))
+	p.simAppends.Add(dsub(cur.sched.FIFOAppends, p.last.sched.FIFOAppends))
 	p.simCountdown.Add(dsub(cur.sched.CountdownSlots, p.last.sched.CountdownSlots))
 	p.execWindows.Add(dsub(cur.windows, p.last.windows))
 	p.execMessages.Add(dsub(cur.messages, p.last.messages))

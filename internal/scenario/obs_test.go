@@ -67,6 +67,19 @@ func TestObsTogglesByteIdentical(t *testing.T) {
 			if slots == 0 || slots >= fired {
 				t.Fatalf("sim_countdown_slots_total = %d of %d fired events, want a nonzero part", slots, fired)
 			}
+			// Idle stations' DIFS and NAV timers go to the FIFOs beside
+			// the heap, and every insertion still counts as a push.
+			// hidden-terminal's three stations never queue the
+			// sim.fifoMinLen events a FIFO needs.
+			appends := reg.Counter("sim_fifo_appends_total", "").Value()
+			pushes := reg.Counter("sim_queue_pushes_total", "").Value()
+			if spec.Name == "hidden-terminal" {
+				if appends != 0 {
+					t.Fatalf("sim_fifo_appends_total = %d on a three-station run, want 0", appends)
+				}
+			} else if appends == 0 || appends >= pushes {
+				t.Fatalf("sim_fifo_appends_total = %d of %d pushes, want a nonzero part", appends, pushes)
+			}
 			if v := reg.Gauge("medium_gain_cache_entries", "").Value(); v == 0 {
 				t.Fatal("registry saw no link-gain entries")
 			}

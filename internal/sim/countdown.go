@@ -247,7 +247,9 @@ func (s *Scheduler) rankAfter(g *grid) uint64 {
 // relabel spreads the ranks in use on g evenly over the rank space. It
 // rewrites every holder — running countdowns and their entries, one-slot
 // events' bands, the cursor and the firing event's key — through one
-// monotone map, so every comparison keeps its outcome.
+// monotone map, so every comparison keeps its outcome. Entries that
+// carry a rank are never in a FIFO (schedule files them in the heap),
+// so the heap is all it scans.
 func (s *Scheduler) relabel(g *grid) {
 	onGrid := func(e heapEntry) bool {
 		return e.sub&1 == 0 && e.at >= s.slot && e.sub == uint64(e.at-s.slot)<<1 && e.at%s.slot == g.res

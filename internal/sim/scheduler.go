@@ -26,9 +26,21 @@
 // MAC — and schedule it with AtAction, AfterAction or Reschedule.
 // Closures are for cold paths: set-up, fault schedules, tests.
 //
-// The heap is the only queue. A calendar-queue backend used to run
-// beside it; on the city presets the heap measured about 3× faster with
-// the same fire order, and DESIGN.md ("Why one heap") keeps the numbers.
+// Beside the heap sit a few FIFOs, each bound to one delay. Most of a
+// large run's insertions are idle stations' DIFS, EIFS and NAV timers,
+// each scheduled a fixed delay ahead; once the queue holds fifoMinLen
+// events, an event scheduled exactly d ahead joins the FIFO bound to d
+// and never enters the heap. The clock never runs backwards and
+// sequence numbers only grow, so such a stream arrives already sorted
+// by (at, sub, seq): appending, popping and cancelling cost O(1), and
+// Step, taking the least of the heap top and the FIFO heads by the same
+// less, fires events in exactly the order the heap alone would. Events
+// one slot ahead while countdowns run, countdowns and injected messages
+// always go to the heap. The FIFOs are not a second backend: there is
+// no switch, and every event leaves through the one pop path. A
+// calendar queue once ran beside the heap and was deleted; DESIGN.md
+// ("Why one heap", "Constant-delay FIFOs beside the heap") keeps the
+// numbers for both.
 //
 // A chain of one-slot events — the DCF backoff, which used to be most of
 // every contended run's events — is one heap entry (Countdown): the
@@ -78,23 +90,67 @@ func (e Event) Pending() bool {
 	return e.s != nil && e.s.slots[e.idx].gen == e.gen
 }
 
-// slot is one arena entry. A slot is in the heap exactly while its
+// slot is one arena entry. A slot is queued exactly while its
 // generation matches the handles minted for it; firing or cancelling
 // bumps gen, releases the callback reference, and returns the slot to
 // the free list.
 type slot struct {
-	gen     uint64
-	heapIdx int32
-	lane    int32 // 1 + the countdown's index, 0 for a plain event
-	fn      func()
-	act     Action
+	gen  uint64
+	pos  int32 // heap position, fifoPos, or released
+	lane int32 // 1 + the countdown's index, 0 for a plain event
+	fn   func()
+	act  Action
 }
 
-// heapEntry is one heap element. The ordering keys (at, sub, seq) live
-// inline in the heap rather than in the slot arena: every sift
-// comparison then reads adjacent heap memory instead of dereferencing
-// two random slots, which is most of what a comparison used to cost on
-// large queues.
+// released is slot.pos of a slot on the free list.
+const released = -1
+
+// fifoPos is slot.pos for a slot queued at ring index i of FIFO f;
+// atFIFO inverts it.
+func fifoPos(f int, i uint32) int32 { return -2 - int32(i)*nFIFOs - int32(f) }
+func atFIFO(pos int32) (f int, i uint32) {
+	v := -2 - pos
+	return int(v % nFIFOs), uint32(v / nFIFOs)
+}
+
+// nFIFOs is the number of constant-delay FIFOs. Four cover DIFS, EIFS,
+// the NAV (SIFS + ACK) and the 1 µs propagation edge; in the city and
+// mesh presets the top two delays alone carry 77–95% of all insertions
+// (DESIGN.md, "Constant-delay FIFOs beside the heap").
+const nFIFOs = 4
+
+// fifo is a ring of heap entries all scheduled the same delay ahead —
+// the delay it is bound to, Scheduler.delays — which therefore sit in
+// (at, sub, seq) order. head and tail count
+// entries ever popped and pushed; the ring's length is a power of two,
+// mask one less. A cancelled entry stays in the ring as a tombstone,
+// its idx set to dead, until it reaches the head, where it is skipped
+// at once: a non-empty FIFO's head is its least pending event, and hd
+// keeps a copy of it for the min-scans. A FIFO is always bound to some
+// delay; a zero Scheduler's are bound to 0 and count no use, so the
+// first delays to repeat take them over.
+type fifo struct {
+	hd         heapEntry
+	head, tail uint32
+	mask       uint32
+	buf        []heapEntry
+	n          uint64 // appends since bound, plus the misses that bound it
+}
+
+// dead is the idx of a tombstone.
+const dead = -1
+
+// empty reports whether the FIFO holds nothing, tombstones included.
+func (q *fifo) empty() bool { return q.head == q.tail }
+
+// back returns the tail entry of a non-empty FIFO.
+func (q *fifo) back() heapEntry { return q.buf[(q.tail-1)&q.mask] }
+
+// heapEntry is one heap element, and one FIFO element. The ordering
+// keys (at, sub, seq) live inline in the heap rather than in the slot
+// arena: every sift comparison then reads adjacent heap memory instead
+// of dereferencing two random slots, which is most of what a comparison
+// used to cost on large queues.
 //
 // sub is the schedule-time subkey that makes event order reproducible
 // across the parallel region kernel: the simulated instant the event
@@ -128,10 +184,15 @@ type Scheduler struct {
 	seq   uint64
 	fired uint64
 
+	queued int                   // live entries in the FIFOs
+	first  int                   // the FIFO with the least head, while queued > 0
+	delays [nFIFOs]time.Duration // the delay each FIFO is bound to
+
 	// Out-of-band observability counters (Stats): plain fields because a
 	// scheduler is owned by exactly one goroutine; the obs layer copies
 	// them out only at barrier-safe points.
-	pushes uint64 // heap insertions
+	pushes  uint64 // insertions, heap and FIFO
+	appends uint64 // FIFO insertions
 
 	// Countdowns (countdown.go). cur is the key of the event firing, or
 	// last fired; afterAll once RunUntil has passed the instant.
@@ -145,6 +206,9 @@ type Scheduler struct {
 	idleGrids []int32 // grids with no countdown, recyclable once their instant passes
 	live      int     // running countdowns
 	cdSlots   uint64  // virtual ticks of countdowns already ended
+
+	fifos  [nFIFOs]fifo
+	missed [nMissed]miss // delays no FIFO took, and how often
 }
 
 // Stats is a point-in-time copy of a scheduler's out-of-band counters.
@@ -152,7 +216,10 @@ type Scheduler struct {
 // barrier in parallel mode); it never influences event order.
 type Stats struct {
 	Fired  uint64 // events executed, a countdown's virtual ticks included
-	Pushes uint64 // heap insertions
+	Pushes uint64 // event-queue insertions, heap and FIFO
+	// FIFOAppends counts the insertions filed in a constant-delay FIFO
+	// instead of the heap: the part of Pushes that no sift paid for.
+	FIFOAppends uint64
 	// CountdownSlots counts the slot boundaries countdowns crossed
 	// without a heap event: the part of Fired that Pushes never paid.
 	CountdownSlots uint64
@@ -161,7 +228,7 @@ type Stats struct {
 // Stats returns the scheduler's observability counters.
 func (s *Scheduler) Stats() Stats {
 	r := s.running()
-	return Stats{Fired: s.fired + r, Pushes: s.pushes, CountdownSlots: s.cdSlots + r}
+	return Stats{Fired: s.fired + r, Pushes: s.pushes, FIFOAppends: s.appends, CountdownSlots: s.cdSlots + r}
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -172,7 +239,7 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events.
 func (s *Scheduler) Len() int {
-	return len(s.heap)
+	return len(s.heap) + s.queued
 }
 
 // Fired returns the total number of events executed so far.
@@ -215,7 +282,8 @@ func (s *Scheduler) AfterAction(d time.Duration, a Action) Event {
 	return s.AtAction(s.now+d, a)
 }
 
-// schedule acquires a slot, fills it and pushes it onto the heap.
+// schedule acquires a slot, fills it and files it in the FIFO bound to
+// its delay, or else in the heap.
 func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
@@ -224,16 +292,126 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	sl := &s.slots[idx]
 	sl.fn = fn
 	sl.act = act
-	seq := s.seq
-	if s.slot != 0 && t-s.now == s.slot {
+	e := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq, idx: idx}
+	s.seq++
+	if d := t - s.now; s.slot != 0 && d == s.slot {
 		// One slot ahead: the event ties on (at, sub) with the ticks of
 		// countdowns on this instant's grid; its band places it among
-		// them (countdown.go).
-		seq = s.band()<<bandShift | (s.seq + 1)
+		// them (countdown.go). relabel may rewrite the band, and it
+		// rewrites only heap entries.
+		e.seq = s.band()<<bandShift | (e.seq + 1)
+		s.push(e)
+	} else if s.Len() < fifoMinLen || !s.enqueue(d, e) {
+		s.push(e)
 	}
-	s.push(heapEntry{at: t, sub: uint64(s.now) << 1, seq: seq, idx: idx})
-	s.seq++
 	return Event{s: s, idx: idx, gen: sl.gen, at: t}
+}
+
+// miss counts the events scheduled d ahead that no FIFO took since d
+// entered the table of misses.
+type miss struct {
+	d time.Duration
+	n uint64
+}
+
+// nMissed is the size of the table of misses. A delay not in it
+// replaces the entry with the fewest misses, so the few delays that
+// carry most of a run's insertions stay in it. bindMisses is how often
+// a delay must miss before it may take a FIFO over.
+const (
+	nMissed    = 4
+	bindMisses = 16
+)
+
+// fifoMinLen is the queue length below which every event goes to the
+// heap. A heap that short is one or two levels deep, and its sifts cost
+// less than the FIFOs' bookkeeping and the extra head to compare on
+// every pop; the paper's two- and four-station runs stay below it
+// throughout and never use the FIFOs.
+const fifoMinLen = 16
+
+// enqueue files e, scheduled d ahead, in the FIFO bound to d and
+// reports whether it did. An entry that would sort before the FIFO's
+// tail is refused: that never happens to (at, sub, seq) keys minted by
+// schedule, but the FIFO's order must not rest on it.
+//
+// A delay no FIFO is bound to takes over a drained FIFO once it has
+// missed bindMisses times, and more often than that FIFO was used since
+// it was bound. So the FIFOs end up bound to the most frequent delays:
+// a rare delay never binds one, and a busy delay whose FIFO drains for
+// a moment keeps it.
+func (s *Scheduler) enqueue(d time.Duration, e heapEntry) bool {
+	f := -1
+	for i, b := range s.delays {
+		if b == d {
+			f = i
+			break
+		}
+	}
+	if f < 0 {
+		m := &s.missed[0]
+		for i := range s.missed {
+			if c := &s.missed[i]; c.d == d {
+				m = c
+				break
+			} else if c.n < m.n {
+				m = c
+			}
+		}
+		if m.d != d {
+			*m = miss{d: d}
+		}
+		if m.n++; m.n < bindMisses {
+			return false
+		}
+		for i := range s.fifos {
+			if q := &s.fifos[i]; q.empty() && q.n < m.n && (f < 0 || q.n < s.fifos[f].n) {
+				f = i
+			}
+		}
+		if f < 0 {
+			return false
+		}
+		s.delays[f], s.fifos[f].n = d, m.n
+		*m = miss{}
+	}
+	q := &s.fifos[f]
+	if !q.empty() {
+		if less(e, q.back()) {
+			return false
+		}
+	} else {
+		q.hd = e
+		if s.queued == 0 || less(e, s.fifos[s.first].hd) {
+			s.first = f
+		}
+	}
+	if q.tail-q.head == uint32(len(q.buf)) {
+		s.growFIFO(q, f)
+	}
+	i := q.tail & q.mask
+	q.buf[i] = e
+	q.tail++
+	q.n++
+	s.slots[e.idx].pos = fifoPos(f, i)
+	s.queued++
+	s.pushes++
+	s.appends++
+	return true
+}
+
+// growFIFO doubles FIFO f's ring, moving its entries to the front.
+func (s *Scheduler) growFIFO(q *fifo, f int) {
+	n := q.tail - q.head
+	buf := make([]heapEntry, max(2*len(q.buf), 64))
+	for i := range n {
+		e := q.buf[(q.head+i)&q.mask]
+		buf[i] = e
+		if e.idx != dead {
+			s.slots[e.idx].pos = fifoPos(f, i)
+		}
+	}
+	q.buf, q.mask, q.head, q.tail = buf, uint32(len(buf)-1), 0, n
 }
 
 // alloc takes a slot from the free list, or grows the arena.
@@ -250,7 +428,7 @@ func (s *Scheduler) alloc() int32 {
 // push files an entry into the heap.
 func (s *Scheduler) push(e heapEntry) {
 	s.pushes++
-	s.slots[e.idx].heapIdx = int32(len(s.heap))
+	s.slots[e.idx].pos = int32(len(s.heap))
 	s.heap = append(s.heap, e)
 	s.siftUp(len(s.heap) - 1)
 }
@@ -286,10 +464,70 @@ func (s *Scheduler) InjectAt(t, sentAt time.Duration, a Action) {
 // when the queue is empty. The parallel kernel publishes it as the
 // region's conservative clock.
 func (s *Scheduler) PeekAt() (time.Duration, bool) {
-	if len(s.heap) == 0 {
+	src, ok := s.next()
+	if !ok {
 		return 0, false
 	}
-	return s.heap[0].at, true
+	return s.due(src), true
+}
+
+// next reports where the earliest pending event is queued: -1 for the
+// heap, f for FIFO f. ok is false when nothing is pending. It is one
+// comparison, shared by RunUntil's peek and the Step that follows, and
+// none while the FIFOs are empty.
+func (s *Scheduler) next() (src int, ok bool) {
+	if s.queued > 0 {
+		return s.nextOfBoth(), true
+	}
+	return -1, len(s.heap) > 0
+}
+
+// nextOfBoth is next while a FIFO holds an event. It is kept out of
+// line so that next inlines into Step and RunUntil.
+//
+//go:noinline
+func (s *Scheduler) nextOfBoth() int {
+	if len(s.heap) == 0 || less(s.fifos[s.first].hd, s.heap[0]) {
+		return s.first
+	}
+	return -1
+}
+
+// due returns when the earliest event of queue src, as next reports
+// it, is due.
+func (s *Scheduler) due(src int) time.Duration {
+	if src >= 0 {
+		return s.fifos[src].hd.at
+	}
+	return s.heap[0].at
+}
+
+// settle pops the tombstones at FIFO f's head, so that its head is
+// live again, then finds the FIFO with the least head anew if f was it.
+// Heads are live, so that is one scan with no lookups.
+func (s *Scheduler) settle(f int) {
+	q := &s.fifos[f]
+	for ; !q.empty(); q.head++ {
+		if e := q.buf[q.head&q.mask]; e.idx != dead {
+			q.hd = e
+			break
+		}
+	}
+	if q.empty() {
+		// Start over at the front of the ring: a FIFO that holds a few
+		// entries at a time then stays in a few cache lines.
+		q.head, q.tail = 0, 0
+	}
+	if f != s.first || s.queued == 0 {
+		return
+	}
+	best := -1
+	for i := range s.fifos {
+		if q := &s.fifos[i]; !q.empty() && (best < 0 || less(q.hd, s.fifos[best].hd)) {
+			best = i
+		}
+	}
+	s.first = best
 }
 
 // Cancel removes a pending event from the queue. Cancelling a zero,
@@ -312,7 +550,19 @@ func (s *Scheduler) Cancel(e Event) {
 		ci := sl.lane - 1
 		s.endCountdown(ci, s.passed(&s.cds[ci]), false)
 	}
-	s.removeHeap(int(sl.heapIdx))
+	if sl.pos >= 0 {
+		s.removeHeap(int(sl.pos))
+		return
+	}
+	// In a FIFO: the entry stays as a tombstone.
+	f, i := atFIFO(sl.pos)
+	q := &s.fifos[f]
+	q.buf[i].idx = dead
+	s.queued--
+	s.release(e.idx)
+	if i == q.head&q.mask {
+		s.settle(f)
+	}
 }
 
 // Reschedule cancels e (if pending) and schedules a.Act() at absolute
@@ -330,7 +580,7 @@ func (s *Scheduler) Reschedule(e Event, t time.Duration, a Action) Event {
 func (s *Scheduler) release(idx int32) {
 	sl := &s.slots[idx]
 	sl.gen++
-	sl.heapIdx = -1
+	sl.pos = released
 	sl.lane = 0
 	sl.fn = nil
 	sl.act = nil
@@ -344,7 +594,7 @@ func (s *Scheduler) removeHeap(h int) {
 	last := len(s.heap) - 1
 	if h != last {
 		s.heap[h] = s.heap[last]
-		s.slots[s.heap[h].idx].heapIdx = int32(h)
+		s.slots[s.heap[h].idx].pos = int32(h)
 	}
 	s.heap = s.heap[:last]
 	if h != last {
@@ -358,21 +608,39 @@ func (s *Scheduler) removeHeap(h int) {
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
-		return false
+	src, ok := s.next()
+	if ok {
+		s.fire(src)
 	}
-	s.cur = s.heap[0]
-	idx := s.cur.idx
+	return ok
+}
+
+// fire pops the earliest pending event from src, the queue next found
+// it in, and runs it. cur becomes its key wherever it was queued: the
+// countdowns read it.
+func (s *Scheduler) fire(src int) {
+	var e heapEntry
+	if src >= 0 {
+		q := &s.fifos[src]
+		e = q.hd
+		q.head++
+		s.queued--
+		s.settle(src)
+	} else {
+		e = s.heap[0]
+		last := len(s.heap) - 1
+		s.heap[0] = s.heap[last]
+		s.heap = s.heap[:last]
+		if last > 0 {
+			s.slots[s.heap[0].idx].pos = 0
+			s.siftDown(0)
+		}
+	}
+	s.cur = e
+	s.now = e.at
+	idx := e.idx
 	sl := &s.slots[idx]
-	s.now = s.cur.at
 	fn, act, lane := sl.fn, sl.act, sl.lane
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.slots[s.heap[0].idx].heapIdx = 0
-		s.siftDown(0)
-	}
 	// Release before running: the callback observes its own event as no
 	// longer pending, and may immediately reuse the slot for a follow-up.
 	s.release(idx)
@@ -386,7 +654,6 @@ func (s *Scheduler) Step() bool {
 	} else {
 		act.Act()
 	}
-	return true
 }
 
 // RunUntil executes events until the queue is empty or the next event is
@@ -396,8 +663,12 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
 	}
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.Step()
+	for {
+		src, ok := s.next()
+		if !ok || s.due(src) > t {
+			break
+		}
+		s.fire(src)
 	}
 	s.now = t
 	s.cur = afterAll
@@ -412,30 +683,39 @@ func (s *Scheduler) Run() {
 }
 
 // Reset returns the scheduler to its just-constructed state — time
-// zero, no pending events, counters cleared — while keeping the slot
-// arena and heap capacity, so a replication sweep reuses the memory a
-// previous run grew. Every outstanding Event handle is invalidated
-// (generations bump exactly as if each event had been cancelled); a
-// fresh run scheduled after Reset is bit-identical to one on a new
-// scheduler, because event ordering depends only on (time, sequence),
-// never on slot indices.
+// zero, no pending events, counters and FIFO bindings cleared — while
+// keeping the slot arena, heap and FIFO capacity, so a replication
+// sweep reuses the memory a previous run grew. Every outstanding Event
+// handle is invalidated (generations bump exactly as if each event had
+// been cancelled); a fresh run scheduled after Reset is bit-identical
+// to one on a new scheduler, because event ordering depends only on
+// (time, sequence), never on slot indices or on which queue holds an
+// event.
 func (s *Scheduler) Reset() {
 	s.heap = s.heap[:0]
 	s.free = s.free[:0]
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.gen++
-		sl.heapIdx = -1
+		sl.pos = released
 		sl.lane = 0
 		sl.fn = nil
 		sl.act = nil
 		s.free = append(s.free, int32(i))
 	}
+	for i := range s.fifos {
+		q := &s.fifos[i]
+		*q = fifo{mask: q.mask, buf: q.buf}
+	}
+	s.delays = [nFIFOs]time.Duration{}
+	s.queued = 0
+	s.missed = [nMissed]miss{}
 	s.resetCountdowns()
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
 	s.pushes = 0
+	s.appends = 0
 }
 
 // less orders heap entries by (time, schedule subkey, sequence): FIFO
@@ -466,11 +746,11 @@ func (s *Scheduler) siftUp(i int) {
 			break
 		}
 		s.heap[i] = s.heap[parent]
-		s.slots[s.heap[i].idx].heapIdx = int32(i)
+		s.slots[s.heap[i].idx].pos = int32(i)
 		i = parent
 	}
 	s.heap[i] = e
-	s.slots[e.idx].heapIdx = int32(i)
+	s.slots[e.idx].pos = int32(i)
 }
 
 // siftDown restores the heap property downward from position i,
@@ -498,10 +778,10 @@ func (s *Scheduler) siftDown(i int) bool {
 			break
 		}
 		s.heap[i] = s.heap[best]
-		s.slots[s.heap[i].idx].heapIdx = int32(i)
+		s.slots[s.heap[i].idx].pos = int32(i)
 		i = best
 	}
 	s.heap[i] = e
-	s.slots[e.idx].heapIdx = int32(i)
+	s.slots[e.idx].pos = int32(i)
 	return i != start
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -389,6 +390,12 @@ type orderEnv struct {
 	fired   uint64
 	live    []liveEvent // the most recent handles, fired or not
 	nextID  int
+
+	// Countdowns, which the reference counts down as explicit chains of
+	// one-slot ticks (see refCountdown).
+	slot  time.Duration
+	ticks map[int]*refCountdown // pending tick id → its countdown
+	cds   []*refCountdown       // the most recent countdowns, ended or not
 }
 
 // maxLive bounds the handles a script can cancel or reschedule, which
@@ -445,8 +452,10 @@ func (env *orderEnv) drop(e refEntry) {
 }
 
 // fire is every event's callback: the scheduler must be firing exactly
-// the reference's head, at its timestamp.
+// the reference's head, at its timestamp, once the reference has passed
+// the countdown ticks that sort before it.
 func (env *orderEnv) fire(id int) {
+	env.passTicks(math.MaxInt64)
 	if len(env.pending) == 0 {
 		env.t.Fatalf("event %d fired with the reference queue empty", id)
 	}
@@ -474,13 +483,28 @@ func (env *orderEnv) check() {
 	if env.s.Fired() != env.fired {
 		env.t.Fatalf("Fired() = %d, reference fired %d", env.s.Fired(), env.fired)
 	}
+	// A countdown's one entry is due at its last tick, not its next.
+	var first time.Duration = math.MaxInt64
+	for _, e := range env.pending {
+		at := e.key.at
+		if c := env.ticks[e.id]; c != nil {
+			at += time.Duration(c.left-1) * env.slot
+		}
+		first = min(first, at)
+	}
 	at, ok := env.s.PeekAt()
-	if ok != (len(env.pending) > 0) || ok && at != env.pending[0].key.at {
+	if ok != (len(env.pending) > 0) || ok && at != first {
 		env.t.Fatalf("PeekAt() = %v, %v disagrees with the reference", at, ok)
 	}
 	for _, l := range env.live {
 		if _, pending := env.holds(l.refEntry); l.ev.Pending() != pending {
 			env.t.Fatalf("event %d: Pending() = %v, reference says %v", l.id, l.ev.Pending(), pending)
+		}
+	}
+	for _, c := range env.cds {
+		if c.ev.Pending() != (c.left > 0) || env.s.Left(c.ev) != c.left {
+			env.t.Fatalf("countdown: Pending() = %v, Left() = %d; reference has %d ticks left",
+				c.ev.Pending(), env.s.Left(c.ev), c.left)
 		}
 	}
 }
@@ -661,3 +685,77 @@ func benchmarkSchedulerHold(b *testing.B, n int) {
 
 func BenchmarkSchedulerHold4k(b *testing.B)  { benchmarkSchedulerHold(b, 4096) }
 func BenchmarkSchedulerHold64k(b *testing.B) { benchmarkSchedulerHold(b, 65536) }
+
+// idleStation is one station's deferral timer: each firing re-arms it
+// at the next of its delays and re-arms another station's timer,
+// cancelling that one's pending event, so half of all insertions are
+// cancelled before they fire.
+type idleStation struct {
+	s      *Scheduler
+	ev     Event
+	peers  []idleStation
+	delays []time.Duration
+	k      int
+	rng    *uint64
+}
+
+// next returns the delay the station's timer is re-armed at next.
+func (st *idleStation) next() time.Duration {
+	st.k++
+	return st.delays[st.k%len(st.delays)]
+}
+
+func (st *idleStation) Act() {
+	st.ev = st.s.AfterAction(st.next(), st)
+	*st.rng ^= *st.rng << 13
+	*st.rng ^= *st.rng >> 7
+	*st.rng ^= *st.rng << 17
+	p := &st.peers[*st.rng%uint64(len(st.peers))]
+	p.ev = st.s.Reschedule(p.ev, st.s.Now()+p.next(), p)
+}
+
+// stations arms n idle stations cycling through delays.
+func stations(s *Scheduler, n int, delays []time.Duration) {
+	rng := uint64(1)
+	peers := make([]idleStation, n)
+	for i := range peers {
+		peers[i] = idleStation{s: s, peers: peers, delays: delays, k: i, rng: &rng}
+		peers[i].ev = s.AtAction(time.Duration(i)*delays[0]/time.Duration(n), &peers[i])
+	}
+}
+
+// BenchmarkSchedulerIdleTimers models a city's idle stations: 1024
+// pending timers re-armed +50 µs ahead, half of them cancelled before
+// they fire, beside 64 traffic timers at pseudo-random delays.
+func BenchmarkSchedulerIdleTimers(b *testing.B) {
+	s := NewScheduler()
+	stations(s, 1024, []time.Duration{50 * time.Microsecond})
+	traffic := rand.New(rand.NewSource(1))
+	var arm func()
+	arm = func() {
+		s.After(time.Duration(1+traffic.Intn(2000))*time.Microsecond, arm)
+	}
+	for i := 0; i < 64; i++ {
+		arm()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkSchedulerFourStations is the paper-scale counterpart: four
+// stations cycling through the four-node runs' delays (DIFS, EIFS, the
+// 1 µs propagation edge, a 1500-byte frame at 11 Mbit/s, SIFS), so the
+// queue stays shorter than fifoMinLen.
+func BenchmarkSchedulerFourStations(b *testing.B) {
+	s := NewScheduler()
+	us := time.Microsecond
+	stations(s, 4, []time.Duration{50 * us, 364 * us, us, 50 * us, 610455 * time.Nanosecond, us, 50 * us, 10 * us})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
