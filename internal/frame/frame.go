@@ -72,7 +72,22 @@ func (a Addr) IsGroup() bool { return a[0]&1 == 1 }
 
 // String renders the address in colon-hex notation.
 func (a Addr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	var buf [17]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the address in String's colon-hex notation to b and
+// returns the extended slice. Stream names are formatted with it into a
+// stack buffer, without allocating.
+func (a Addr) AppendTo(b []byte) []byte {
+	const hex = "0123456789abcdef"
+	for i, v := range a {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = append(b, hex[v>>4], hex[v&0xf])
+	}
+	return b
 }
 
 // Frame is one MAC frame. Control frames (ACK, CTS) carry only Addr1;

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -181,6 +182,26 @@ func TestDecodeGarbage(t *testing.T) {
 		rng.Read(buf)
 		if f, err := Decode(buf); err == nil {
 			t.Fatalf("garbage decoded as %v", f)
+		}
+	}
+}
+
+// TestAddrStringMatchesSprintf pins String and AppendTo to the
+// fmt.Sprintf form the MAC's stream names were first built from, on
+// the station ids whose addresses cross a byte or nibble boundary and
+// on addresses with every nibble value.
+func TestAddrStringMatchesSprintf(t *testing.T) {
+	addrs := []Addr{Broadcast, {}, {0x0f, 0xf0, 0x9a, 0xbc, 0xde, 0x01}}
+	for _, id := range []uint32{1, 255, 256, 4095, 65535, 65536, 1<<24 - 2} {
+		addrs = append(addrs, AddrFromID(id))
+	}
+	for _, a := range addrs {
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+		if got := a.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(a.AppendTo([]byte("x"))); got != "x"+want {
+			t.Errorf("AppendTo = %q, want %q", got, "x"+want)
 		}
 	}
 }

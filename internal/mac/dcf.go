@@ -183,7 +183,7 @@ func (m *MAC) resume() {
 			m.txAttempt()
 			return
 		}
-		m.backoff = m.rng.Intn(m.cw)
+		m.backoff = m.rng.Rand().Intn(m.cw)
 	}
 	m.tickSlot()
 }
@@ -317,7 +317,7 @@ func (m *MAC) txSuccess() {
 	// Post-transmission backoff (mandatory per the standard); it also
 	// spaces back-to-back frames of a saturated queue, which is the
 	// CWmin/2 term of the paper's Equation (1).
-	m.backoff = m.rng.Intn(m.cw)
+	m.backoff = m.rng.Rand().Intn(m.cw)
 	m.popNext()
 	m.scheduleResumeIfAvailable()
 }
@@ -362,7 +362,7 @@ func (m *MAC) txFail(short bool) {
 		m.st = stContend
 		m.cw = min(2*m.cw, phy.CWMax)
 	}
-	m.backoff = m.rng.Intn(m.cw)
+	m.backoff = m.rng.Rand().Intn(m.cw)
 	if m.tr.Enabled(trace.LevelDebug) {
 		verdict := "retry"
 		if exceeded {
@@ -553,6 +553,9 @@ func (m *MAC) deliverUp(f *frame.Frame) {
 	if last, seen := m.rxSeq[src]; f.Retry && seen && last == f.Seq {
 		m.Counters.RxDup++
 		return
+	}
+	if m.rxSeq == nil {
+		m.rxSeq = make(map[frame.Addr]uint16)
 	}
 	m.rxSeq[src] = f.Seq
 	if m.deliver != nil {

@@ -14,7 +14,6 @@ package mac
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"adhocsim/internal/frame"
@@ -187,11 +186,10 @@ type msdu struct {
 // MAC is one station's DCF instance. Create with New, attach to a medium
 // with Attach, then exchange MSDUs via Send and the Deliver callback.
 type MAC struct {
-	cfg    Config
-	sched  *sim.Scheduler
-	radio  *medium.Radio
-	rng    *rand.Rand
-	rngKey sim.StreamKey // pre-hashed stream name, for allocation-free Reset
+	cfg   Config
+	sched *sim.Scheduler
+	radio *medium.Radio
+	rng   sim.Stream // backoff and beacon jitter, created at the first draw
 
 	// Upper-layer hooks.
 	deliver    func(payload []byte, src frame.Addr)
@@ -227,8 +225,10 @@ type MAC struct {
 	respRate     phy.Rate
 	respInFlight bool
 
-	seq   uint16
-	rxSeq map[frame.Addr]uint16 // last delivered sequence per source
+	seq uint16
+	// rxSeq is the last delivered sequence per source, made at the first
+	// delivery.
+	rxSeq map[frame.Addr]uint16
 
 	// lastRxRSSI is the received power of the most recent error-free
 	// reception; see LastRxRSSIDBm.
@@ -253,21 +253,28 @@ var _ medium.Handler = (*MAC)(nil)
 // New creates a MAC. Call Attach before use.
 func New(sched *sim.Scheduler, src *sim.Source, cfg Config) *MAC {
 	cfg = cfg.withDefaults()
-	key := sim.KeyFor("mac.backoff." + cfg.Address.String())
 	m := &MAC{
 		cfg:     cfg,
 		sched:   sched,
-		rng:     src.StreamFor(key),
-		rngKey:  key,
+		rng:     src.Lazy(backoffKey(cfg.Address)),
 		cw:      phy.CWMin,
 		backoff: -1,
-		rxSeq:   make(map[frame.Addr]uint16),
 	}
 	if cfg.RateControl != nil {
 		m.txObservers = append(m.txObservers, rateControlObserver{cfg.RateControl})
 	}
 	return m
 }
+
+// backoffKey names the backoff stream of the station at addr:
+// "mac.backoff." followed by addr's colon-hex form, hashed without
+// allocating.
+func backoffKey(addr frame.Addr) sim.StreamKey {
+	var buf [len(backoffPrefix) + 17]byte
+	return sim.KeyForBytes(addr.AppendTo(append(buf[:0], backoffPrefix...)))
+}
+
+const backoffPrefix = "mac.backoff."
 
 // Attach binds the MAC to its radio. The radio must have been created
 // with this MAC as its handler. Channel state is initialized from the
@@ -299,7 +306,7 @@ func (m *MAC) Reset(src *sim.Source) {
 	if m.radio == nil {
 		panic("mac: Reset before Attach")
 	}
-	src.ReseedStream(m.rng, m.rngKey)
+	m.rng.Reset(src)
 	m.flushPipeline()
 	m.st = stIdle
 	m.cw = phy.CWMin
@@ -455,7 +462,7 @@ func (m *MAC) nextSeq() uint16 {
 // generation rules, each station adds a random delay after the target
 // beacon time so that stations sharing a TBTT do not collide forever.
 func (m *MAC) scheduleBeacon() {
-	jitter := time.Duration(m.rng.Intn(2*phy.CWMin)) * phy.SlotTime
+	jitter := time.Duration(m.rng.Rand().Intn(2*phy.CWMin)) * phy.SlotTime
 	m.beaconEv = m.sched.AfterAction(m.cfg.BeaconInterval+jitter, (*beaconTimer)(m))
 }
 

@@ -525,3 +525,16 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("runs diverged: (%d,%d) vs (%d,%d)", tx1, rx1, tx2, rx2)
 	}
 }
+
+// TestBackoffKeyMatchesFormattedName pins the backoff stream key to the
+// hash of its fmt-built name, so no station's backoff stream moved when
+// the name stopped being formatted.
+func TestBackoffKeyMatchesFormattedName(t *testing.T) {
+	for _, id := range []uint32{1, 255, 256, 4095, 65535, 65536, 1<<24 - 2} {
+		a := frame.AddrFromID(id)
+		name := fmt.Sprintf("mac.backoff.%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+		if got, want := backoffKey(a), sim.KeyFor(name); got != want {
+			t.Errorf("station %d: backoffKey = %#x, want KeyFor(%q) = %#x", id, got, name, want)
+		}
+	}
+}

@@ -86,7 +86,11 @@ type Medium struct {
 	src   *sim.Source
 
 	radios []*Radio
-	byID   map[uint32]*Radio
+
+	// lins memoizes phy.Profile.Linearize per distinct set of threshold
+	// values: a field of one shared profile computes its table once, not
+	// once per radio.
+	lins []linMemo
 
 	// Struct-of-arrays mirrors of the per-radio state the transmit inner
 	// loop reads per candidate, indexed by radio slot: id, position, the
@@ -109,7 +113,8 @@ type Medium struct {
 	// idsMonotone records whether radio ids ascend in slot order — true
 	// for node-built networks, which assign ids sequentially. It lets
 	// sortCandidates order slots directly instead of through the id
-	// array.
+	// array, and AddRadio prove a new id unique by comparing it with the
+	// last one.
 	idsMonotone bool
 
 	// index is the spatial neighbor grid; nil while dirty, on an empty
@@ -234,7 +239,6 @@ func New(sched *sim.Scheduler, src *sim.Source) *Medium {
 		sched:       sched,
 		src:         src,
 		gainSeed:    src.Seed(),
-		byID:        make(map[uint32]*Radio),
 		indexDirty:  true,
 		idsMonotone: true,
 	}
@@ -714,10 +718,15 @@ func (m *Medium) releaseTransmission(tx *transmission) {
 
 // AddRadio attaches a radio at pos with the given profile and handler.
 // The id must be unique; it keys the fading process and the spatial
-// index.
+// index. While ids ascend (every node-built network) an id above the
+// last one is unique by construction; only a medium assembled with ids
+// out of order scans the ids already attached.
 func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h Handler) *Radio {
-	if _, dup := m.byID[id]; dup {
-		panic(fmt.Sprintf("medium: duplicate radio id %d", id))
+	if n := len(m.soaID); n > 0 && (!m.idsMonotone || id <= m.soaID[n-1]) {
+		if slices.Contains(m.soaID, id) {
+			panic(fmt.Sprintf("medium: duplicate radio id %d", id))
+		}
+		m.idsMonotone = false
 	}
 	if m.shards != nil {
 		panic("medium: AddRadio after SetPartition")
@@ -728,16 +737,12 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 		pos:           pos,
 		profile:       profile,
 		handler:       h,
-		lin:           profile.Linearize(),
+		lin:           m.linearize(profile),
 		irrelevantDBm: profile.NoiseFloorDBm - IrrelevantMarginDB,
 		slot:          int32(len(m.radios)),
 	}
 	r.floorMW = r.lin.NoiseFloorMW
 	r.txEnd.r = r
-	if n := len(m.radios); n > 0 && id <= m.radios[n-1].id {
-		m.idsMonotone = false
-	}
-	m.byID[id] = r
 	m.radios = append(m.radios, r)
 	m.soaID = append(m.soaID, id)
 	m.soaPos = append(m.soaPos, pos)
@@ -746,6 +751,41 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 	m.indexDirty = true
 	m.posEpoch++
 	return r
+}
+
+// linMemo is one memoized phy.Linear and the thresholds it was computed
+// from.
+type linMemo struct {
+	key linKey
+	lin phy.Linear
+}
+
+// linKey is every profile value phy.Profile.Linearize reads, as bits:
+// equal keys convert to equal tables, whichever profile carries them.
+type linKey struct {
+	noise, cca uint64
+	sens       [4]uint64
+}
+
+// linearize returns profile.Linearize(), computed once per distinct set
+// of threshold values. The memo is keyed on the values, not the
+// pointer, so a profile edited between two attaches gets a fresh table.
+func (m *Medium) linearize(profile *phy.Profile) phy.Linear {
+	k := linKey{
+		noise: math.Float64bits(profile.NoiseFloorDBm),
+		cca:   math.Float64bits(profile.CCAThresholdDBm),
+	}
+	for i, s := range profile.SensitivityDBm {
+		k.sens[i] = math.Float64bits(s)
+	}
+	for _, e := range m.lins {
+		if e.key == k {
+			return e.lin
+		}
+	}
+	lin := profile.Linearize()
+	m.lins = append(m.lins, linMemo{k, lin})
+	return lin
 }
 
 // ID returns the radio identifier.

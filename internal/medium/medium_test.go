@@ -236,6 +236,47 @@ func TestDuplicateRadioIDPanics(t *testing.T) {
 	env.m.AddRadio(1, phy.Pos(10, 0), prof, &mockHandler{})
 }
 
+// TestDuplicateRadioIDOutOfOrder covers the scan AddRadio falls back to
+// once ids stop ascending: an id above the last one can still repeat an
+// earlier one.
+func TestDuplicateRadioIDOutOfOrder(t *testing.T) {
+	env, prof := newEnv()
+	for _, id := range []uint32{5, 3, 4} {
+		env.m.AddRadio(id, phy.Pos(float64(id), 0), prof, &mockHandler{})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate of an earlier radio id did not panic")
+		}
+	}()
+	env.m.AddRadio(5, phy.Pos(10, 0), prof, &mockHandler{})
+}
+
+// TestLinearizeMemoByValue checks the medium's threshold-table memo:
+// radios sharing a profile get the profile's table, and a profile
+// edited between two attaches gets a fresh one, as a per-radio
+// Linearize would give it.
+func TestLinearizeMemoByValue(t *testing.T) {
+	env, prof := newEnv()
+	a := env.m.AddRadio(1, phy.Pos(0, 0), prof, &mockHandler{})
+	b := env.m.AddRadio(2, phy.Pos(10, 0), prof, &mockHandler{})
+	prof.NoiseFloorDBm -= 3
+	prof.SensitivityDBm[3] += 2
+	c := env.m.AddRadio(3, phy.Pos(20, 0), prof, &mockHandler{})
+	other := phy.DefaultProfile()
+	d := env.m.AddRadio(4, phy.Pos(30, 0), other, &mockHandler{})
+	want := phy.DefaultProfile().Linearize()
+	if a.lin != want || b.lin != want || d.lin != want {
+		t.Errorf("shared-profile tables %+v, %+v, %+v, want %+v", a.lin, b.lin, d.lin, want)
+	}
+	if got, want := c.lin, prof.Linearize(); got != want {
+		t.Errorf("edited profile's table %+v, want %+v", got, want)
+	}
+	if len(env.m.lins) != 2 {
+		t.Errorf("memo holds %d tables for two distinct threshold sets", len(env.m.lins))
+	}
+}
+
 func TestMediumCounters(t *testing.T) {
 	env, prof := newEnv()
 	a := env.m.AddRadio(1, phy.Pos(0, 0), prof, &mockHandler{})

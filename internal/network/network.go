@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"adhocsim/internal/frame"
 	"adhocsim/internal/mac"
@@ -69,7 +70,21 @@ func StationID(a Addr) (uint32, bool) {
 
 // String renders the address in dotted-quad notation.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [15]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the address in String's dotted-quad notation to b
+// and returns the extended slice. Stream names are formatted with it
+// into a stack buffer, without allocating.
+func (a Addr) AppendTo(b []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		if shift < 24 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(byte(a>>shift)), 10)
+	}
+	return b
 }
 
 // Protocol identifies the payload's transport protocol, using the IANA
@@ -181,10 +196,20 @@ type Stack struct {
 	addr Addr
 	mac  *mac.MAC
 
-	neighbors map[Addr]frame.Addr // IP → MAC of directly reachable stations
-	routes    map[Addr]Addr       // destination → next hop (for multi-hop)
-	handlers  map[Protocol]Handler
-	space     []func() // transmit-queue space subscribers
+	// neighbors (IP → MAC of directly reachable stations), routes
+	// (destination → next hop, for multi-hop) and rxHops are made on
+	// their first write: most stations of a large field never hold an
+	// entry, and reading, ranging over or clearing a nil map is a no-op.
+	neighbors map[Addr]frame.Addr
+	routes    map[Addr]Addr
+	handlers  []protoHandler // at most one per protocol, in registration order
+	space     []func()       // transmit-queue space subscribers
+
+	// handlerBuf and spaceBuf back handlers and space for a station's
+	// construction-time wiring (UDP and TCP, TCP's subscription), so
+	// building a stack does not grow either slice on the heap.
+	handlerBuf [2]protoHandler
+	spaceBuf   [1]func()
 
 	// resolver, when set, computes IP→MAC mappings the static neighbor
 	// table does not hold (SetResolver). The node builder installs one
@@ -222,14 +247,8 @@ type Stack struct {
 // queue-space callbacks are taken over by the stack; transports register
 // through Stack.Handle and Stack.OnQueueSpace instead.
 func NewStack(m *mac.MAC, addr Addr) *Stack {
-	s := &Stack{
-		addr:      addr,
-		mac:       m,
-		neighbors: make(map[Addr]frame.Addr),
-		routes:    make(map[Addr]Addr),
-		handlers:  make(map[Protocol]Handler),
-		rxHops:    make(map[Addr]uint8),
-	}
+	s := &Stack{addr: addr, mac: m}
+	s.handlers, s.space = s.handlerBuf[:0], s.spaceBuf[:0]
 	m.OnDeliver(s.receive)
 	m.OnQueueSpace(func() {
 		for _, fn := range s.space {
@@ -248,7 +267,12 @@ func (s *Stack) MAC() *mac.MAC { return s.mac }
 // AddNeighbor installs a static IP→MAC mapping (the testbed equivalent
 // of a pre-populated ARP cache). Explicit entries take precedence over
 // the computed resolver.
-func (s *Stack) AddNeighbor(ip Addr, hw frame.Addr) { s.neighbors[ip] = hw }
+func (s *Stack) AddNeighbor(ip Addr, hw frame.Addr) {
+	if s.neighbors == nil {
+		s.neighbors = make(map[Addr]frame.Addr)
+	}
+	s.neighbors[ip] = hw
+}
 
 // SetResolver installs a computed neighbor resolver, consulted whenever
 // the static neighbor table has no entry for a next hop. For networks
@@ -273,7 +297,12 @@ func (s *Stack) lookupNeighbor(ip Addr) (frame.Addr, bool) {
 
 // AddRoute installs a static route: packets for dst go via nextHop,
 // which must itself be a neighbor.
-func (s *Stack) AddRoute(dst, nextHop Addr) { s.routes[dst] = nextHop }
+func (s *Stack) AddRoute(dst, nextHop Addr) {
+	if s.routes == nil {
+		s.routes = make(map[Addr]Addr)
+	}
+	s.routes[dst] = nextHop
+}
 
 // DelRoute removes the route for dst, if any.
 func (s *Stack) DelRoute(dst Addr) { delete(s.routes, dst) }
@@ -298,8 +327,34 @@ func (s *Stack) Routes() int { return len(s.routes) }
 // lookup, so it reports the hops actually taken.
 func (s *Stack) HopsFrom(src Addr) int { return int(s.rxHops[src]) }
 
-// Handle registers the receiver for a transport protocol.
-func (s *Stack) Handle(p Protocol, h Handler) { s.handlers[p] = h }
+// protoHandler binds a transport protocol to its receiver.
+type protoHandler struct {
+	proto Protocol
+	h     Handler
+}
+
+// Handle registers the receiver for a transport protocol, replacing any
+// receiver registered for it before.
+func (s *Stack) Handle(p Protocol, h Handler) {
+	for i := range s.handlers {
+		if s.handlers[i].proto == p {
+			s.handlers[i].h = h
+			return
+		}
+	}
+	s.handlers = append(s.handlers, protoHandler{p, h})
+}
+
+// handler returns the receiver registered for p, or nil. A station
+// registers two or three protocols, so a scan beats a map.
+func (s *Stack) handler(p Protocol) Handler {
+	for _, ph := range s.handlers {
+		if ph.proto == p {
+			return ph.h
+		}
+	}
+	return nil
+}
 
 // OnQueueSpace subscribes to transmit-queue space notifications, used by
 // transports for backpressure.
@@ -444,9 +499,12 @@ func (s *Stack) receive(msdu []byte, from frame.Addr) {
 			// no per-packet map write; route control frames are excluded
 			// because they originate with a link-local TTL, not
 			// DefaultTTL, and would corrupt the arithmetic.
+			if s.rxHops == nil {
+				s.rxHops = make(map[Addr]uint8)
+			}
 			s.rxHops[h.Src] = DefaultTTL - h.TTL + 1
 		}
-		if fn := s.handlers[h.Proto]; fn != nil {
+		if fn := s.handler(h.Proto); fn != nil {
 			fn(payload, h.Src, h.Dst)
 		}
 		return

@@ -3,7 +3,9 @@ package network
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -104,6 +106,27 @@ func TestStackSendReceive(t *testing.T) {
 	}
 	if a.Sent != 1 || b.Received != 1 {
 		t.Fatalf("counters: sent=%d received=%d", a.Sent, b.Received)
+	}
+}
+
+// TestStackHandleReplaces checks that a second Handle for a protocol
+// replaces the first, alongside handlers of other protocols, including
+// a third that outgrows the stack's built-in handler slots.
+func TestStackHandleReplaces(t *testing.T) {
+	sched, a, b := stackPair(t)
+	var got []string
+	b.Handle(ProtoTCP, func([]byte, Addr, Addr) { got = append(got, "tcp") })
+	b.Handle(ProtoUDP, func([]byte, Addr, Addr) { got = append(got, "udp-old") })
+	b.Handle(ProtoRouting, func([]byte, Addr, Addr) { got = append(got, "routing") })
+	b.Handle(ProtoUDP, func([]byte, Addr, Addr) { got = append(got, "udp") })
+	for _, p := range []Protocol{ProtoUDP, ProtoRouting, ProtoTCP} {
+		if err := a.Send(p, []byte("x"), b.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.RunUntil(100 * time.Millisecond)
+	if want := []string{"udp", "routing", "tcp"}; !slices.Equal(got, want) {
+		t.Fatalf("handlers ran %q, want %q", got, want)
 	}
 }
 
@@ -275,5 +298,24 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	if a.Dropped+b.Dropped == 0 {
 		t.Fatal("looping packet never dropped")
+	}
+}
+
+// TestAddrStringMatchesSprintf pins String and AppendTo to the
+// fmt.Sprintf form the TCP and DSDV stream names were first built from,
+// on the station ids whose addresses cross an octet boundary.
+func TestAddrStringMatchesSprintf(t *testing.T) {
+	addrs := []Addr{Broadcast, 0, AddrFrom(1, 22, 100, 9)}
+	for _, id := range []uint32{1, 255, 256, 4095, 65535, 65536, MaxStationID} {
+		addrs = append(addrs, StationAddr(id))
+	}
+	for _, a := range addrs {
+		want := fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		if got := a.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(a.AppendTo([]byte("x"))); got != "x"+want {
+			t.Errorf("AppendTo = %q, want %q", got, "x"+want)
+		}
 	}
 }

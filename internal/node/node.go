@@ -58,6 +58,10 @@ type Network struct {
 
 	partitioned bool // Medium.SetPartition installed (first Run)
 	tableARP    bool // explicit O(n²) neighbor wiring (WithNeighborTable)
+
+	// resolver is neighborHW as a func value, made once and shared by
+	// every station's stack.
+	resolver func(network.Addr) (frame.Addr, bool)
 }
 
 // Option configures a Network.
@@ -114,6 +118,7 @@ func NewNetwork(seed uint64, opts ...Option) *Network {
 		MSS:     transport.DefaultMSS,
 	}
 	n.Medium = medium.New(n.Sched, n.Source)
+	n.resolver = n.neighborHW
 	for _, opt := range opts {
 		opt(n)
 	}
@@ -164,7 +169,7 @@ func (n *Network) AddStationProfile(pos phy.Position, cfg mac.Config, profile *p
 			st.Net.AddNeighbor(other.Addr(), other.HWAddr())
 		}
 	} else {
-		st.Net.SetResolver(n.neighborHW)
+		st.Net.SetResolver(n.resolver)
 	}
 	n.Stations = append(n.Stations, st)
 	return st

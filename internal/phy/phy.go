@@ -148,5 +148,8 @@ func DataTime(r Rate, payloadBytes int) time.Duration {
 // EIFS returns the extended interframe space: the deferral used after the
 // PHY reports a reception error. Per the standard it spans SIFS + the
 // time to transmit an ACK at the lowest basic rate + DIFS, so that the
-// (unheard) ACK of the corrupted exchange is protected.
-func EIFS() time.Duration { return SIFS + ACKTime(BasicRates[0]) + DIFS }
+// (unheard) ACK of the corrupted exchange is protected. The MAC asks
+// for it on every idle edge after an error, so it is computed once.
+func EIFS() time.Duration { return eifs }
+
+var eifs = SIFS + ACKTime(BasicRates[0]) + DIFS

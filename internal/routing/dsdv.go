@@ -2,7 +2,6 @@ package routing
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"time"
 
 	"adhocsim/internal/frame"
@@ -170,7 +169,7 @@ type dsdvEntry struct {
 type DSDV struct {
 	sched  *sim.Scheduler
 	source *sim.Source
-	rng    *rand.Rand
+	rng    sim.Stream // advertisement jitter
 	node   Node
 	byHW   map[frame.Addr]network.Addr
 	cfg    DSDVConfig
@@ -248,7 +247,7 @@ func New(sched *sim.Scheduler, source *sim.Source, node Node, peers []Node, cfg 
 			r.byHW[p.HW] = p.Addr
 		}
 	}
-	r.rng = r.stream()
+	r.rng = source.Lazy(dsdvKey(node.Addr))
 	node.Stack.Handle(network.ProtoRouting, r.onAdvert)
 	node.MAC.AddTxObserver(r)
 	node.Stack.Forwarding = true
@@ -256,15 +255,21 @@ func New(sched *sim.Scheduler, source *sim.Source, node Node, peers []Node, cfg 
 	return r
 }
 
-func (r *DSDV) stream() *rand.Rand {
-	return r.source.Stream("routing.dsdv." + r.node.Addr.String())
+// dsdvKey names the jitter stream of the station at addr:
+// "routing.dsdv." followed by addr's dotted-quad form, hashed without
+// allocating.
+func dsdvKey(addr network.Addr) sim.StreamKey {
+	var buf [len(dsdvPrefix) + 15]byte
+	return sim.KeyForBytes(addr.AppendTo(append(buf[:0], dsdvPrefix...)))
 }
+
+const dsdvPrefix = "routing.dsdv."
 
 // Start arms the first advertisement (after a short random jitter, so
 // co-located stations do not collide their initial broadcasts) and the
 // periodic schedule behind it.
 func (r *DSDV) Start() {
-	delay := time.Duration(r.rng.Int63n(int64(r.cfg.SettleDelay)))
+	delay := time.Duration(r.rng.Rand().Int63n(int64(r.cfg.SettleDelay)))
 	gen := r.gen
 	r.sched.After(delay, func() {
 		if gen != r.gen {
@@ -281,7 +286,7 @@ func (r *DSDV) Start() {
 // route table empties, and Start re-arms. The stack handler and MAC
 // observer subscriptions persist from New.
 func (r *DSDV) Reset() {
-	r.rng = r.stream()
+	r.rng.Reset(r.source)
 	clear(r.table)
 	r.order = r.order[:0]
 	clear(r.blacklist)
@@ -346,7 +351,7 @@ func (r *DSDV) periodic() {
 	if r.rounds++; r.rounds < fastStartRounds {
 		interval /= 4
 	}
-	jitter := time.Duration(r.rng.Int63n(int64(r.cfg.SettleDelay)))
+	jitter := time.Duration(r.rng.Rand().Int63n(int64(r.cfg.SettleDelay)))
 	gen := r.gen
 	r.sched.After(interval+jitter, func() {
 		if gen != r.gen {
@@ -363,7 +368,7 @@ func (r *DSDV) scheduleTriggered() {
 		return
 	}
 	r.triggerPending = true
-	delay := time.Duration(r.rng.Int63n(int64(r.cfg.SettleDelay)))
+	delay := time.Duration(r.rng.Rand().Int63n(int64(r.cfg.SettleDelay)))
 	gen := r.gen
 	r.sched.After(delay, func() {
 		if gen != r.gen {

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -282,6 +283,19 @@ func TestDSDVResetMatchesFresh(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("reset run diverged from fresh at %d: %v vs %v", i, a, b)
+		}
+	}
+}
+
+// TestDSDVKeyMatchesFormattedName pins the DSDV jitter stream key to
+// the hash of its fmt-built name, so no station's jitter stream moved
+// when the name stopped being formatted.
+func TestDSDVKeyMatchesFormattedName(t *testing.T) {
+	for _, id := range []uint32{1, 255, 256, 4095, 65535, 65536, network.MaxStationID} {
+		a := network.StationAddr(id)
+		name := fmt.Sprintf("routing.dsdv.%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		if got, want := dsdvKey(a), sim.KeyFor(name); got != want {
+			t.Errorf("station %d: dsdvKey = %#x, want KeyFor(%q) = %#x", id, got, name, want)
 		}
 	}
 }

@@ -55,9 +55,11 @@ func TestWarmReplicationAllocs(t *testing.T) {
 // TestCityLiveHeap gates the medium's memory on the largest field the
 // tests build: the quartered block city (25 000 stations) at 2 s, seed
 // 42, as TestCityGolden builds it. After its first run the instance
-// holds under 100 MB of live heap. A link-gain row as wide as the field
-// per transmitter, the layout before candidate-sized rows, held about
-// 192 MB here.
+// holds under 61 MB of live heap (about 53 MB measured). A link-gain
+// row as wide as the field per transmitter, the layout before
+// candidate-sized rows, held about 192 MB here; eight empty maps and
+// two generators per station, before they were made on first use,
+// about 69 MB.
 func TestCityLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale preset run: skipped in -short")
@@ -65,7 +67,7 @@ func TestCityLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const maxMB = 100
+	const maxMB = 61
 	spec := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
 	quarterCity(&spec)
 	spec.Seed = 42
@@ -94,4 +96,74 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// TestBuildAllocs gates what one station costs to build: the quartered
+// block city (25 000 stations) at seed 42 allocates at most 12 objects
+// per station in Build (11.02 measured: the MAC, radio, station, stack,
+// UDP and TCP structs and five callback closures). Formatted stream
+// names, empty maps, a generator per MAC and TCP and a spatial index
+// built to pair 32 flows used to bring it to 29.5.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const maxPerStation = 12
+	spec := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
+	quarterCity(&spec)
+	spec.Seed = 42
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Build(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perStation := allocs / float64(spec.Topology.N)
+	t.Logf("quartered block city: %.0f allocations in Build, %.2f per station", allocs, perStation)
+	if perStation > maxPerStation {
+		t.Errorf("Build allocates %.2f objects per station, want at most %g", perStation, float64(maxPerStation))
+	}
+}
+
+// TestResetAllocs gates the warm Reset that starts every replication:
+// re-seeding a built network must not rebuild per-station state. The
+// quartered city's Reset used to allocate 12,406 objects (most of them
+// a spatial index of every position, rebuilt to pair 32 flows) and
+// churn-mesh-5x5's 235 (a formatted name and a generator per DSDV
+// station).
+func TestResetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	city := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
+	quarterCity(&city)
+	mesh, err := Preset("churn-mesh-5x5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		max  float64
+	}{
+		{"quartered-city", city, 215}, // 179 measured
+		{"churn-mesh-5x5", mesh, 160}, // 134 measured
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Seed = 42
+			inst, err := Build(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst.Net.Run(tc.spec.Duration.D())
+			allocs := testing.AllocsPerRun(2, func() {
+				if err := inst.Reset(42); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s: %.0f allocations per warm Reset", tc.name, allocs)
+			if allocs > tc.max {
+				t.Errorf("%s: a warm Reset allocates %.0f objects, want at most %g", tc.name, allocs, tc.max)
+			}
+		})
+	}
 }

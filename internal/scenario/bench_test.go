@@ -166,3 +166,29 @@ func benchmarkCityKernel(b *testing.B, name string) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(logical), "ns/logical-event")
 	b.ReportMetric(float64(logical), "logical-events/run")
 }
+
+// BenchmarkBuildQuarterCity times Build alone on the quartered block
+// city (25 000 stations, 32 flows) at seed 42: the set-up a one-shot
+// city run pays before its first event. ns/station and allocs/station
+// divide by the station count.
+func BenchmarkBuildQuarterCity(b *testing.B) {
+	spec, err := Preset("clustered-blocks-100k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	quarterCity(&spec)
+	spec.Seed = 42
+	n := float64(spec.Topology.N)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/station")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/n, "allocs/station")
+}

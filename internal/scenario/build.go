@@ -169,7 +169,11 @@ func Build(spec Spec) (*Instance, error) {
 			return nil, err
 		}
 		if spec.MACHook != nil {
-			spec.MACHook(i, &cfg)
+			// The hook takes a pointer, so its copy lives on the heap;
+			// cfg itself stays on the stack for hook-less specs.
+			hooked := cfg
+			spec.MACHook(i, &hooked)
+			cfg = hooked
 		}
 		net.AddStationProfile(pos, cfg, stProfile)
 		if spec.Routing != nil {

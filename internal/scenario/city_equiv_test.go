@@ -234,3 +234,45 @@ func TestNearestDstIndexedMatchesBrute(t *testing.T) {
 		}
 	}
 }
+
+// TestNearestDstGridTies runs the bucket-grid resolver on fields built
+// to tie: a unit lattice, where most stations have four equidistant
+// nearest neighbors, with some stations stacked on others, and a line
+// of stations that makes the grid a single row. Every resolved
+// destination must be the linear scan's: the lowest index at the
+// minimum distance.
+func TestNearestDstGridTies(t *testing.T) {
+	var lattice, line []phy.Position
+	for i := 0; i < 1600; i++ {
+		lattice = append(lattice, phy.Pos(float64(i%40), float64(i/40)))
+		line = append(line, phy.Pos(float64(i/2)*3, 7))
+	}
+	for i := 0; i < 100; i++ {
+		lattice = append(lattice, lattice[i*13])
+	}
+	for name, positions := range map[string][]phy.Position{"lattice": lattice, "line": line} {
+		var flows []Flow
+		for i := 0; i < 64; i++ {
+			flows = append(flows, Flow{
+				Src:        i * len(positions) / 64,
+				NearestDst: true,
+				Port:       uint16(9000 + i),
+			})
+		}
+		got, err := resolveFlows(flows, positions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range flows {
+			brute, best := -1, math.Inf(1)
+			for j, p := range positions {
+				if d := phy.Dist(positions[f.Src], p); j != f.Src && d < best {
+					brute, best = j, d
+				}
+			}
+			if got[i].Dst != brute {
+				t.Errorf("%s flow %d (src %d): grid dst %d, linear scan dst %d", name, i, f.Src, got[i].Dst, brute)
+			}
+		}
+	}
+}

@@ -619,36 +619,97 @@ func (s Spec) staticReachability(positions []phy.Position, flows []Flow) (*routi
 }
 
 // nearestIndexMin is the station count above which NearestDst
-// resolution searches a spatial hash instead of scanning every
-// position; below it the scan wins.
+// resolution searches a bucket grid instead of scanning every position;
+// below it the scan wins.
 const nearestIndexMin = 1024
 
-// nearestStationIndexed finds the station nearest positions[src]
-// through a growing-radius query over ix. The over-approximating query
-// guarantees every station within the radius is returned, so once the
-// best candidate's distance is within the radius nothing closer can
-// hide outside it. Ties break toward the lowest index, exactly like
-// the reference scan (which keeps the first minimum it meets).
-func nearestStationIndexed(ix *phy.CellIndex, positions []phy.Position, src int) int {
-	center := positions[src]
-	r := ix.CellSize()
-	var buf []uint32
-	for {
-		buf = ix.AppendWithin(buf[:0], center, r)
+// nearestGrid buckets a fixed set of positions into the square cells
+// of a flat row-major grid over their bounding box, sized to about one
+// station per cell. One counting sort builds it in two slices:
+// ids[start[c]:start[c+1]] are the stations of cell c, ascending. It
+// lives for one resolveFlows call and is never updated.
+type nearestGrid struct {
+	positions    []phy.Position
+	cell, x0, y0 float64
+	cols, rows   int
+	start, ids   []int32
+}
+
+// newNearestGrid buckets positions, or returns nil when their bounding
+// box is not finite.
+func newNearestGrid(positions []phy.Position) *nearestGrid {
+	g := &nearestGrid{positions: positions, x0: positions[0].X, y0: positions[0].Y}
+	x1, y1 := g.x0, g.y0
+	for _, p := range positions[1:] {
+		g.x0, x1 = math.Min(g.x0, p.X), math.Max(x1, p.X)
+		g.y0, y1 = math.Min(g.y0, p.Y), math.Max(y1, p.Y)
+	}
+	n := float64(len(positions))
+	g.cell = math.Max(x1-g.x0, y1-g.y0) / math.Sqrt(n)
+	if !(g.cell > 0) {
+		g.cell = 1
+	}
+	cols, rows := math.Floor((x1-g.x0)/g.cell)+1, math.Floor((y1-g.y0)/g.cell)+1
+	if !(cols*rows <= 4*n+4) {
+		return nil
+	}
+	g.cols, g.rows = int(cols), int(rows)
+	g.start = make([]int32, g.cols*g.rows+1)
+	for _, p := range positions {
+		g.start[g.cellOf(p)+1]++
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	// Filling advances each cell's start to the next cell's; shifting
+	// the offsets up one slot restores them.
+	g.ids = make([]int32, len(positions))
+	for j, p := range positions {
+		c := g.cellOf(p)
+		g.ids[g.start[c]] = int32(j)
+		g.start[c]++
+	}
+	copy(g.start[1:], g.start)
+	g.start[0] = 0
+	return g
+}
+
+// cellOf returns the row-major cell holding p.
+func (g *nearestGrid) cellOf(p phy.Position) int {
+	return g.clampRow(int((p.Y-g.y0)/g.cell))*g.cols + g.clampCol(int((p.X-g.x0)/g.cell))
+}
+
+func (g *nearestGrid) clampCol(cx int) int { return min(max(cx, 0), g.cols-1) }
+func (g *nearestGrid) clampRow(cy int) int { return min(max(cy, 0), g.rows-1) }
+
+// nearest finds the station nearest positions[src] by a growing-radius
+// probe: each round visits every cell within r of the source, so once
+// the best candidate's distance is within r nothing closer can hide
+// outside it. Ties break toward the lowest index, exactly like the
+// reference scan (which keeps the first minimum it meets).
+func (g *nearestGrid) nearest(src int) int {
+	center := g.positions[src]
+	for r := g.cell; ; r *= 2 {
+		cx0 := g.clampCol(int(math.Floor((center.X - r - g.x0) / g.cell)))
+		cx1 := g.clampCol(int(math.Floor((center.X + r - g.x0) / g.cell)))
+		cy0 := g.clampRow(int(math.Floor((center.Y - r - g.y0) / g.cell)))
+		cy1 := g.clampRow(int(math.Floor((center.Y + r - g.y0) / g.cell)))
 		dst, best := -1, math.Inf(1)
-		for _, v := range buf {
-			j := int(v)
-			if j == src {
-				continue
-			}
-			if d := phy.Dist(center, positions[j]); d < best || (d == best && j < dst) {
-				dst, best = j, d
+		for cy := cy0; cy <= cy1; cy++ {
+			row := cy * g.cols
+			for _, v := range g.ids[g.start[row+cx0]:g.start[row+cx1+1]] {
+				j := int(v)
+				if j == src {
+					continue
+				}
+				if d := phy.Dist(center, g.positions[j]); d < best || (d == best && j < dst) {
+					dst, best = j, d
+				}
 			}
 		}
 		if dst >= 0 && best <= r {
 			return dst
 		}
-		r *= 2
 	}
 }
 
@@ -659,7 +720,7 @@ func nearestStationIndexed(ix *phy.CellIndex, positions []phy.Position, src int)
 func resolveFlows(flows []Flow, positions []phy.Position) ([]Flow, error) {
 	resolved := flows
 	copied := false
-	var ix *phy.CellIndex
+	var grid *nearestGrid
 	for i, f := range flows {
 		if !f.NearestDst {
 			continue
@@ -687,21 +748,11 @@ func resolveFlows(flows []Flow, positions []phy.Position) ([]Flow, error) {
 			resolved = append([]Flow(nil), flows...)
 			copied = true
 		}
-		if len(positions) >= nearestIndexMin {
-			if ix == nil {
-				// Density-scaled cells (~1 station per cell) keep both the
-				// build and each growing-radius probe O(earshot).
-				spanX, spanY := fieldSpans(positions)
-				cell := math.Max(spanX, spanY) / math.Sqrt(float64(len(positions)))
-				if !(cell > 0) {
-					cell = 1
-				}
-				ix = phy.NewCellIndex(cell)
-				for j, p := range positions {
-					ix.Insert(uint32(j), p)
-				}
-			}
-			resolved[i].Dst = nearestStationIndexed(ix, positions, f.Src)
+		if grid == nil && len(positions) >= nearestIndexMin {
+			grid = newNearestGrid(positions)
+		}
+		if grid != nil {
+			resolved[i].Dst = grid.nearest(f.Src)
 		} else {
 			dst, best := -1, math.Inf(1)
 			for j, p := range positions {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -44,54 +43,78 @@ func (s *Source) Stream(name string) *rand.Rand {
 type StreamKey uint64
 
 // KeyFor returns the key naming name: StreamFor(KeyFor(name)) and
-// Stream(name) yield identically-seeded streams.
-func KeyFor(name string) StreamKey {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return StreamKey(h.Sum64())
+// Stream(name) yield identically-seeded streams. The key is the 64-bit
+// FNV-1a hash of the name's bytes.
+func KeyFor(name string) StreamKey { return fnv1a(name) }
+
+// KeyForBytes is KeyFor of a name held in a byte slice: KeyForBytes(b)
+// equals KeyFor(string(b)). It keeps no reference to b, so a caller can
+// format a per-station name into a stack buffer (an address's AppendTo
+// after a fixed prefix) and hash it without allocating.
+func KeyForBytes(name []byte) StreamKey { return fnv1a(name) }
+
+// fnv1a is the 64-bit FNV-1a hash, bit for bit hash/fnv's New64a.
+func fnv1a[T string | []byte](name T) StreamKey {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return StreamKey(h)
 }
 
 // StreamFor returns the stream named by k.
 func (s *Source) StreamFor(k StreamKey) *rand.Rand {
-	return rand.New(&lazySource{seed: s.streamSeed(k)})
+	return rand.New(rand.NewSource(s.streamSeed(k)))
 }
 
-// ReseedStream re-roots r — previously returned by Stream or StreamFor
-// — to the stream named by k under the source's current root seed: the
-// allocation-free equivalent of replacing r with StreamFor(k).
-func (s *Source) ReseedStream(r *rand.Rand, k StreamKey) {
-	r.Seed(s.streamSeed(k))
+// Stream is a named random stream held by value in its owner and
+// created at its first draw. A math/rand generator is a 4.9 KB table
+// that takes microseconds to seed; a city-scale network names one
+// backoff and one ISN stream per station, and only the stations that
+// contend or dial ever draw from theirs, so a Stream costs the rest
+// nothing. A stream is a pure function of (root seed, key), and the
+// root seed changes only at Reseed, after which the owner calls Reset,
+// so drawing from a Stream yields exactly what StreamFor(key) yields
+// under the same root.
+//
+// In parallel mode the generator is created and drawn from by its
+// station's region goroutine alone; the source's root seed is only
+// read there.
+type Stream struct {
+	src *Source
+	key StreamKey
+	r   *rand.Rand
+}
+
+// Lazy returns the stream named by k, not yet created.
+func (s *Source) Lazy(k StreamKey) Stream { return Stream{src: s, key: k} }
+
+// Rand returns the stream's generator, creating it at the first call.
+func (st *Stream) Rand() *rand.Rand {
+	if st.r == nil {
+		st.r = st.src.StreamFor(st.key)
+	}
+	return st.r
+}
+
+// Reset re-roots the stream at src's current root seed, as if it were
+// src.Lazy(key) again: a generator already created is reseeded in place,
+// without allocating, and one never created stays uncreated.
+func (st *Stream) Reset(src *Source) {
+	st.src = src
+	if st.r != nil {
+		st.r.Seed(src.streamSeed(st.key))
+	}
 }
 
 func (s *Source) streamSeed(k StreamKey) int64 {
 	return int64(splitmix64(s.seed ^ uint64(k)))
 }
-
-// lazySource defers math/rand's generator seeding — an expensive
-// many-hundred-word table initialization — until the stream's first
-// draw. A city-scale network derives one backoff stream per station at
-// build and again at every arena reset, but only the handful of
-// stations that actually contend ever draw from theirs; eager seeding
-// made that table fill the dominant cost of Build and Reset at 16k+
-// stations. The wrapper forwards to the real generator, so a stream
-// that is drawn from yields exactly the eager stream, bit for bit. It
-// implements rand.Source64 just as the underlying generator does,
-// keeping rand.Rand on the same internal code paths either way.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (l *lazySource) force() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64    { return l.force().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.force().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // Hash64 deterministically mixes the root seed with the given words.
 // It is the basis for stateless stochastic processes such as per-link

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,56 @@ func TestHashNormCut(t *testing.T) {
 				t.Fatalf("k=%v: radius %v at u1 %v above the widened bound", k, r, u1)
 			}
 			u1 = math.Nextafter(u1, 2)
+		}
+	}
+}
+
+// TestKeyForIsFNV1a pins KeyFor and KeyForBytes to hash/fnv's 64-bit
+// FNV-1a, the hash every stream name was keyed with before.
+func TestKeyForIsFNV1a(t *testing.T) {
+	for _, name := range []string{"", "a", "mac.backoff.02:11:00:00:00:01", "tcp.iss.10.255.255.254", "routing.dsdv.10.0.1.0"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		want := StreamKey(h.Sum64())
+		if got := KeyFor(name); got != want {
+			t.Errorf("KeyFor(%q) = %#x, want %#x", name, got, want)
+		}
+		if got := KeyForBytes([]byte(name)); got != want {
+			t.Errorf("KeyForBytes(%q) = %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// TestLazyStreamMatchesStreamFor checks that a Stream draws exactly what
+// StreamFor does under the same root, both when first created and after
+// a Reseed and Reset, whether or not it had drawn before the Reseed.
+func TestLazyStreamMatchesStreamFor(t *testing.T) {
+	src := NewSource(42)
+	k := KeyFor("x")
+	drawn, idle := src.Lazy(k), src.Lazy(k)
+	ref := src.StreamFor(k)
+	for i := 0; i < 10; i++ {
+		if got, want := drawn.Rand().Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("draw %d: %#x, want %#x", i, got, want)
+		}
+	}
+	src.Reseed(7)
+	drawn.Reset(src)
+	idle.Reset(src)
+	if idle.r != nil {
+		t.Fatal("Reset created a stream that had never drawn")
+	}
+	ref = src.StreamFor(k)
+	for i := 0; i < 10; i++ {
+		want := ref.Uint64()
+		if got := drawn.Rand().Uint64(); got != want {
+			t.Fatalf("after Reseed, draw %d of a used stream: %#x, want %#x", i, got, want)
+		}
+	}
+	ref = src.StreamFor(k)
+	for i := 0; i < 10; i++ {
+		if got, want := idle.Rand().Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("after Reseed, draw %d of a fresh stream: %#x, want %#x", i, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"time"
 
 	"adhocsim/internal/network"
@@ -112,12 +111,13 @@ type connKey struct {
 
 // TCP is one station's TCP instance.
 type TCP struct {
-	sched  *sim.Scheduler
-	stack  *network.Stack
-	rng    *rand.Rand
-	rngKey sim.StreamKey // pre-hashed stream name, for allocation-free Reset
-	mss    int
+	sched *sim.Scheduler
+	stack *network.Stack
+	rng   sim.Stream // initial sequence numbers, created at the first draw
+	mss   int
 
+	// conns and listeners are made on their first write: only the
+	// stations of a TCP flow ever hold an entry.
 	conns     map[connKey]*Conn
 	listeners map[uint16]func(*Conn)
 	nextPort  uint16
@@ -133,24 +133,34 @@ func NewTCP(sched *sim.Scheduler, src *sim.Source, stack *network.Stack, mss int
 	if mss <= 0 {
 		mss = DefaultMSS
 	}
-	key := sim.KeyFor("tcp.iss." + stack.Addr().String())
 	t := &TCP{
-		sched:     sched,
-		stack:     stack,
-		rng:       src.StreamFor(key),
-		rngKey:    key,
-		mss:       mss,
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[uint16]func(*Conn)),
-		nextPort:  49152,
+		sched:    sched,
+		stack:    stack,
+		rng:      src.Lazy(issKey(stack.Addr())),
+		mss:      mss,
+		nextPort: 49152,
 	}
 	stack.Handle(network.ProtoTCP, t.receive)
 	stack.OnQueueSpace(t.onQueueSpace)
 	return t
 }
 
+// issKey names the ISN stream of the station at addr: "tcp.iss."
+// followed by addr's dotted-quad form, hashed without allocating.
+func issKey(addr network.Addr) sim.StreamKey {
+	var buf [len(issPrefix) + 15]byte
+	return sim.KeyForBytes(addr.AppendTo(append(buf[:0], issPrefix...)))
+}
+
+const issPrefix = "tcp.iss."
+
 // Listen registers an accept callback for a local port.
-func (t *TCP) Listen(port uint16, accept func(*Conn)) { t.listeners[port] = accept }
+func (t *TCP) Listen(port uint16, accept func(*Conn)) {
+	if t.listeners == nil {
+		t.listeners = make(map[uint16]func(*Conn))
+	}
+	t.listeners[port] = accept
+}
 
 // Reset discards every connection and listener and re-derives the ISN
 // stream from src (which the caller has just Reseed-ed), returning the
@@ -158,7 +168,7 @@ func (t *TCP) Listen(port uint16, accept func(*Conn)) { t.listeners[port] = acce
 // network. The owning scheduler must have been Reset first, so the
 // discarded connections' timers are already gone.
 func (t *TCP) Reset(src *sim.Source) {
-	src.ReseedStream(t.rng, t.rngKey)
+	t.rng.Reset(src)
 	clear(t.conns)
 	clear(t.listeners)
 	t.nextPort = 49152
@@ -190,7 +200,7 @@ func (t *TCP) newConn(key connKey) *Conn {
 		tcp:      t,
 		key:      key,
 		mss:      t.mss,
-		iss:      t.rng.Uint32(),
+		iss:      t.rng.Rand().Uint32(),
 		cwnd:     float64(initialCwndMSS * t.mss),
 		ssthresh: sendBufCap,
 		rwnd:     uint32(t.mss), // until the peer advertises
@@ -199,6 +209,9 @@ func (t *TCP) newConn(key connKey) *Conn {
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
+	if t.conns == nil {
+		t.conns = make(map[connKey]*Conn)
+	}
 	t.conns[key] = c
 	return c
 }

@@ -26,7 +26,7 @@ type UDPHandler func(payload []byte, src network.Addr, srcPort uint16)
 // UDP is one station's UDP instance.
 type UDP struct {
 	stack *network.Stack
-	ports map[uint16]UDPHandler
+	ports map[uint16]UDPHandler // made at the first Listen
 
 	// Counters.
 	Sent, Received, NoPort uint64
@@ -34,13 +34,18 @@ type UDP struct {
 
 // NewUDP attaches a UDP layer to the stack.
 func NewUDP(stack *network.Stack) *UDP {
-	u := &UDP{stack: stack, ports: make(map[uint16]UDPHandler)}
+	u := &UDP{stack: stack}
 	stack.Handle(network.ProtoUDP, u.receive)
 	return u
 }
 
 // Listen binds a handler to a local port, replacing any previous one.
-func (u *UDP) Listen(port uint16, h UDPHandler) { u.ports[port] = h }
+func (u *UDP) Listen(port uint16, h UDPHandler) {
+	if u.ports == nil {
+		u.ports = make(map[uint16]UDPHandler)
+	}
+	u.ports[port] = h
+}
 
 // Reset drops all port bindings and counters for a new run on a reused
 // network. The stack registration survives (it was made once at
