@@ -56,7 +56,6 @@ func main() {
 	progress := flag.Bool("progress", false, "stream run progress to stderr")
 	scen := flag.String("scenario", "", "run a declarative scenario: a spec .json file or a preset name (see -list-scenarios)")
 	parRegions := flag.String("parallel-regions", "", "run -scenario on the space-partitioned parallel kernel: COLSxROWS (e.g. 4x4) or auto; with -replications > 1 the worker budget splits between replications and regions")
-	partitioner := flag.String("partitioner", "", "cut-line placement for the parallel region grid: balanced (default) or uniform")
 	listScen := flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
 	routingProto := flag.String("routing", "static", "route control plane for -exp chain: static or dsdv")
 	hops := flag.Int("hops", 8, "longest chain for -exp chain (hops, not stations)")
@@ -98,14 +97,13 @@ func main() {
 		runScenario(*scen, scenarioOpts{
 			reps: *reps, workers: *workers,
 			jsonOut: *jsonOut, progress: *progress,
-			seed: seedOv, dur: durOv,
-			parRegions: *parRegions, partitioner: *partitioner,
+			seed: seedOv, dur: durOv, parRegions: *parRegions,
 			obsOut: *obsOut, obsServe: *obsServe, traceLevel: *traceLv,
 		})
 		return
 	}
 	for _, f := range []struct{ name, v string }{
-		{"parallel-regions", *parRegions}, {"partitioner", *partitioner}, {"obs", *obsOut},
+		{"parallel-regions", *parRegions}, {"obs", *obsOut},
 		{"obs-serve", *obsServe}, {"trace", *traceLv},
 	} {
 		if f.v != "" {
@@ -357,13 +355,13 @@ type scenarioOpts struct {
 	jsonOut, progress            bool
 	seed                         *uint64
 	dur                          *time.Duration
-	parRegions, partitioner      string
+	parRegions                   string
 	obsOut, obsServe, traceLevel string
 }
 
 // runScenario resolves ref as a spec file (when it exists or ends in
 // .json) or a preset name, applies any explicit -seed/-dur overrides
-// and the -parallel-regions/-partitioner kernel selection, runs it with
+// and the -parallel-regions kernel selection, runs it with
 // replication, and prints the summary.
 //
 // Every human-facing stderr line — the exec-plan line, progress meters,
@@ -400,13 +398,6 @@ func runScenario(ref string, o scenarioOpts) {
 			fail(2, err)
 		}
 		spec.Parallel = par
-	}
-	if o.partitioner != "" {
-		if spec.Parallel == nil {
-			status.Linef("adhocsim: -partitioner has no effect without a parallel block (-parallel-regions or the spec's \"parallel\")")
-		} else {
-			spec.Parallel.Partitioner = o.partitioner
-		}
 	}
 
 	// Observability wiring. The registry and tracer ride the spec

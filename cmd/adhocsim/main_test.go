@@ -47,15 +47,19 @@ func runMain(t *testing.T, args ...string) (int, string) {
 }
 
 // TestSchedulerFlagRetired pins the clean failure of the retired
-// -scheduler, -rebuild-each-rep, -bench-json and -bench-iterations
-// flags: the flag package's usage error, exit status 2.
+// scheduler, rebuild-each-rep, bench-json, bench-iterations and
+// partitioner flags: the flag package's usage error, exit status 2.
+// Each case names the flag and its value; the dash is prepended here.
 func TestSchedulerFlagRetired(t *testing.T) {
-	for _, args := range [][]string{
-		{"-scheduler", "heap", "-scenario", "hidden-terminal"},
-		{"-rebuild-each-rep", "-scenario", "hidden-terminal"},
-		{"-bench-json", "-", "-scenario", "hidden-terminal"},
-		{"-bench-iterations", "5", "-scenario", "hidden-terminal"},
+	for _, retired := range [][]string{
+		{"scheduler", "heap"},
+		{"rebuild-each-rep"},
+		{"bench-json", "-"},
+		{"bench-iterations", "5"},
+		{"partitioner", "uniform"},
 	} {
+		args := append([]string{"-" + retired[0]}, retired[1:]...)
+		args = append(args, "-scenario", "hidden-terminal")
 		code, stderr := runMain(t, args...)
 		if code != 2 {
 			t.Errorf("%s: exit status %d, want 2", args[0], code)

@@ -64,6 +64,15 @@ func AddrFromID(id uint32) Addr {
 	return a
 }
 
+// IDFromAddr inverts AddrFromID, reporting false for addresses outside
+// that convention (broadcast among them).
+func IDFromAddr(a Addr) (uint32, bool) {
+	if a[0] != 0x02 || a[1] != 0x11 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(a[2:]), true
+}
+
 // IsBroadcast reports whether a is the broadcast address.
 func (a Addr) IsBroadcast() bool { return a == Broadcast }
 

@@ -24,6 +24,14 @@ func TestAddrFromID(t *testing.T) {
 	if !Broadcast.IsBroadcast() || !Broadcast.IsGroup() {
 		t.Fatal("broadcast flags wrong")
 	}
+	for _, id := range []uint32{0, 1, 256, 1<<24 - 2, 1<<32 - 1} {
+		if got, ok := IDFromAddr(AddrFromID(id)); !ok || got != id {
+			t.Errorf("IDFromAddr(AddrFromID(%d)) = %d, %v", id, got, ok)
+		}
+	}
+	if _, ok := IDFromAddr(Broadcast); ok {
+		t.Error("IDFromAddr accepted the broadcast address")
+	}
 }
 
 func TestPSDUBits(t *testing.T) {

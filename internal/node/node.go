@@ -87,9 +87,8 @@ func WithNeighborTable() Option { return func(n *Network) { n.tableARP = true } 
 // WithParallel switches the network to the space-partitioned parallel
 // execution mode: the field is partitioned by grid, every station's
 // events run on its region's scheduler, and Run drives a conservative
-// region executor with the given worker count. sequential selects the
-// executor's single-goroutine reference path (sim.Exec.SetSequential) —
-// same protocol, one goroutine — for equivalence testing.
+// region executor with the given worker count (1 services every region
+// from the calling goroutine under the same window protocol).
 //
 // reach is the field's relevance radius (medium.FieldReach over every
 // profile in play): the farthest one transmission can influence
@@ -97,13 +96,12 @@ func WithNeighborTable() Option { return func(n *Network) { n.tableARP = true } 
 // It must be finite — a degenerate radio model has no relevance radius
 // and must stay on the sequential kernel. Mobility and Reset are not
 // supported in parallel mode.
-func WithParallel(grid phy.RegionGrid, reach float64, workers int, sequential bool) Option {
+func WithParallel(grid phy.RegionGrid, reach float64, workers int) Option {
 	return func(n *Network) {
 		ex := sim.NewExec(grid.Regions(), func(a, b int) time.Duration {
 			return phy.MinPropagationDelay(grid.MinRegionDist(a, b), reach)
 		})
 		ex.SetWorkers(workers)
-		ex.SetSequential(sequential)
 		n.Exec = ex
 		n.Grid = grid
 	}

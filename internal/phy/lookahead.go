@@ -44,84 +44,39 @@ import (
 // workloads (frame exchanges are tens of microseconds apart, PropDelay
 // is one) still turns into usable parallelism.
 
-// RegionGrid partitions an axis-aligned bounding box of the field into
-// Cols×Rows rectangular regions for the parallel event kernel. Regions
-// are numbered row-major: region = row·Cols + col. Any grid is sound
-// (see the derivation above); its shape only moves the
-// performance trade-off between load balance and cross-region traffic.
+// RegionGrid partitions the field into Cols×Rows axis-aligned
+// rectangular regions for the parallel event kernel. Regions are
+// numbered row-major: region = row·Cols + col. Any grid is sound (see
+// the derivation above); its shape only moves the performance
+// trade-off between load balance and cross-region traffic.
 //
-// Two layouts share the type. The uniform layout (XCuts/YCuts nil)
-// divides the bounding box into equal cells of CellW×CellH — the
-// reference partitioner, FitRegionGrid. The balanced layout carries
-// explicit interior cut lines instead (XCuts has Cols−1 ascending x
-// coordinates, YCuts Rows−1 y coordinates), placed wherever the
-// partitioner wants them — FitBalancedRegionGrid puts them at station
-// count quantiles. Either way every region is an axis-aligned rectangle
-// and neighbors share a cut line, which is all the lookahead derivation
-// above needs: MinRegionDist measures the true gap between the two
-// rectangles, and the closure prices influence chains across it.
+// The regions are bounded by explicit interior cut lines: XCuts holds
+// Cols−1 ascending x coordinates and YCuts Rows−1 y coordinates (nil on
+// an axis with a single slot), placed wherever the partitioner wants
+// them — FitWeightedRegionGrid puts them at station weight quantiles.
+// Slot k of an axis spans (cuts[k−1], cuts[k]], and the outer slots
+// extend to infinity, so every position maps to a region. Neighbors
+// share a cut line, which is all the lookahead derivation above needs:
+// MinRegionDist measures the true gap between the two rectangles, and
+// the closure prices influence chains across it.
 type RegionGrid struct {
-	MinX, MinY   float64
-	CellW, CellH float64
-	Cols, Rows   int
+	Cols, Rows int
 
-	// XCuts/YCuts are the interior cut lines of a balanced layout, in
-	// ascending order (len Cols−1 and Rows−1). nil selects the uniform
-	// arithmetic over CellW/CellH. Cuts may coincide (a zero-width
-	// region) — sound, because a zero gap only tightens the lookahead
-	// to the unconditional single propagation bound.
+	// XCuts/YCuts are the interior cut lines in ascending order. Cuts
+	// may coincide (a zero-width region) — sound, because a zero gap
+	// only tightens the lookahead to the unconditional single
+	// propagation bound.
 	XCuts, YCuts []float64
 }
 
 // Regions returns the number of regions in the grid.
 func (g RegionGrid) Regions() int { return g.Cols * g.Rows }
 
-// RegionOf maps a position to its region index. Positions outside the
-// fitted bounding box clamp to the border regions, so a position
-// slightly off the field never indexes out of range.
+// RegionOf maps a position to its region index. The outer slots are
+// unbounded, so a position off the field lands in a border region and
+// never indexes out of range.
 func (g RegionGrid) RegionOf(p Position) int {
-	var col, row int
-	if g.XCuts != nil {
-		col = sort.SearchFloat64s(g.XCuts, p.X)
-	} else if g.CellW > 0 {
-		col = int(math.Floor((p.X - g.MinX) / g.CellW))
-	}
-	if g.YCuts != nil {
-		row = sort.SearchFloat64s(g.YCuts, p.Y)
-	} else if g.CellH > 0 {
-		row = int(math.Floor((p.Y - g.MinY) / g.CellH))
-	}
-	if col < 0 {
-		col = 0
-	}
-	if col >= g.Cols {
-		col = g.Cols - 1
-	}
-	if row < 0 {
-		row = 0
-	}
-	if row >= g.Rows {
-		row = g.Rows - 1
-	}
-	return row*g.Cols + col
-}
-
-// HopDist returns the Chebyshev distance between two regions: how many
-// region boundaries separate them.
-func (g RegionGrid) HopDist(a, b int) int {
-	ax, ay := a%g.Cols, a/g.Cols
-	bx, by := b%g.Cols, b/g.Cols
-	dx, dy := ax-bx, ay-by
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	if dx > dy {
-		return dx
-	}
-	return dy
+	return sort.SearchFloat64s(g.YCuts, p.Y)*g.Cols + sort.SearchFloat64s(g.XCuts, p.X)
 }
 
 // MinRegionDist returns the minimum separation in meters between the
@@ -129,67 +84,29 @@ func (g RegionGrid) HopDist(a, b int) int {
 func (g RegionGrid) MinRegionDist(a, b int) float64 {
 	ax, ay := a%g.Cols, a/g.Cols
 	bx, by := b%g.Cols, b/g.Cols
-	return math.Hypot(axisGap(ax, bx, g.XCuts, g.CellW), axisGap(ay, by, g.YCuts, g.CellH))
+	return math.Hypot(axisGap(ax, bx, g.XCuts), axisGap(ay, by, g.YCuts))
 }
 
 // axisGap is the one-axis separation between region slots a and b: the
-// distance between the facing cut lines for a balanced layout, whole
-// cells for the uniform one. Same or adjacent slots touch (gap zero).
-func axisGap(a, b int, cuts []float64, cell float64) float64 {
+// distance between their facing cut lines. Same or adjacent slots touch
+// (gap zero).
+func axisGap(a, b int, cuts []float64) float64 {
 	if a > b {
 		a, b = b, a
 	}
 	if b-a <= 1 {
 		return 0
 	}
-	if cuts != nil {
-		// Slot k spans (cuts[k-1], cuts[k]]: the gap between a and b is
-		// from a's upper cut to b's lower cut. Cuts ascend, so it is
-		// non-negative (coincident cuts give a zero gap, which only
-		// tightens the lookahead toward the unconditional bound).
-		return cuts[b-1] - cuts[a]
-	}
-	return float64(b-a-1) * cell
-}
-
-// MinEdge returns the smallest region edge length in meters.
-func (g RegionGrid) MinEdge() float64 {
-	w, h := g.CellW, g.CellH
-	if g.XCuts != nil {
-		w = minSpan(g.XCuts, g.MinX, g.MinX+g.CellW*float64(g.Cols))
-	}
-	if g.YCuts != nil {
-		h = minSpan(g.YCuts, g.MinY, g.MinY+g.CellH*float64(g.Rows))
-	}
-	if w < h {
-		return w
-	}
-	return h
-}
-
-// minSpan returns the narrowest slot width of a cut sequence bounded by
-// lo and hi (for balanced layouts CellW/CellH hold the mean widths, so
-// the outer bounds reconstruct the bounding box).
-func minSpan(cuts []float64, lo, hi float64) float64 {
-	prev, minW := lo, math.Inf(1)
-	for _, c := range cuts {
-		if w := c - prev; w < minW {
-			minW = w
-		}
-		prev = c
-	}
-	if w := hi - prev; w < minW {
-		minW = w
-	}
-	return minW
+	// Slot k spans (cuts[k-1], cuts[k]]: the gap between a and b is from
+	// a's upper cut to b's lower cut. Cuts ascend, so it is non-negative
+	// (coincident cuts give a zero gap, which only tightens the
+	// lookahead toward the unconditional bound).
+	return cuts[b-1] - cuts[a]
 }
 
 // String renders the grid compactly for diagnostics.
 func (g RegionGrid) String() string {
-	if g.XCuts != nil || g.YCuts != nil {
-		return fmt.Sprintf("%dx%d balanced regions (mean %.0fx%.0f m)", g.Cols, g.Rows, g.CellW, g.CellH)
-	}
-	return fmt.Sprintf("%dx%d regions of %.0fx%.0f m", g.Cols, g.Rows, g.CellW, g.CellH)
+	return fmt.Sprintf("%dx%d regions", g.Cols, g.Rows)
 }
 
 // MinPropagationDelay returns the minimum simulated time any influence
@@ -210,74 +127,30 @@ func MinPropagationDelay(distM, reachM float64) time.Duration {
 	return time.Duration(links) * PropDelay
 }
 
-// FitRegionGrid lays a cols×rows region grid over the bounding box of
-// positions (values below 1 clamp to 1). Degenerate spans are fine: a
-// dimension of zero extent puts everything in its first region row or
-// column.
-func FitRegionGrid(positions []Position, cols, rows int) RegionGrid {
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range positions {
-		minX = math.Min(minX, p.X)
-		maxX = math.Max(maxX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxY = math.Max(maxY, p.Y)
-	}
-	if len(positions) == 0 {
-		minX, minY, maxX, maxY = 0, 0, 0, 0
-	}
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	g := RegionGrid{MinX: minX, MinY: minY, Cols: cols, Rows: rows}
-	g.CellW = (maxX - minX) / float64(cols)
-	g.CellH = (maxY - minY) / float64(rows)
-	return g
-}
-
-// FitBalancedRegionGrid lays a cols×rows region grid whose cut lines
-// sit at station-count quantiles along each axis — weighted grid-line
-// placement over the station positions with unit weights. On a uniform
-// field it converges to FitRegionGrid's equal cells; on a clustered
-// field it narrows columns and rows where stations crowd, so every
-// region holds roughly the same share of the marginal station
-// distribution (the product of the two marginals is not a perfect 2D
-// equalizer, but it is exact for separable densities and never worse
-// than uniform cells on them).
-func FitBalancedRegionGrid(positions []Position, cols, rows int) RegionGrid {
-	return FitWeightedRegionGrid(positions, nil, cols, rows)
-}
-
-// FitWeightedRegionGrid is the general occupancy-balanced partitioner:
-// cut lines sit at weight quantiles of each axis's marginal, so every
-// region column and row carries roughly the same share of the total
-// station weight. A nil weights slice means unit weights (every
-// station counts 1 — FitBalancedRegionGrid); callers that can predict
-// where the event load will concentrate (the scenario layer weights
-// flow endpoints) pass heavier weights there, and the cuts crowd
-// around the hot spots.
+// FitWeightedRegionGrid is the occupancy-balanced partitioner: a
+// cols×rows region grid (values below 1 clamp to 1) whose cut lines sit
+// at weight quantiles of each axis's marginal, so every region column
+// and row carries roughly the same share of the total station weight.
+// A nil weights slice means unit weights (every station counts 1);
+// callers that can predict where the event load will concentrate (the
+// scenario layer weights flow endpoints) pass heavier weights there,
+// and the cuts crowd around the hot spots. The product of the two
+// marginals is not a perfect 2D equalizer, but it is exact for
+// separable densities.
 //
 // Each cut falls at the midpoint between the two stations it separates,
 // so boundary stations sit strictly inside their region whenever the
 // coordinates differ. Degenerate inputs stay sound: coincident or
 // collinear positions produce coincident cuts (zero-width regions,
-// which only tighten the lookahead), and the assignment is a pure
-// function of the positions and weights — no randomness, no iteration
-// order.
+// which only tighten the lookahead), and fewer than two positions,
+// which no cut can separate, get the single-region layout. The
+// assignment is a pure function of the positions and weights — no
+// randomness, no iteration order.
 func FitWeightedRegionGrid(positions []Position, weights []float64, cols, rows int) RegionGrid {
-	if cols < 1 {
-		cols = 1
+	if len(positions) < 2 || (cols <= 1 && rows <= 1) {
+		return RegionGrid{Cols: 1, Rows: 1}
 	}
-	if rows < 1 {
-		rows = 1
-	}
-	g := FitRegionGrid(positions, cols, rows)
-	if len(positions) == 0 || (cols == 1 && rows == 1) {
-		return g
-	}
+	g := RegionGrid{Cols: max(cols, 1), Rows: max(rows, 1)}
 	pts := make([]weightedCoord, len(positions))
 	fill := func(coord func(Position) float64) {
 		for i, p := range positions {
@@ -294,13 +167,13 @@ func FitWeightedRegionGrid(positions []Position, weights []float64, cols, rows i
 			return pts[i].w < pts[j].w
 		})
 	}
-	if cols > 1 {
+	if g.Cols > 1 {
 		fill(func(p Position) float64 { return p.X })
-		g.XCuts = quantileCuts(pts, cols)
+		g.XCuts = quantileCuts(pts, g.Cols)
 	}
-	if rows > 1 {
+	if g.Rows > 1 {
 		fill(func(p Position) float64 { return p.Y })
-		g.YCuts = quantileCuts(pts, rows)
+		g.YCuts = quantileCuts(pts, g.Rows)
 	}
 	return g
 }
@@ -313,7 +186,7 @@ type weightedCoord struct{ c, w float64 }
 // one slot's weight share and the first of the next: cut c goes after
 // the longest prefix whose weight does not exceed c/slots of the
 // total. With unit weights that prefix is exactly ⌊c·n/slots⌋
-// stations.
+// stations. The list holds at least two entries.
 func quantileCuts(sorted []weightedCoord, slots int) []float64 {
 	n := len(sorted)
 	var total float64

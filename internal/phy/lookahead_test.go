@@ -2,12 +2,13 @@ package phy
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestRegionOfClamping(t *testing.T) {
-	g := RegionGrid{MinX: 0, MinY: 0, CellW: 100, CellH: 100, Cols: 3, Rows: 2}
+	g := RegionGrid{Cols: 3, Rows: 2, XCuts: []float64{100, 200}, YCuts: []float64{100}}
 	for _, tc := range []struct {
 		pos  Position
 		want int
@@ -30,15 +31,20 @@ func TestRegionOfClamping(t *testing.T) {
 
 func TestRegionOfDegenerateCells(t *testing.T) {
 	// A zero-extent dimension (all stations on one line) must map
-	// everything into the first row without dividing by zero.
-	g := RegionGrid{MinX: 0, MinY: 5, CellW: 10, CellH: 0, Cols: 2, Rows: 1}
-	if got := g.RegionOf(Position{X: 15, Y: 5}); got != 1 {
-		t.Errorf("RegionOf on zero-height grid = %d, want 1", got)
+	// everything into the first row: with a single row there is no y
+	// cut at all, and with several the cuts coincide on the line.
+	for _, g := range []RegionGrid{
+		{Cols: 2, Rows: 1, XCuts: []float64{10}},
+		{Cols: 2, Rows: 3, XCuts: []float64{10}, YCuts: []float64{5, 5}},
+	} {
+		if got := g.RegionOf(Position{X: 15, Y: 5}); got != 1 {
+			t.Errorf("RegionOf on zero-height %dx%d grid = %d, want 1", g.Cols, g.Rows, got)
+		}
 	}
 }
 
 func TestMinRegionDist(t *testing.T) {
-	g := RegionGrid{CellW: 100, CellH: 50, Cols: 4, Rows: 3}
+	g := RegionGrid{Cols: 4, Rows: 3, XCuts: []float64{100, 200, 300}, YCuts: []float64{50, 100}}
 	for _, tc := range []struct {
 		a, b int
 		want float64
@@ -56,19 +62,6 @@ func TestMinRegionDist(t *testing.T) {
 		}
 		if sym := g.MinRegionDist(tc.b, tc.a); sym != g.MinRegionDist(tc.a, tc.b) {
 			t.Errorf("MinRegionDist(%d,%d) not symmetric", tc.a, tc.b)
-		}
-	}
-}
-
-func TestHopDist(t *testing.T) {
-	g := RegionGrid{Cols: 4, Rows: 3}
-	for _, tc := range []struct {
-		a, b, want int
-	}{
-		{0, 0, 0}, {0, 1, 1}, {0, 5, 1}, {0, 11, 3}, {4, 7, 3},
-	} {
-		if got := g.HopDist(tc.a, tc.b); got != tc.want {
-			t.Errorf("HopDist(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -97,48 +90,58 @@ func TestMinPropagationDelay(t *testing.T) {
 	}
 }
 
+// TestFitRegionGrid pins the fitter's shape handling: every input
+// position lands inside the grid, dimensions below one region clamp to
+// one, and fewer than two positions — nothing a cut could separate —
+// get the single-region layout.
 func TestFitRegionGrid(t *testing.T) {
 	pos := []Position{{X: 10, Y: 20}, {X: 110, Y: 70}, {X: 60, Y: 45}}
-	g := FitRegionGrid(pos, 2, 2)
-	if g.MinX != 10 || g.MinY != 20 || g.CellW != 50 || g.CellH != 25 {
-		t.Errorf("fitted grid = %+v", g)
+	g := FitWeightedRegionGrid(pos, nil, 2, 2)
+	if g.Cols != 2 || g.Rows != 2 || len(g.XCuts) != 1 || len(g.YCuts) != 1 {
+		t.Errorf("fitted grid = %+v, want 2x2 with one cut per axis", g)
 	}
-	// Every input position must land inside the grid.
 	for _, p := range pos {
 		r := g.RegionOf(p)
 		if r < 0 || r >= g.Regions() {
 			t.Errorf("RegionOf(%+v) = %d out of range", p, r)
 		}
 	}
-	// Shape clamps below one region per dimension.
-	if g := FitRegionGrid(pos, 0, -2); g.Cols != 1 || g.Rows != 1 {
-		t.Errorf("clamped grid = %dx%d, want 1x1", g.Cols, g.Rows)
+	if g := FitWeightedRegionGrid(pos, nil, 0, -2); g.Cols != 1 || g.Rows != 1 || g.XCuts != nil || g.YCuts != nil {
+		t.Errorf("clamped grid = %+v, want 1x1 without cuts", g)
 	}
-	// No positions: a zero-size single cell at the origin.
-	if g := FitRegionGrid(nil, 3, 3); g.Regions() != 9 || g.CellW != 0 || g.RegionOf(Position{}) != 0 {
-		t.Errorf("empty fit = %+v", g)
+	for _, few := range [][]Position{nil, {{X: 5, Y: 5}}} {
+		if g := FitWeightedRegionGrid(few, nil, 3, 3); g.Regions() != 1 || g.RegionOf(Position{X: 1e9}) != 0 {
+			t.Errorf("fit of %d positions = %+v, want a single region", len(few), g)
+		}
 	}
 }
 
 // TestFitRegionGridDegenerate pins the degenerate bounding boxes: every
-// station at one point (zero extent both ways) and a single row
-// (zero-height box). Both fitters must produce grids whose RegionOf
-// stays in range for the stations themselves and for off-field
-// positions — a /0 or an unclamped index here would crash the parallel
-// kernel's station placement.
+// station at one point (zero extent both ways), a single row
+// (zero-height box) and a single station. Unit and weighted fits must
+// produce grids whose RegionOf stays in range for the stations
+// themselves and for off-field positions — an unclamped index here
+// would crash the parallel kernel's station placement.
 func TestFitRegionGridDegenerate(t *testing.T) {
 	fitters := []struct {
 		name string
 		fit  func([]Position, int, int) RegionGrid
 	}{
-		{"uniform", FitRegionGrid},
-		{"balanced", FitBalancedRegionGrid},
+		{"unit", func(pos []Position, c, r int) RegionGrid { return FitWeightedRegionGrid(pos, nil, c, r) }},
+		{"weighted", func(pos []Position, c, r int) RegionGrid {
+			w := make([]float64, len(pos))
+			for i := range w {
+				w[i] = float64(1 + i%3)
+			}
+			return FitWeightedRegionGrid(pos, w, c, r)
+		}},
 	}
 	onePoint := []Position{{X: 7, Y: 7}, {X: 7, Y: 7}, {X: 7, Y: 7}}
 	row := []Position{{X: 0, Y: 3}, {X: 10, Y: 3}, {X: 20, Y: 3}, {X: 30, Y: 3}}
+	one := []Position{{X: 5, Y: 5}}
 	probes := []Position{{X: 7, Y: 7}, {X: -100, Y: 50}, {X: 1e9, Y: -1e9}, {}}
 	for _, f := range fitters {
-		for name, pos := range map[string][]Position{"one-point": onePoint, "single-row": row} {
+		for name, pos := range map[string][]Position{"one-point": onePoint, "single-row": row, "one-station": one} {
 			g := f.fit(pos, 4, 4)
 			for _, p := range append(append([]Position{}, pos...), probes...) {
 				if r := g.RegionOf(p); r < 0 || r >= g.Regions() {
@@ -163,10 +166,15 @@ func TestFitRegionGridDegenerate(t *testing.T) {
 				t.Errorf("%s: coincident stations split across regions", f.name)
 			}
 		}
+		// A single station: no cut can separate anything, so the grid
+		// is one region whatever shape was asked for.
+		if g := f.fit(one, 2, 2); g.Regions() != 1 {
+			t.Errorf("%s: one-station fit has %d regions, want 1", f.name, g.Regions())
+		}
 	}
-	// A single row on a multi-row uniform grid: the zero-height box puts
-	// every station in row 0, and columns still split by X.
-	g := FitRegionGrid(row, 2, 3)
+	// A single row on a multi-row grid: the zero-height box puts every
+	// station in row 0, and columns still split by X.
+	g := FitWeightedRegionGrid(row, nil, 2, 3)
 	if r := g.RegionOf(row[0]); r != 0 {
 		t.Errorf("single-row leftmost station in region %d, want 0", r)
 	}
@@ -175,17 +183,18 @@ func TestFitRegionGridDegenerate(t *testing.T) {
 	}
 }
 
-// TestFitBalancedRegionGrid pins the quantile cut placement: a
+// TestFitWeightedRegionGridQuantiles pins the quantile cut placement: a
 // clustered field splits so each column holds an equal share of
 // stations, with each cut at the midpoint between the stations it
 // separates.
-func TestFitBalancedRegionGrid(t *testing.T) {
-	// 6 stations on a line: 4 crowded left, 2 far right. A uniform 2x1
-	// grid puts 5 of 6 in the left region; balanced splits 3/3.
+func TestFitWeightedRegionGridQuantiles(t *testing.T) {
+	// 6 stations on a line: 4 crowded left, 2 far right. Equal-width
+	// cells would put 4 of 6 in the left region; the quantile cut
+	// splits 3/3.
 	pos := []Position{
 		{X: 0}, {X: 1}, {X: 2}, {X: 3}, {X: 100}, {X: 101},
 	}
-	g := FitBalancedRegionGrid(pos, 2, 1)
+	g := FitWeightedRegionGrid(pos, nil, 2, 1)
 	if len(g.XCuts) != 1 || g.YCuts != nil {
 		t.Fatalf("cuts = %v / %v, want one x cut", g.XCuts, g.YCuts)
 	}
@@ -204,27 +213,27 @@ func TestFitBalancedRegionGrid(t *testing.T) {
 	if left != 3 || right != 3 {
 		t.Errorf("balanced split %d/%d, want 3/3", left, right)
 	}
-	uni := FitRegionGrid(pos, 2, 1)
-	uniLeft := 0
-	for _, p := range pos {
-		if uni.RegionOf(p) == 0 {
-			uniLeft++
-		}
-	}
-	if uniLeft != 4 {
-		t.Errorf("uniform reference left count = %d, want 4 (the crowded cluster)", uniLeft)
-	}
 
-	// On an evenly spaced field the balanced fit converges to the
-	// uniform assignment.
+	// On an evenly spaced field the quantile cuts fall halfway between
+	// stations, so each 4x2 region gets an equal share.
 	var even []Position
 	for i := 0; i < 16; i++ {
 		even = append(even, Position{X: float64(i), Y: float64(i % 4)})
 	}
-	bal, uni := FitBalancedRegionGrid(even, 4, 2), FitRegionGrid(even, 4, 2)
+	bal := FitWeightedRegionGrid(even, nil, 4, 2)
+	if want := []float64{3.5, 7.5, 11.5}; !slices.Equal(bal.XCuts, want) {
+		t.Errorf("even field: x cuts %v, want %v", bal.XCuts, want)
+	}
+	if want := []float64{1.5}; !slices.Equal(bal.YCuts, want) {
+		t.Errorf("even field: y cuts %v, want %v", bal.YCuts, want)
+	}
+	per := make([]int, bal.Regions())
 	for _, p := range even {
-		if bal.RegionOf(p) != uni.RegionOf(p) {
-			t.Errorf("even field: balanced region %d != uniform %d at %+v", bal.RegionOf(p), uni.RegionOf(p), p)
+		per[bal.RegionOf(p)]++
+	}
+	for r, n := range per {
+		if n != 2 {
+			t.Errorf("even field: region %d holds %d stations, want 2", r, n)
 		}
 	}
 
@@ -241,17 +250,10 @@ func TestFitBalancedRegionGrid(t *testing.T) {
 
 // TestBalancedMinRegionDist pins the lookahead geometry on explicit
 // cut lines: the gap between non-adjacent regions is the distance
-// between their facing cuts, adjacent regions touch, and MinEdge
-// reports the narrowest slot.
+// between their facing cuts and adjacent regions touch.
 func TestBalancedMinRegionDist(t *testing.T) {
-	// Bounding box [0,100]x[0,60]; columns cut at 10 and 80, rows at 30.
-	g := RegionGrid{
-		MinX: 0, MinY: 0,
-		CellW: 100.0 / 3, CellH: 30, // means, reconstruct the outer bounds
-		Cols: 3, Rows: 2,
-		XCuts: []float64{10, 80},
-		YCuts: []float64{30},
-	}
+	// Columns cut at 10 and 80, rows at 30.
+	g := RegionGrid{Cols: 3, Rows: 2, XCuts: []float64{10, 80}, YCuts: []float64{30}}
 	if d := g.MinRegionDist(0, 1); d != 0 {
 		t.Errorf("adjacent balanced regions: dist %v, want 0", d)
 	}
@@ -263,9 +265,6 @@ func TestBalancedMinRegionDist(t *testing.T) {
 	// y gap 0 (rows are adjacent).
 	if d := g.MinRegionDist(0, 5); math.Abs(d-70) > 1e-9 {
 		t.Errorf("diagonal balanced dist = %v, want 70", d)
-	}
-	if e := g.MinEdge(); math.Abs(e-10) > 1e-9 {
-		t.Errorf("MinEdge = %v, want 10 (the narrow first column)", e)
 	}
 	// Coincident cuts: a zero-width region yields a zero gap — sound,
 	// it only tightens the lookahead to the unconditional bound.

@@ -171,7 +171,6 @@ type DSDV struct {
 	source *sim.Source
 	rng    sim.Stream // advertisement jitter
 	node   Node
-	byHW   map[frame.Addr]network.Addr
 	cfg    DSDVConfig
 
 	// table plus its deterministic iteration order: advertisement
@@ -223,29 +222,21 @@ func (r *DSDV) SetTracer(t *trace.Tracer) { r.tr = t }
 
 var _ mac.TxObserver = (*DSDV)(nil)
 
-// New creates a DSDV instance for node, aware of the given peers (for
-// resolving MAC transmit feedback back to network addresses). It
-// registers the advertisement handler on the node's stack and
-// subscribes to the node's MAC transmit outcomes — both construction-
-// time wiring — and flips the stack into forwarding + RequireRoutes
-// mode. Call Start to begin advertising.
-func New(sched *sim.Scheduler, source *sim.Source, node Node, peers []Node, cfg DSDVConfig) *DSDV {
+// New creates a DSDV instance for node. It registers the advertisement
+// handler on the node's stack and subscribes to the node's MAC transmit
+// outcomes — both construction-time wiring — and flips the stack into
+// forwarding + RequireRoutes mode. Call Start to begin advertising.
+func New(sched *sim.Scheduler, source *sim.Source, node Node, cfg DSDVConfig) *DSDV {
 	r := &DSDV{
 		sched:        sched,
 		source:       source,
 		node:         node,
-		byHW:         make(map[frame.Addr]network.Addr, len(peers)),
 		cfg:          cfg.withDefaults(),
 		table:        make(map[network.Addr]*dsdvEntry),
 		blacklist:    make(map[network.Addr]time.Duration),
 		failStreak:   make(map[network.Addr]int),
 		admitted:     make(map[network.Addr]bool),
 		strongStreak: make(map[network.Addr]int),
-	}
-	for _, p := range peers {
-		if p.Addr != node.Addr {
-			r.byHW[p.HW] = p.Addr
-		}
 	}
 	r.rng = source.Lazy(dsdvKey(node.Addr))
 	node.Stack.Handle(network.ProtoRouting, r.onAdvert)
@@ -526,6 +517,18 @@ func (r *DSDV) consider(from, dst network.Addr, seq uint32, metric uint8) {
 	}
 }
 
+// peerAddr resolves a MAC transmit destination back to the station's
+// network address. frame.AddrFromID and network.StationAddr are both
+// pure functions of the station id, so the convention itself is the
+// mapping; addresses outside it (broadcast among them) report false.
+func peerAddr(hw frame.Addr) (network.Addr, bool) {
+	id, ok := frame.IDFromAddr(hw)
+	if !ok || id == 0 || id > network.MaxStationID {
+		return 0, false
+	}
+	return network.StationAddr(id), true
+}
+
 // ObserveTx implements mac.TxObserver: cfg.FailStreak consecutive data
 // MSDUs dropped at the retry limit are the MAC's word that the link to
 // that neighbor is dead. Every route through the neighbor then gets the
@@ -537,8 +540,8 @@ func (r *DSDV) ObserveTx(o mac.TxOutcome) {
 	if !o.Final || o.Control {
 		return
 	}
-	neighbor, ok := r.byHW[o.To]
-	if !ok {
+	neighbor, ok := peerAddr(o.To)
+	if !ok || neighbor == r.node.Addr {
 		return
 	}
 	if o.Success {

@@ -29,7 +29,6 @@ import (
 	"math"
 	"slices"
 
-	"adhocsim/internal/frame"
 	"adhocsim/internal/mac"
 	"adhocsim/internal/network"
 	"adhocsim/internal/phy"
@@ -46,12 +45,11 @@ const (
 // Protocols lists the route control planes a scenario can select.
 func Protocols() []string { return []string{ProtocolStatic, ProtocolDSDV} }
 
-// Node is one station as the routing subsystem sees it: addresses at
-// both layers, a position (for the static compiler), and the stack and
-// MAC the control plane hooks into.
+// Node is one station as the routing subsystem sees it: its network
+// address, a position (for the static compiler), and the stack and MAC
+// the control plane hooks into.
 type Node struct {
 	Addr  network.Addr
-	HW    frame.Addr
 	Pos   phy.Position
 	Stack *network.Stack
 	MAC   *mac.MAC

@@ -73,7 +73,7 @@ func newTestNet(seed uint64, prof *phy.Profile, positions ...phy.Position) *test
 		m.Attach(radio)
 		st := network.NewStack(m, network.StationAddr(id))
 		tn.nodes = append(tn.nodes, Node{
-			Addr: st.Addr(), HW: frame.AddrFromID(id), Pos: pos, Stack: st, MAC: m,
+			Addr: st.Addr(), Pos: pos, Stack: st, MAC: m,
 		})
 		tn.macs = append(tn.macs, m)
 		tn.radios = append(tn.radios, radio)
@@ -81,7 +81,7 @@ func newTestNet(seed uint64, prof *phy.Profile, positions ...phy.Position) *test
 	for i := range tn.nodes {
 		for j := range tn.nodes {
 			if i != j {
-				tn.nodes[i].Stack.AddNeighbor(tn.nodes[j].Addr, tn.nodes[j].HW)
+				tn.nodes[i].Stack.AddNeighbor(tn.nodes[j].Addr, tn.nodes[j].MAC.Address())
 			}
 		}
 	}
@@ -126,7 +126,7 @@ func TestInstallStatic(t *testing.T) {
 func dsdvNet(tn *testNet, cfg DSDVConfig) []*DSDV {
 	routers := make([]*DSDV, len(tn.nodes))
 	for i := range tn.nodes {
-		routers[i] = New(tn.sched, tn.src, tn.nodes[i], tn.nodes, cfg)
+		routers[i] = New(tn.sched, tn.src, tn.nodes[i], cfg)
 	}
 	for _, r := range routers {
 		r.Start()

@@ -73,38 +73,28 @@ func BenchmarkClusteredBlocks100k(b *testing.B) {
 
 // BenchmarkRandom16kParallel and BenchmarkClusteredBlocks100kParallel
 // are the PR 8 headline benches: the city presets at full duration on
-// the space-partitioned kernel with the auto-fitted 8x8 grid and the
-// default balanced partitioner; the *Uniform variants pin the
-// equal-cell reference partitioner so the pair isolates what
-// occupancy-balanced cut lines buy. Parallel instances do not support
+// the space-partitioned kernel with the auto-fitted 8x8 grid and its
+// activity-weighted cut lines. Parallel instances do not support
 // Reset, so each iteration rebuilds untimed (StopTimer/StartTimer
 // brackets the build) and ns/event is still pure kernel cost. Beyond
 // the timing, each bench reports the kernel's structural metrics —
 // windows, cross-region messages, and the load-balance factor
 // (max/mean per-region events) — which BENCH_PR8.json records.
 func BenchmarkRandom16kParallel(b *testing.B) {
-	benchmarkCityParallel(b, "random-16k", PartitionerBalanced)
-}
-
-func BenchmarkRandom16kParallelUniform(b *testing.B) {
-	benchmarkCityParallel(b, "random-16k", PartitionerUniform)
+	benchmarkCityParallel(b, "random-16k")
 }
 
 func BenchmarkClusteredBlocks100kParallel(b *testing.B) {
-	benchmarkCityParallel(b, "clustered-blocks-100k", PartitionerBalanced)
+	benchmarkCityParallel(b, "clustered-blocks-100k")
 }
 
-func BenchmarkClusteredBlocks100kParallelUniform(b *testing.B) {
-	benchmarkCityParallel(b, "clustered-blocks-100k", PartitionerUniform)
-}
-
-func benchmarkCityParallel(b *testing.B, name, part string) {
+func benchmarkCityParallel(b *testing.B, name string) {
 	spec, err := Preset(name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	horizon := spec.Duration.D()
-	spec.Parallel = &ParallelParams{Workers: runtime.GOMAXPROCS(0), Partitioner: part}
+	spec.Parallel = &ParallelParams{Workers: runtime.GOMAXPROCS(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var fired, logical, windows, messages uint64

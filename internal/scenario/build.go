@@ -129,7 +129,7 @@ func Build(spec Spec) (*Instance, error) {
 		if workers == 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		opts = append(opts, node.WithParallel(grid, reach, workers, spec.Parallel.Sequential))
+		opts = append(opts, node.WithParallel(grid, reach, workers))
 	}
 	net := node.NewNetwork(spec.Seed, opts...)
 
@@ -207,9 +207,8 @@ func Build(spec Spec) (*Instance, error) {
 // neighbors in other regions and the partition buys nothing), capped
 // per dimension and held to the station-density floor documented at
 // autoMaxRegionsPerDim. Small fields thus fit a single region, which
-// runs the identical window protocol on one scheduler. The partitioner
-// then places the cut lines: balanced occupancy quantiles by default,
-// uniform cells on request.
+// runs the identical window protocol on one scheduler. The cut lines
+// then sit at activity-weighted occupancy quantiles.
 func (s Spec) parallelGrid(positions []phy.Position, netProfile *phy.Profile) (grid phy.RegionGrid, reach float64, ok bool, err error) {
 	p := s.Parallel
 	if p == nil || s.Mobility != nil {
@@ -269,15 +268,11 @@ func (s Spec) parallelGrid(positions []phy.Position, netProfile *phy.Profile) (g
 			}
 		}
 	}
-	if p.Partitioner == PartitionerUniform {
-		grid = phy.FitRegionGrid(positions, cols, rows)
-	} else {
-		grid = phy.FitWeightedRegionGrid(positions, activityWeights(s.Flows, len(positions)), cols, rows)
-	}
+	grid = phy.FitWeightedRegionGrid(positions, activityWeights(s.Flows, len(positions)), cols, rows)
 	return grid, reach, true, nil
 }
 
-// activityWeights is the balanced partitioner's station weighting. Raw
+// activityWeights is the partitioner's station weighting. Raw
 // station count is a poor predictor of event load when traffic is
 // concentrated — on clustered-blocks-100k every flow terminates on the
 // field's left edge, and count-quantile cuts are indistinguishable from
@@ -402,8 +397,7 @@ func (inst *Instance) wireRouting(positions []phy.Position, reset bool) error {
 	nodes := make([]routing.Node, len(net.Stations))
 	for i, st := range net.Stations {
 		nodes[i] = routing.Node{
-			Addr: st.Addr(), HW: st.HWAddr(), Pos: positions[i],
-			Stack: st.Net, MAC: st.MAC,
+			Addr: st.Addr(), Pos: positions[i], Stack: st.Net, MAC: st.MAC,
 		}
 	}
 	switch rp.Protocol {
@@ -420,7 +414,7 @@ func (inst *Instance) wireRouting(positions []phy.Position, reset bool) error {
 		for i := range nodes {
 			// Each router's timers belong to its own station's scheduler
 			// (the region scheduler in parallel mode).
-			inst.routers[i] = routing.New(net.Stations[i].Sched, net.Source, nodes[i], nodes, routing.DSDVConfig{
+			inst.routers[i] = routing.New(net.Stations[i].Sched, net.Source, nodes[i], routing.DSDVConfig{
 				AdvertInterval: rp.AdvertInterval.D(),
 				SettleDelay:    rp.SettleDelay.D(),
 				MinNeighborDBm: inst.nbrThreshDBm[i],

@@ -52,27 +52,25 @@ func TestRandom16kKernelToggles(t *testing.T) {
 }
 
 // TestRandom16kParallelToggles extends the city toggle matrix with the
-// parallel-kernel axis: both partitioners, each run on the
-// space-partitioned kernel and required byte-identical to the
-// sequential kernel. Every scheduler, sequential and per-region, runs
-// on the 4-ary heap, which the subtest names keep. The 16k field auto-fits an 8x8 grid, so this is the first multi-region
-// equivalence check at city scale — the preset sweeps cap at 2048
-// stations.
+// parallel-kernel axis: the space-partitioned kernel must be
+// byte-identical to the sequential kernel. Every scheduler, sequential
+// and per-region, runs on the 4-ary heap, which the subtest name keeps.
+// The 16k field auto-fits an 8x8 grid, so this is the first
+// multi-region equivalence check at city scale — the preset sweeps cap
+// at 2048 stations.
 func TestRandom16kParallelToggles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale preset run: skipped in -short")
 	}
 	spec := cityShortSpec(t, "random-16k", 50*time.Millisecond)
 	seq := runJSON(t, spec)
-	for _, part := range []string{PartitionerBalanced, PartitionerUniform} {
-		t.Run(part+"-heap", func(t *testing.T) {
-			p := spec
-			p.Parallel = &ParallelParams{Partitioner: part}
-			if got := runJSON(t, p); !bytes.Equal(seq, got) {
-				t.Errorf("random-16k: parallel (%s partitioner) differs from sequential", part)
-			}
-		})
-	}
+	t.Run("balanced-heap", func(t *testing.T) {
+		p := spec
+		p.Parallel = &ParallelParams{}
+		if got := runJSON(t, p); !bytes.Equal(seq, got) {
+			t.Errorf("random-16k: parallel differs from sequential")
+		}
+	})
 }
 
 // quarterCity shrinks a clustered-blocks city to a quarter of its

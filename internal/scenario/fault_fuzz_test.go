@@ -19,7 +19,7 @@ import (
 //     replication's seed, never at run time).
 //  2. The parallel kernel's hard guarantee holds under faults: a forced
 //     2x2 region grid produces byte-identical results at 1 and 4
-//     workers and on the SetSequential reference path.
+//     workers.
 //
 // Run the smoke corpus with plain `go test`; hunt with
 //
@@ -69,14 +69,10 @@ func FuzzFaultScheduleDeterminism(f *testing.F) {
 			return run(s)
 		}
 		one := par(ParallelParams{Cols: 2, Rows: 2, Workers: 1})
-		for _, p := range []ParallelParams{
-			{Cols: 2, Rows: 2, Workers: 4},
-			{Cols: 2, Rows: 2, Sequential: true},
-		} {
-			if got := par(p); !bytes.Equal(one, got) {
-				t.Errorf("spec %+v: faulted parallel %+v diverged from 1-worker\n1-worker: %s\nvariant:  %s",
-					spec, p, one, got)
-			}
+		p := ParallelParams{Cols: 2, Rows: 2, Workers: 4}
+		if got := par(p); !bytes.Equal(one, got) {
+			t.Errorf("spec %+v: faulted parallel %+v diverged from 1-worker\n1-worker: %s\nvariant:  %s",
+				spec, p, one, got)
 		}
 	})
 }

@@ -111,8 +111,7 @@ func TestFaultedSchedulerBackends(t *testing.T) {
 // faulted mesh — crashes and churn restarts land on region schedulers,
 // the partition timeline is evaluated concurrently by region goroutines
 // — and requires the hard parallel guarantee to hold: byte-identical
-// results at every worker count and on the SetSequential reference
-// path. (The auto-fit preset sweep in parallel_equiv_test.go already
+// results at every worker count, one included. (The auto-fit preset sweep in parallel_equiv_test.go already
 // pins faulted parallel == plain sequential for the single-region fit.)
 func TestFaultedParallelEquivalence(t *testing.T) {
 	spec := faultedSpecs(t)[0] // churn-mesh-5x5, shortened
@@ -131,11 +130,6 @@ func TestFaultedParallelEquivalence(t *testing.T) {
 		if got := runJSON(t, s); !bytes.Equal(want, got) {
 			t.Errorf("churn-mesh-5x5: %d-worker faulted result differs from 1-worker", w)
 		}
-	}
-	ref := spec
-	ref.Parallel = &ParallelParams{Cols: 2, Rows: 2, Sequential: true}
-	if got := runJSON(t, ref); !bytes.Equal(want, got) {
-		t.Errorf("churn-mesh-5x5: SetSequential faulted reference differs from 1-worker")
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // The guarantees, strongest first:
 //
 //  1. Worker-count invariance (hard, every spec): a parallel run's
-//     result is byte-identical across 1/2/4/8 workers and the
-//     single-goroutine SetSequential reference path. The executor's
+//     result is byte-identical across 1/2/4/8 workers, the 1-worker run
+//     servicing every region from one goroutine. The executor's
 //     canonical message ordering makes this exact, never statistical.
 //  2. Sequential equivalence (hard for almost every preset): a parallel
 //     run is byte-identical to the plain sequential kernel. For
@@ -156,8 +156,7 @@ func TestParallelMatchesSequentialPresets(t *testing.T) {
 
 // TestParallelWorkerInvariance pins guarantee 1 on the preset that is
 // not byte-identical to sequential: whatever the tie resolution is, it
-// must be exactly the same at every worker count and on the
-// SetSequential reference path.
+// must be exactly the same at every worker count.
 func TestParallelWorkerInvariance(t *testing.T) {
 	spec, err := Preset("random-1024")
 	if err != nil {
@@ -180,32 +179,6 @@ func TestParallelWorkerInvariance(t *testing.T) {
 			t.Errorf("random-1024: %d-worker result differs from 1-worker", w)
 		}
 	}
-	ref := spec
-	ref.Parallel = &ParallelParams{Sequential: true}
-	if got := runJSON(t, ref); !bytes.Equal(want, got) {
-		t.Errorf("random-1024: SetSequential reference differs from 1-worker")
-	}
-}
-
-// TestParallelSequentialReferencePath pins the SetSequential escape
-// hatch: the executor's single-goroutine reference servicing must match
-// the multi-worker run byte for byte on a genuinely multi-region spec.
-func TestParallelSequentialReferencePath(t *testing.T) {
-	spec, err := Preset("grid-32x32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := parallelGrid(t, spec); g.Regions() < 4 {
-		t.Fatalf("grid-32x32 fit only %s; want a real partition", g)
-	}
-	seq := spec
-	seq.Parallel = &ParallelParams{Sequential: true}
-	par := spec
-	par.Parallel = &ParallelParams{Workers: 4}
-	a, b := runJSON(t, seq), runJSON(t, par)
-	if !bytes.Equal(a, b) {
-		t.Errorf("sequential-reference vs 4-worker mismatch\nref: %s\npar: %s", a, b)
-	}
 }
 
 // TestParallelForcedGrid forces a multi-region partition onto a field
@@ -214,8 +187,7 @@ func TestParallelSequentialReferencePath(t *testing.T) {
 // traffic, and (with DSDV adverts crossing every boundary) well past
 // the tie-equivalence regime the auto-fitted grids stay in. The
 // executor's hard guarantee is what is asserted: the result is exactly
-// the same at every worker count and on the SetSequential reference
-// path, for every forced shape.
+// the same at 1 and 4 workers, for every forced shape.
 func TestParallelForcedGrid(t *testing.T) {
 	spec, err := Preset("mesh-5x5-multihop")
 	if err != nil {
@@ -231,10 +203,6 @@ func TestParallelForcedGrid(t *testing.T) {
 		s.Parallel = &ParallelParams{Cols: dims[0], Rows: dims[1], Workers: 1}
 		if one := runJSON(t, s); !bytes.Equal(got, one) {
 			t.Errorf("mesh-5x5-multihop: forced %dx%d grid not worker-invariant", dims[0], dims[1])
-		}
-		s.Parallel = &ParallelParams{Cols: dims[0], Rows: dims[1], Sequential: true}
-		if ref := runJSON(t, s); !bytes.Equal(got, ref) {
-			t.Errorf("mesh-5x5-multihop: forced %dx%d grid differs from its SetSequential reference", dims[0], dims[1])
 		}
 	}
 }

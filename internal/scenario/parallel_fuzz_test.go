@@ -10,8 +10,9 @@ import (
 // FuzzParallelEquivalence is the metamorphic property test of the
 // parallel kernel: for ANY structurally valid spec — topology, traffic
 // matrix, seed and forced region grid all drawn from the fuzz input —
-// the result must be byte-identical across worker counts and on the
-// single-goroutine SetSequential reference path. This is the executor's
+// the result must be byte-identical at 1 and 4 workers; the 1-worker
+// run services every region from one goroutine, so a divergence
+// separates an executor race from a protocol bug. This is the executor's
 // hard worker-invariance guarantee (the equivalence suite pins it for
 // the preset library; the fuzzer hunts for a counterexample in the
 // open spec space). Plain-sequential equality is deliberately NOT
@@ -47,14 +48,10 @@ func FuzzParallelEquivalence(f *testing.F) {
 			return buf
 		}
 		base := run(ParallelParams{Cols: spec.Parallel.Cols, Rows: spec.Parallel.Rows, Workers: 1})
-		for _, p := range []ParallelParams{
-			{Cols: spec.Parallel.Cols, Rows: spec.Parallel.Rows, Workers: 4},
-			{Cols: spec.Parallel.Cols, Rows: spec.Parallel.Rows, Sequential: true},
-		} {
-			if got := run(p); !bytes.Equal(base, got) {
-				t.Errorf("spec %+v: %+v diverged from 1-worker\n1-worker: %s\nvariant:  %s",
-					spec, p, base, got)
-			}
+		p := ParallelParams{Cols: spec.Parallel.Cols, Rows: spec.Parallel.Rows, Workers: 4}
+		if got := run(p); !bytes.Equal(base, got) {
+			t.Errorf("spec %+v: %+v diverged from 1-worker\n1-worker: %s\nvariant:  %s",
+				spec, p, base, got)
 		}
 	})
 }

@@ -82,14 +82,12 @@ type Summary struct {
 // partition and the two-level worker split — plus the kernel's
 // counters folded over the replications in replication order.
 type ExecSummary struct {
-	// Partitioner is the resolved cut-line placement ("balanced" or
-	// "uniform"); Cols/Rows and Grid describe replication 0's fitted
-	// region grid (random topologies re-draw positions per seed, which
-	// moves the cut lines but not the auto-sized shape).
-	Partitioner string `json:"partitioner"`
-	Cols        int    `json:"cols"`
-	Rows        int    `json:"rows"`
-	Grid        string `json:"grid"`
+	// Cols/Rows and Grid describe replication 0's fitted region grid
+	// (random topologies re-draw positions per seed, which moves the
+	// cut lines but not the auto-sized shape).
+	Cols int    `json:"cols"`
+	Rows int    `json:"rows"`
+	Grid string `json:"grid"`
 	// RegionWorkers drive regions inside each replication;
 	// ReplicationWorkers run replications concurrently. Neither
 	// affects results — only wall-clock.
@@ -109,8 +107,8 @@ type ExecSummary struct {
 // Plan renders the execution plan as the one-line human summary the
 // CLI prints under -progress.
 func (e *ExecSummary) Plan() string {
-	return fmt.Sprintf("parallel plan: %s (%s partitioner), %d region worker(s) x %d replication worker(s)",
-		e.Grid, e.Partitioner, e.RegionWorkers, e.ReplicationWorkers)
+	return fmt.Sprintf("parallel plan: %s, %d region worker(s) x %d replication worker(s)",
+		e.Grid, e.RegionWorkers, e.ReplicationWorkers)
 }
 
 // Replicate runs reps independently seeded copies of the spec across
@@ -255,7 +253,6 @@ func replicateParallel(spec Spec, reps, workers int, progress func(done, total i
 	// sequential kernel (no executor); the summary then reports no plan.
 	if first := outs[0].es; first != nil {
 		es := &ExecSummary{
-			Partitioner:        first.Partitioner,
 			Cols:               first.Cols,
 			Rows:               first.Rows,
 			Grid:               first.Grid,
@@ -290,13 +287,8 @@ func (inst *Instance) ExecStats() *ExecSummary {
 	if ex == nil {
 		return nil
 	}
-	part := ""
-	if inst.Spec.Parallel != nil {
-		part = inst.Spec.Parallel.Partitioner
-	}
 	g := inst.Net.Grid
 	es := &ExecSummary{
-		Partitioner:        resolvePartitioner(part),
 		Cols:               g.Cols,
 		Rows:               g.Rows,
 		Grid:               g.String(),
@@ -347,15 +339,6 @@ func loadBalance(fired []uint64) float64 {
 	return float64(peak) * float64(len(fired)) / float64(total)
 }
 
-// resolvePartitioner maps the spec spelling to the effective
-// partitioner name (empty selects balanced).
-func resolvePartitioner(p string) string {
-	if p == "" {
-		return PartitionerBalanced
-	}
-	return p
-}
-
 // PlanExec resolves the execution plan a Replicate call with the same
 // arguments will choose — the fitted region grid and the two-level
 // worker split — without running anything, so the CLI can print it up
@@ -370,7 +353,7 @@ func PlanExec(spec Spec, reps, workers int) (*ExecSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The balanced partitioner weights the resolved flow endpoints, so
+	// The partitioner weights the resolved flow endpoints, so
 	// the plan must resolve them exactly as Build does.
 	spec.Flows = flows
 	netProfile := spec.CustomProfile
@@ -391,7 +374,6 @@ func PlanExec(spec Spec, reps, workers int) (*ExecSummary, error) {
 		repWorkers = 1
 	}
 	return &ExecSummary{
-		Partitioner:        resolvePartitioner(spec.Parallel.Partitioner),
 		Cols:               grid.Cols,
 		Rows:               grid.Rows,
 		Grid:               grid.String(),

@@ -200,6 +200,31 @@ func TestParseSpecRejectsSchedulerBlock(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsRetiredParallelFields pins the clean failure of
+// specs written for the retired parallel-kernel switches: the region
+// grid's cut lines have one placement and the executor one servicing
+// path, so an old "partitioner" or "sequential" key is an unknown field.
+func TestParseSpecRejectsRetiredParallelFields(t *testing.T) {
+	for _, tc := range []struct{ field, value string }{
+		{"partitioner", `"uniform"`},
+		{"sequential", "true"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			_, err := ParseSpec([]byte(`{
+				"name": "old-spec",
+				"seed": 1,
+				"duration": "1s",
+				"topology": {"kind": "line", "n": 2, "spacing": 10},
+				"flows": [{"src": 0, "dst": 1}],
+				"parallel": {"workers": 1, "` + tc.field + `": ` + tc.value + `}
+			}`))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+				t.Fatalf("err = %v, want the unknown-field error for %q", err, tc.field)
+			}
+		})
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name   string

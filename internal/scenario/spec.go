@@ -241,7 +241,12 @@ func (r *RoutingParams) linkRange(p *phy.Profile, mac MACParams) float64 {
 // target load balance: one region per carrier-sense range the field
 // spans, capped at 8 per dimension and shrunk until regions average at
 // least 64 stations, so a small field ends up as a single region and
-// runs exactly like the sequential kernel. Mobility scenarios ignore
+// runs exactly like the sequential kernel. The grid's cut lines sit at
+// activity-weighted station quantiles per axis
+// (phy.FitWeightedRegionGrid with flow endpoints weighted — see
+// activityWeights), so regions share the expected event load; they are
+// a deterministic function of the topology draw and the resolved
+// flows. Mobility scenarios ignore
 // the block entirely and fall back to the sequential kernel (regions
 // would have to re-home moving stations), as do degenerate radio
 // models with no finite relevance radius.
@@ -253,29 +258,7 @@ type ParallelParams struct {
 	// Workers is the goroutine count driving the regions; 0 means one
 	// per CPU (clamped to the region count). Results never depend on it.
 	Workers int `json:"workers,omitempty"`
-	// Partitioner places the grid's cut lines: "balanced" (the default)
-	// puts them at activity-weighted station quantiles per axis
-	// (phy.FitWeightedRegionGrid with flow endpoints weighted — see
-	// activityWeights), so regions share the expected event load;
-	// "uniform" keeps the equal-size reference cells
-	// (phy.FitRegionGrid). Both are deterministic functions of the
-	// topology draw and the resolved flows. The partition moves
-	// tie-break order between same-instant cross-region arrivals, so
-	// switching it can flip the documented tie counters on tie-tolerant
-	// workloads — same equivalence class as parallel-vs-sequential.
-	Partitioner string `json:"partitioner,omitempty"`
-	// Sequential selects the executor's single-goroutine reference path
-	// (sim.Exec.SetSequential), the kernel's only reference switch: the
-	// parallel-equivalence and fault-schedule fuzz targets use it to
-	// tell a race in the executor from a protocol bug.
-	Sequential bool `json:"sequential,omitempty"`
 }
-
-// Partitioner names accepted by ParallelParams.
-const (
-	PartitionerBalanced = "balanced"
-	PartitionerUniform  = "uniform"
-)
 
 // Mobility attaches a movement model to some or all stations.
 type Mobility struct {
@@ -567,12 +550,6 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 		}
 		if p.Workers < 0 {
 			return nil, nil, fmt.Errorf("scenario: negative parallel worker count %d", p.Workers)
-		}
-		switch p.Partitioner {
-		case "", PartitionerBalanced, PartitionerUniform:
-		default:
-			return nil, nil, fmt.Errorf("scenario: unknown partitioner %q (want %s or %s)",
-				p.Partitioner, PartitionerBalanced, PartitionerUniform)
 		}
 	}
 	if s.Duration <= 0 {

@@ -102,7 +102,6 @@ type Exec struct {
 	// back to the region (the reflected-influence bound).
 	md         []int64
 	workers    int
-	sequential bool
 	until      time.Duration
 	windowsRun uint64
 	hooks      ExecObs
@@ -298,15 +297,6 @@ func (e *Exec) SetWorkers(n int) {
 	e.workers = n
 }
 
-// SetSequential forces (true) or releases (false) the single-goroutine
-// reference path: Run services all regions from the calling goroutine
-// under the identical window protocol. It is the parallel kernel's
-// verification escape hatch: equivalence tests and fuzz targets run the
-// same seed both ways and require byte-identical results, which
-// separates executor races from protocol bugs. Production callers never
-// need it.
-func (e *Exec) SetSequential(on bool) { e.sequential = on }
-
 // Send delivers act to region to at absolute simulated time at. It must
 // be called from an event executing on region from's scheduler (the
 // send time is read from that scheduler's clock). Messages timestamped
@@ -364,10 +354,7 @@ func (e *Exec) Run(until time.Duration) {
 		r.dirty = true
 	}
 	workers := e.workers
-	if e.sequential || len(e.regions) == 1 {
-		workers = 1
-	}
-	if workers <= 1 {
+	if workers == 1 {
 		e.windows(0, 1, nil)
 	} else {
 		bar := newBarrier(workers)

@@ -249,16 +249,15 @@ func TestExecGroupsSameInstantMessages(t *testing.T) {
 }
 
 // TestExecWorkerInvariance runs a pseudo-random relay storm at every
-// worker count and on the sequential reference path: identical
+// worker count, one goroutine included: identical
 // per-region execution logs (the executor's determinism guarantee is
 // the event sequence of each region, not a global interleaving) and an
 // identical window structure.
 func TestExecWorkerInvariance(t *testing.T) {
 	const regions = 4
-	run := func(workers int, sequential bool) ([]string, uint64) {
+	run := func(workers int) ([]string, uint64) {
 		e := uniformExec(regions)
 		e.SetWorkers(workers)
-		e.SetSequential(sequential)
 		// logs[i] is appended only by region i's events — owner-only, no
 		// locking needed, and per-region order is what must not drift.
 		logs := make([][]string, regions)
@@ -289,13 +288,10 @@ func TestExecWorkerInvariance(t *testing.T) {
 		}
 		return flat, e.Windows()
 	}
-	want, wantWindows := run(1, false)
+	want, wantWindows := run(1)
 	for _, workers := range []int{2, 4} {
-		if got, w := run(workers, false); fmt.Sprint(got) != fmt.Sprint(want) || w != wantWindows {
+		if got, w := run(workers); fmt.Sprint(got) != fmt.Sprint(want) || w != wantWindows {
 			t.Errorf("workers=%d: logs %v windows %d, want %v windows %d", workers, got, w, want, wantWindows)
 		}
-	}
-	if got, w := run(4, true); fmt.Sprint(got) != fmt.Sprint(want) || w != wantWindows {
-		t.Errorf("sequential reference: logs %v windows %d, want %v windows %d", got, w, want, wantWindows)
 	}
 }
