@@ -81,11 +81,9 @@ var (
 
 // MAC layer.
 type (
-	// MACConfig parameterizes a station's DCF MAC.
+	// MACConfig parameterizes a station's DCF MAC. Set ARF for the
+	// dynamic rate switching of the paper's §2.
 	MACConfig = mac.Config
-	// ARF is the Automatic Rate Fallback controller (dynamic rate
-	// switching, §2 of the paper).
-	ARF = mac.ARF
 )
 
 // RTS threshold sentinels for MACConfig.RTSThreshold.
@@ -97,9 +95,6 @@ const (
 	// to protect all non-empty frames.
 	RTSAlways = mac.RTSAlways
 )
-
-// NewARF returns an ARF rate controller starting at the given rate.
-func NewARF(start Rate) *ARF { return mac.NewARF(start) }
 
 // Network composition.
 type (

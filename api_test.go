@@ -131,18 +131,6 @@ func TestPublicProfileAndWeather(t *testing.T) {
 	}
 }
 
-func TestPublicARF(t *testing.T) {
-	arf := adhocsim.NewARF(adhocsim.Rate11)
-	if arf.Rate() != adhocsim.Rate11 {
-		t.Fatal("ARF start rate")
-	}
-	arf.OnFailure()
-	arf.OnFailure()
-	if arf.Rate() != adhocsim.Rate5_5 {
-		t.Fatal("ARF fallback")
-	}
-}
-
 func TestPublicMobility(t *testing.T) {
 	net := adhocsim.NewNetwork(9)
 	a := net.AddStation(adhocsim.Pos(10, 10), adhocsim.MACConfig{})

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"adhocsim/internal/experiments"
-	"adhocsim/internal/mac"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/scenario"
 )
@@ -275,27 +274,33 @@ func BenchmarkChain8Multihop(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// fourNodeWith runs the Figure 7 UDP/basic scenario with a config hook,
-// for the ablation benches.
-func fourNodeWith(seed uint64, mutate func(*mac.Config), profile *Profile) experiments.FourNodeResult {
-	cfg := experiments.FourNode{
+// fig7 is the Figure 7 UDP/basic scenario the four-node ablations vary.
+func fig7(seed uint64, profile *Profile) scenario.Spec {
+	return experiments.FourNode{
 		Rate: Rate11, D12: 25, D23: 82.5, D34: 25,
 		Transport: UDP, Duration: benchHorizon, Seed: seed,
 		Profile: profile,
-	}
-	return experiments.RunFourNodeWith(cfg, mutate)
+	}.Spec()
+}
+
+// sessions runs spec and returns its two sessions' goodputs in kbit/s.
+func sessions(spec scenario.Spec) (s1, s2 float64) {
+	f := scenario.MustRun(spec).Flows
+	return f[0].GoodputKbps, f[1].GoodputKbps
 }
 
 // BenchmarkAblationEIFS quantifies how much of the four-node unfairness
 // the EIFS rule contributes: session ratios with EIFS on vs off.
 func BenchmarkAblationEIFS(b *testing.B) {
-	var on, off experiments.FourNodeResult
+	var on1, on2, off1, off2 float64
 	for i := 0; i < b.N; i++ {
-		on = fourNodeWith(uint64(i), nil, nil)
-		off = fourNodeWith(uint64(i), func(c *mac.Config) { c.DisableEIFS = true }, nil)
+		spec := fig7(uint64(i), nil)
+		on1, on2 = sessions(spec)
+		spec.MAC.DisableEIFS = true
+		off1, off2 = sessions(spec)
 	}
-	b.ReportMetric(on.Session2Kbps/on.Session1Kbps, "s2s1_ratio_eifs_on")
-	b.ReportMetric(off.Session2Kbps/off.Session1Kbps, "s2s1_ratio_eifs_off")
+	b.ReportMetric(on2/on1, "s2s1_ratio_eifs_on")
+	b.ReportMetric(off2/off1, "s2s1_ratio_eifs_off")
 }
 
 // BenchmarkAblationCapture disables message-in-message capture to show
@@ -303,25 +308,27 @@ func BenchmarkAblationEIFS(b *testing.B) {
 func BenchmarkAblationCapture(b *testing.B) {
 	noCapture := DefaultProfile()
 	noCapture.CaptureMarginDB = 1e9
-	var on, off experiments.FourNodeResult
+	var on1, on2, off1, off2 float64
 	for i := 0; i < b.N; i++ {
-		on = fourNodeWith(uint64(i), nil, nil)
-		off = fourNodeWith(uint64(i), nil, noCapture)
+		on1, on2 = sessions(fig7(uint64(i), nil))
+		off1, off2 = sessions(fig7(uint64(i), noCapture))
 	}
-	b.ReportMetric(on.Session1Kbps+on.Session2Kbps, "kbps_total_capture_on")
-	b.ReportMetric(off.Session1Kbps+off.Session2Kbps, "kbps_total_capture_off")
+	b.ReportMetric(on1+on2, "kbps_total_capture_on")
+	b.ReportMetric(off1+off2, "kbps_total_capture_off")
 }
 
 // BenchmarkAblationDeferResponses measures the testbed firmware quirk
 // (carrier sense before SIFS responses) the paper's §3.3 describes.
 func BenchmarkAblationDeferResponses(b *testing.B) {
-	var std, quirk experiments.FourNodeResult
+	var std, quirk float64
 	for i := 0; i < b.N; i++ {
-		std = fourNodeWith(uint64(i), nil, nil)
-		quirk = fourNodeWith(uint64(i), func(c *mac.Config) { c.DeferResponses = true }, nil)
+		spec := fig7(uint64(i), nil)
+		std, _ = sessions(spec)
+		spec.MAC.DeferResponses = true
+		quirk, _ = sessions(spec)
 	}
-	b.ReportMetric(std.Session1Kbps, "kbps_s1_standard")
-	b.ReportMetric(quirk.Session1Kbps, "kbps_s1_quirk")
+	b.ReportMetric(std, "kbps_s1_standard")
+	b.ReportMetric(quirk, "kbps_s1_quirk")
 }
 
 // BenchmarkAblationShadowingSigma sweeps the shadowing σ to show how
@@ -373,19 +380,18 @@ func fmtSigma(s float64) string {
 // best and worst fixed rates on a 60 m link (where 5.5 Mbit/s is the
 // right choice and 11 Mbit/s barely works).
 func BenchmarkAblationARF(b *testing.B) {
-	run := func(seed uint64, rc mac.RateController, fixed Rate) float64 {
-		res := RunTwoNode(TwoNode{
-			Rate: fixed, Distance: 60, Transport: UDP,
-			Duration: benchHorizon, Seed: seed,
-			RateController: rc,
-		})
-		return res.MeasuredMbps
+	run := func(seed uint64, arf bool, rate Rate) float64 {
+		spec := TwoNode{
+			Rate: rate, Distance: 60, Transport: UDP,
+			Duration: benchHorizon, Seed: seed, ARF: arf,
+		}.Spec()
+		return scenario.MustRun(spec).Flows[0].GoodputMbps
 	}
 	var arf, fixed11, fixed55 float64
 	for i := 0; i < b.N; i++ {
-		arf = run(uint64(i), NewARF(Rate11), Rate11)
-		fixed11 = run(uint64(i), nil, Rate11)
-		fixed55 = run(uint64(i), nil, Rate5_5)
+		arf = run(uint64(i), true, Rate11)
+		fixed11 = run(uint64(i), false, Rate11)
+		fixed55 = run(uint64(i), false, Rate5_5)
 	}
 	b.ReportMetric(arf, "Mbps_arf")
 	b.ReportMetric(fixed11, "Mbps_fixed11")

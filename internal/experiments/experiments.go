@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"adhocsim/internal/capacity"
-	"adhocsim/internal/mac"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/scenario"
 )
@@ -56,9 +55,9 @@ type TwoNode struct {
 	Duration   time.Duration // measurement horizon
 	Seed       uint64
 	Profile    *phy.Profile // nil selects phy.DefaultProfile
-	// RateController optionally enables dynamic rate switching (ARF) at
-	// the sender; Rate is then only the starting point of the controller.
-	RateController mac.RateController
+	// ARF enables dynamic rate switching (Automatic Rate Fallback) at
+	// the sender; Rate is then only where the fallback starts.
+	ARF bool
 }
 
 func (c TwoNode) withDefaults() TwoNode {
@@ -89,8 +88,8 @@ type TwoNodeResult struct {
 }
 
 // Spec compiles the experiment into the declarative scenario it always
-// was: two stations on a line, one saturating flow. The RateController,
-// being a live object, rides along as a MACHook on the sender.
+// was: two stations on a line, one saturating flow. ARF is a per-station
+// MAC override on the sender alone.
 func (c TwoNode) Spec() scenario.Spec {
 	c = c.withDefaults()
 	spec := scenario.Spec{
@@ -109,12 +108,10 @@ func (c TwoNode) Spec() scenario.Spec {
 			Port:       9000,
 		}},
 	}
-	if rc := c.RateController; rc != nil {
-		spec.MACHook = func(station int, cfg *mac.Config) {
-			if station == 0 {
-				cfg.RateControl = rc
-			}
-		}
+	if c.ARF {
+		sender := spec.MAC
+		sender.ARF = true
+		spec.Stations = []scenario.StationOverride{{Station: 0, MAC: &sender}}
 	}
 	return spec
 }
@@ -191,7 +188,17 @@ type FourNodeResult struct {
 // RunFourNode runs the two concurrent sessions and reports per-session
 // goodput in kbit/s, as the paper's Figures 7, 9, 11 and 12 do.
 func RunFourNode(cfg FourNode) FourNodeResult {
-	return RunFourNodeWith(cfg, nil)
+	run := scenario.MustRun(cfg.Spec())
+	f1, f2 := run.Flows[0], run.Flows[1]
+	return FourNodeResult{
+		Session1Kbps: f1.GoodputKbps,
+		Session2Kbps: f2.GoodputKbps,
+		Fairness:     run.Fairness,
+		EIFS1:        f1.EIFSDeferrals,
+		EIFS2:        f2.EIFSDeferrals,
+		Retries1:     f1.Retries,
+		Retries2:     f2.Retries,
+	}
 }
 
 // Spec compiles the experiment into its declarative form: four stations
@@ -228,26 +235,5 @@ func (c FourNode) Spec() scenario.Spec {
 			},
 			session2,
 		},
-	}
-}
-
-// RunFourNodeWith is RunFourNode with a MAC-config hook applied to every
-// station, used by the ablation benches (EIFS off, response-deferral
-// quirk on, ...).
-func RunFourNodeWith(cfg FourNode, mutate func(*mac.Config)) FourNodeResult {
-	spec := cfg.Spec()
-	if mutate != nil {
-		spec.MACHook = func(_ int, c *mac.Config) { mutate(c) }
-	}
-	run := scenario.MustRun(spec)
-	f1, f2 := run.Flows[0], run.Flows[1]
-	return FourNodeResult{
-		Session1Kbps: f1.GoodputKbps,
-		Session2Kbps: f2.GoodputKbps,
-		Fairness:     run.Fairness,
-		EIFS1:        f1.EIFSDeferrals,
-		EIFS2:        f2.EIFSDeferrals,
-		Retries1:     f1.Retries,
-		Retries2:     f2.Retries,
 	}
 }

@@ -129,10 +129,11 @@ func TestFigure7AsymmetryAt11Mbps(t *testing.T) {
 	for _, c := range cells {
 		r := c.Result
 		if c.Transport == UDP {
-			// The paper's central §3.3 finding: session 2 (S3→S4)
-			// outperforms session 1 (S1→S2) because S1 suffers EIFS
-			// deferrals (it cannot decode S4's basic-rate ACKs) and S2
-			// sits closer to the interfering session.
+			// The paper's central §3.3 finding: the two sessions share
+			// the channel unequally, and the starved sender is the one
+			// deferring for EIFS. Which session wins is a property of
+			// the seed (DESIGN.md, "The EIFS-asymmetry mechanism",
+			// point 3); seed 42 is one where S1 loses.
 			if r.Session2Kbps <= 1.2*r.Session1Kbps {
 				t.Errorf("UDP rts=%v: s2 %.0f kbps not clearly above s1 %.0f kbps",
 					c.RTSCTS, r.Session2Kbps, r.Session1Kbps)

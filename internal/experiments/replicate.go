@@ -56,13 +56,7 @@ type TwoNodeSummary struct {
 // the cfg experiment in parallel and aggregates their metrics. The
 // aggregate is bit-identical for any worker count.
 func ReplicateTwoNode(cfg TwoNode, rep Rep) TwoNodeSummary {
-	rcfg := rep.config()
-	if cfg.RateController != nil {
-		// The controller is one live object shared by every replication;
-		// concurrent replications would race on its state. Serialize.
-		rcfg.Workers = 1
-	}
-	runs := runner.Map(rcfg, rep.reps(), func(i int) TwoNodeResult {
+	runs := runner.Map(rep.config(), rep.reps(), func(i int) TwoNodeResult {
 		c := cfg
 		c.Seed = runner.SeedFor(cfg.Seed, i)
 		return RunTwoNode(c)

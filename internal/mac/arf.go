@@ -2,70 +2,52 @@ package mac
 
 import "adhocsim/internal/phy"
 
-// RateController selects the data rate for outgoing MSDUs and observes
-// transmission outcomes. The paper's experiments pin the NIC rate (its
-// §2 notes that "802.11b cards may implement a dynamic rate switching
-// with the objective of improving performance"); ARF below implements
-// that dynamic switching as an extension, with an ablation bench
-// comparing it against fixed rates.
-type RateController interface {
-	// Rate returns the rate to use for the next MSDU.
-	Rate() phy.Rate
-	// OnSuccess records a completed MSDU at the current rate.
-	OnSuccess()
-	// OnFailure records a failed transmission attempt at the current rate.
-	OnFailure()
-}
-
-// ARF implements Automatic Rate Fallback (Kamerman & Monteban's scheme,
-// the one shipped in WaveLAN-II and most early 802.11b firmware):
+// arf is Automatic Rate Fallback (Kamerman & Monteban's scheme, the one
+// shipped in WaveLAN-II and most early 802.11b firmware), the "dynamic
+// rate switching" the paper's §2 sets aside and its ablation bench
+// compares against fixed rates. A MAC with Config.ARF holds one inline
+// and rewinds it on Reset:
 //
-//   - after UpAfter consecutive successes, probe the next higher rate;
-//   - after DownAfter consecutive failures, fall back one rate;
+//   - after arfUpAfter consecutive successes, probe the next higher rate;
+//   - after arfDownAfter consecutive failures, fall back one rate;
 //   - a failure on the first frame after an upgrade (the probe) drops
 //     straight back down.
-type ARF struct {
-	// UpAfter is the consecutive-success threshold to move up (default 10).
-	UpAfter int
-	// DownAfter is the consecutive-failure threshold to move down (default 2).
-	DownAfter int
-
-	idx       int // index into phy.Rates
-	successes int
-	failures  int
+//
+// Bytes hold it: the streaks are only read below their thresholds (at
+// the top rate the success count runs on unread until a failure clears
+// it), and a MAC carries it inline whether or not ARF is on.
+type arf struct {
+	idx       uint8 // index into phy.Rates
+	successes uint8
+	failures  uint8
 	probing   bool // first frame after an upgrade
-
-	// Upgrades and Downgrades count rate transitions, for tests and
-	// ablation reporting.
-	Upgrades   uint64
-	Downgrades uint64
 }
 
-var _ RateController = (*ARF)(nil)
+const (
+	arfUpAfter   = 10 // consecutive successes before probing up
+	arfDownAfter = 2  // consecutive failures before falling back
+)
 
-// NewARF returns an ARF controller starting at the given rate.
-func NewARF(start phy.Rate) *ARF {
-	return &ARF{UpAfter: 10, DownAfter: 2, idx: start.Index()}
-}
+// newARF returns fallback state starting at the given rate.
+func newARF(start phy.Rate) arf { return arf{idx: uint8(start.Index())} }
 
-// Rate implements RateController.
-func (a *ARF) Rate() phy.Rate { return phy.Rates[a.idx] }
+// rate returns the rate to use for the next MSDU.
+func (a *arf) rate() phy.Rate { return phy.Rates[a.idx] }
 
-// OnSuccess implements RateController.
-func (a *ARF) OnSuccess() {
+// onSuccess records a completed MSDU at the current rate.
+func (a *arf) onSuccess() {
 	a.probing = false
 	a.failures = 0
 	a.successes++
-	if a.successes >= a.UpAfter && a.idx < len(phy.Rates)-1 {
+	if a.successes >= arfUpAfter && int(a.idx) < len(phy.Rates)-1 {
 		a.idx++
 		a.successes = 0
 		a.probing = true
-		a.Upgrades++
 	}
 }
 
-// OnFailure implements RateController.
-func (a *ARF) OnFailure() {
+// onFailure records a failed transmission attempt at the current rate.
+func (a *arf) onFailure() {
 	a.successes = 0
 	if a.probing {
 		// The probe at the higher rate failed: fall back immediately.
@@ -74,15 +56,14 @@ func (a *ARF) OnFailure() {
 		return
 	}
 	a.failures++
-	if a.failures >= a.DownAfter {
+	if a.failures >= arfDownAfter {
 		a.failures = 0
 		a.down()
 	}
 }
 
-func (a *ARF) down() {
+func (a *arf) down() {
 	if a.idx > 0 {
 		a.idx--
-		a.Downgrades++
 	}
 }

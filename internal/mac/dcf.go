@@ -221,8 +221,8 @@ func (m *MAC) txAttempt() {
 	if pkt == nil {
 		return
 	}
-	// The data rate is (re-)selected per attempt so that a rate
-	// controller can adapt retransmissions, as real ARF firmware does.
+	// The data rate is (re-)selected per attempt so that rate fallback
+	// (Config.ARF) adapts retransmissions, as real ARF firmware does.
 	// Beacons and pinned control frames keep their fixed basic rate.
 	if !pkt.isBeacon && !pkt.pinned {
 		pkt.rate = m.DataRate()

@@ -43,7 +43,7 @@ type Config struct {
 	// experiment share it. Defaults to a fixed IBSS id.
 	BSSID frame.Addr
 	// DataRate is the NIC rate for unicast data frames. Defaults to 11
-	// Mbit/s. Ignored per-frame when RateControl is set.
+	// Mbit/s. With ARF it is the rate fallback starts from.
 	DataRate phy.Rate
 	// RTSThreshold: unicast MSDUs of at least this many bytes are
 	// protected by RTS/CTS. Use RTSAlways or RTSNever for the paper's
@@ -60,19 +60,12 @@ type Config struct {
 	// BeaconInterval enables IBSS beaconing when positive. Beacons are
 	// broadcast at 1 Mbit/s and contend like normal traffic.
 	BeaconInterval time.Duration
-	// RateControl, when non-nil, selects the data rate per MSDU and
-	// observes transmission outcomes (e.g. ARF). When nil the MAC uses
-	// the fixed DataRate, as the paper's experiments do.
-	//
-	// Observation-wise the controller is adapted onto the generalized
-	// transmit-observer list (see TxObserver and MAC.AddTxObserver), so
-	// rate adaptation and other outcome consumers — routing link-failure
-	// detection — coexist. Rate *selection* goes through
-	// RateControl.Rate alone (MAC.DataRate), and no other hook selects a
-	// rate: experiments.Config.RateController wires ARF in here, through
-	// the spec's MACHook. Retiring this field needs a rate-selection hook
-	// first; a TxObserver only observes.
-	RateControl RateController
+	// ARF switches on Automatic Rate Fallback: each unicast data MSDU's
+	// rate follows the station's own success/failure streaks, starting
+	// from DataRate, as the paper's "dynamic rate switching" NICs do.
+	// The state is the MAC's, so Reset rewinds it. Default false: the
+	// fixed DataRate the paper's experiments use.
+	ARF bool
 	// DisableEIFS is an ablation switch: PHY errors defer by plain DIFS
 	// instead of EIFS. The four-node asymmetry benches use it to isolate
 	// how much of the unfairness the EIFS rule contributes. Default
@@ -172,8 +165,8 @@ type msdu struct {
 	ctsOK      bool // RTS/CTS handshake completed
 	isBeacon   bool
 	// pinned marks control-plane MSDUs whose rate was fixed at queue
-	// time (SendControl): rate controllers neither choose their rate nor
-	// observe their outcomes, exactly like beacons.
+	// time (SendControl): rate fallback neither chooses their rate nor
+	// counts their outcomes, exactly like beacons.
 	pinned bool
 	// needsBackoff is false only for frames eligible for the standard's
 	// immediate-access rule (arrived to an idle pipeline on an idle
@@ -196,8 +189,8 @@ type MAC struct {
 	queueSpace func()
 	beaconSeen func(src frame.Addr)
 
-	// txObservers receive transmit outcomes (rate controllers, routing
-	// link-failure detectors). Construction-time wiring; survives Reset.
+	// txObservers receive transmit outcomes (routing link-failure
+	// detectors). Construction-time wiring; survives Reset.
 	txObservers []TxObserver
 
 	queue   []*msdu
@@ -226,6 +219,8 @@ type MAC struct {
 	respInFlight bool
 
 	seq uint16
+	// arf is the rate fallback state DataRate reads under Config.ARF.
+	arf arf
 	// rxSeq is the last delivered sequence per source, made at the first
 	// delivery.
 	rxSeq map[frame.Addr]uint16
@@ -253,17 +248,14 @@ var _ medium.Handler = (*MAC)(nil)
 // New creates a MAC. Call Attach before use.
 func New(sched *sim.Scheduler, src *sim.Source, cfg Config) *MAC {
 	cfg = cfg.withDefaults()
-	m := &MAC{
+	return &MAC{
 		cfg:     cfg,
 		sched:   sched,
 		rng:     src.Lazy(backoffKey(cfg.Address)),
 		cw:      phy.CWMin,
 		backoff: -1,
+		arf:     newARF(cfg.DataRate),
 	}
-	if cfg.RateControl != nil {
-		m.txObservers = append(m.txObservers, rateControlObserver{cfg.RateControl})
-	}
-	return m
 }
 
 // backoffKey names the backoff stream of the station at addr:
@@ -292,16 +284,13 @@ func (m *MAC) Attach(r *medium.Radio) {
 }
 
 // Reset returns an attached MAC to its just-attached state for a new
-// run: queue, DCF state machine, counters and sequence tracking clear,
-// the backoff rng is re-derived from src (which the caller has just
-// Reseed-ed), and beaconing re-arms if configured. The owning scheduler
-// must have been Reset first — the MAC's event handles are stale by
-// then, so they are simply dropped — and the radio must already be
-// Reset so carrier sense reads idle. The configuration (including any
-// RateControl) is retained; note an external rate controller carries
-// its own state, which Reset cannot reach — callers that need
-// bit-identical replications with rate control must rebuild instead
-// (scenario.Replicate already falls back for MACHook specs).
+// run: queue, DCF state machine, rate fallback, counters and sequence
+// tracking clear, the backoff rng is re-derived from src (which the
+// caller has just Reseed-ed), and beaconing re-arms if configured. The
+// owning scheduler must have been Reset first — the MAC's event handles
+// are stale by then, so they are simply dropped — and the radio must
+// already be Reset so carrier sense reads idle. The configuration is
+// retained.
 func (m *MAC) Reset(src *sim.Source) {
 	if m.radio == nil {
 		panic("mac: Reset before Attach")
@@ -326,6 +315,7 @@ func (m *MAC) Reset(src *sim.Source) {
 	m.seq = 0
 	clear(m.rxSeq)
 	m.lastRxRSSI = 0
+	m.arf = newARF(m.cfg.DataRate)
 	m.Counters = Counters{}
 	// Mirror Attach's channel-state initialization and beacon arming, in
 	// the same order, so a Reset network schedules the same t=0 events
@@ -340,10 +330,11 @@ func (m *MAC) Reset(src *sim.Source) {
 // Address returns the station's MAC address.
 func (m *MAC) Address() frame.Addr { return m.cfg.Address }
 
-// DataRate returns the rate the next data MSDU would use.
+// DataRate returns the rate the next data MSDU would use: the fixed
+// Config.DataRate, or rate fallback's current choice under Config.ARF.
 func (m *MAC) DataRate() phy.Rate {
-	if m.cfg.RateControl != nil {
-		return m.cfg.RateControl.Rate()
+	if m.cfg.ARF {
+		return m.arf.rate()
 	}
 	return m.cfg.DataRate
 }

@@ -4,7 +4,7 @@ import "adhocsim/internal/frame"
 
 // TxOutcome describes the fate of one transmission event for a data
 // MSDU, as reported to the MAC's transmit observers. Two kinds of event
-// are reported, mirroring the legacy RateController semantics exactly:
+// are reported, the same two that drive rate fallback (Config.ARF):
 //
 //   - a completed MSDU (Success && Final): the frame was acknowledged,
 //     or was a broadcast and left the air;
@@ -12,9 +12,8 @@ import "adhocsim/internal/frame"
 //     CTS or ACK timeout. Final is additionally set when that failure
 //     drove the MSDU past its retry limit and out of the pipeline.
 //
-// Beacons are not reported (they never were to rate controllers
-// either). Control-plane MSDUs queued through SendControl are reported
-// with Control set so rate-adaptation observers can ignore them.
+// Beacons are not reported. Control-plane MSDUs queued through
+// SendControl are reported with Control set; rate fallback ignores them.
 type TxOutcome struct {
 	// To is the MSDU's link-layer destination — for routing protocols,
 	// the next hop whose link just proved itself alive or dead.
@@ -26,52 +25,39 @@ type TxOutcome struct {
 	// signal that the link to To is broken.
 	Final bool
 	// Control marks MSDUs queued via SendControl (pinned basic-rate
-	// control traffic, e.g. routing advertisements). Rate controllers
-	// ignore these; they are not subject to rate adaptation.
+	// control traffic, e.g. routing advertisements), which are not
+	// subject to rate adaptation.
 	Control bool
 }
 
 // TxObserver receives transmit outcomes. Multiple observers can
-// subscribe to one MAC (AddTxObserver); ARF-style rate adaptation and
-// routing link-failure detection coexist this way.
+// subscribe to one MAC (AddTxObserver); routing link-failure detection
+// is one.
 type TxObserver interface {
 	ObserveTx(TxOutcome)
 }
 
-// TxObserverFunc adapts a plain function to the TxObserver interface.
-type TxObserverFunc func(TxOutcome)
-
-// ObserveTx implements TxObserver.
-func (f TxObserverFunc) ObserveTx(o TxOutcome) { f(o) }
-
-// rateControlObserver adapts the legacy RateController observation
-// surface (OnSuccess/OnFailure) onto the generalized observer list, so
-// Config.RateControl keeps working unchanged: OnSuccess per completed
-// MSDU, OnFailure per failed attempt, beacons and pinned control frames
-// excluded.
-type rateControlObserver struct{ rc RateController }
-
-func (a rateControlObserver) ObserveTx(o TxOutcome) {
-	if o.Control {
-		return
-	}
-	if o.Success {
-		a.rc.OnSuccess()
-	} else {
-		a.rc.OnFailure()
-	}
-}
-
 // AddTxObserver subscribes an observer to this MAC's transmit outcomes.
 // Subscriptions are construction-time wiring: they survive Reset, like
-// the delivery callback. Observers are notified in subscription order;
-// a Config.RateControl adapter, when present, is always first.
+// the delivery callback. Observers are notified in subscription order,
+// after rate fallback has taken the outcome in.
 func (m *MAC) AddTxObserver(o TxObserver) { m.txObservers = append(m.txObservers, o) }
 
-// notifyTx reports a transmit outcome for pkt to every observer.
-// Beacons are excluded, preserving the legacy RateController contract.
+// notifyTx feeds a transmit outcome for pkt to rate fallback, unless
+// pkt is control traffic, and then to every observer. Beacons are
+// excluded from both.
 func (m *MAC) notifyTx(pkt *msdu, success, final bool) {
-	if pkt.isBeacon || len(m.txObservers) == 0 {
+	if pkt.isBeacon {
+		return
+	}
+	if m.cfg.ARF && !pkt.pinned {
+		if success {
+			m.arf.onSuccess()
+		} else {
+			m.arf.onFailure()
+		}
+	}
+	if len(m.txObservers) == 0 {
 		return
 	}
 	o := TxOutcome{To: pkt.to, Success: success, Final: final, Control: pkt.pinned}

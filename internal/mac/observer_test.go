@@ -65,52 +65,10 @@ func TestTxObserverSeesRetryLimitDrop(t *testing.T) {
 	}
 }
 
-// TestRateControlAliasAndObserverCoexist proves the deprecated
-// Config.RateControl observation path and an explicitly added observer
-// both see the same outcomes: ARF and routing can coexist.
-func TestRateControlAliasAndObserverCoexist(t *testing.T) {
-	arf := NewARF(phy.Rate11)
-	cfg := func(i int) Config {
-		c := Config{DataRate: phy.Rate11}
-		if i == 0 {
-			c.RateControl = arf
-		}
-		return c
-	}
-	tb := newTestbed(t, 1, false, cfg, phy.Pos(0, 0), phy.Pos(20, 0))
-	a := tb.stations[0]
-	rec := &recordingObserver{}
-	a.mac.AddTxObserver(rec)
-
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := a.mac.Send([]byte("payload"), addr(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tb.sched.RunUntil(time.Second)
-	if len(rec.outcomes) != n {
-		t.Fatalf("observer outcomes = %d, want %d", len(rec.outcomes), n)
-	}
-	// The clean channel completes every MSDU: ARF saw n successes too
-	// (it starts at the top rate, so successes leave the rate pinned and
-	// Upgrades at zero — the counters prove OnSuccess was invoked).
-	if arf.Upgrades != 0 || arf.Downgrades != 0 {
-		t.Fatalf("ARF transitions on a clean channel: up=%d down=%d", arf.Upgrades, arf.Downgrades)
-	}
-}
-
 // TestSendControlPinsRate proves control MSDUs ride their pinned rate,
 // are flagged Control to observers, and are invisible to rate control.
 func TestSendControlPinsRate(t *testing.T) {
-	arf := NewARF(phy.Rate11)
-	cfg := func(i int) Config {
-		c := Config{DataRate: phy.Rate11}
-		if i == 0 {
-			c.RateControl = arf
-		}
-		return c
-	}
+	cfg := func(i int) Config { return Config{DataRate: phy.Rate11, ARF: i == 0} }
 	tb := newTestbed(t, 1, false, cfg, phy.Pos(0, 0), phy.Pos(20, 0))
 	a, b := tb.stations[0], tb.stations[1]
 	rec := &recordingObserver{}
@@ -126,9 +84,9 @@ func TestSendControlPinsRate(t *testing.T) {
 	if len(rec.outcomes) != 1 || !rec.outcomes[0].Control {
 		t.Fatalf("outcomes = %+v, want one Control outcome", rec.outcomes)
 	}
-	// A failure streak on control frames must not reach ARF either:
-	// the controller's counters stay untouched.
-	if arf.Upgrades != 0 || arf.Downgrades != 0 {
-		t.Fatalf("ARF reacted to control traffic")
+	// Control outcomes must not reach rate fallback: its streaks stay
+	// at their start.
+	if a.mac.arf != newARF(phy.Rate11) {
+		t.Fatalf("ARF reacted to control traffic: %+v", a.mac.arf)
 	}
 }

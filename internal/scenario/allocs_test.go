@@ -18,17 +18,24 @@ func TestWarmReplicationAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		preset string
+		arf    bool    // rate fallback on every station
 		max    float64 // allocations per logical event
 	}{
-		{"paper-four-node", 0.1},
-		{"churn-mesh-5x5", 0.05},
+		{"paper-four-node", false, 0.1},
+		{"churn-mesh-5x5", false, 0.05},
+		{"paper-four-node", true, 0.1},
 	} {
-		t.Run(tc.preset, func(t *testing.T) {
+		name := tc.preset
+		if tc.arf {
+			name += "-arf"
+		}
+		t.Run(name, func(t *testing.T) {
 			spec, err := Preset(tc.preset)
 			if err != nil {
 				t.Fatal(err)
 			}
 			spec.Seed = 42
+			spec.MAC.ARF = tc.arf
 			inst, err := Build(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -44,9 +51,9 @@ func TestWarmReplicationAllocs(t *testing.T) {
 			})
 			perEvent := allocs / float64(inst.LogicalEvents())
 			t.Logf("%s: %.0f allocations over %d logical events = %.4f per event",
-				tc.preset, allocs, inst.LogicalEvents(), perEvent)
+				name, allocs, inst.LogicalEvents(), perEvent)
 			if perEvent > tc.max {
-				t.Errorf("%s: %.4f allocations per logical event, want at most %g", tc.preset, perEvent, tc.max)
+				t.Errorf("%s: %.4f allocations per logical event, want at most %g", name, perEvent, tc.max)
 			}
 		})
 	}

@@ -168,13 +168,6 @@ func Build(spec Spec) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spec.MACHook != nil {
-			// The hook takes a pointer, so its copy lives on the heap;
-			// cfg itself stays on the stack for hook-less specs.
-			hooked := cfg
-			spec.MACHook(i, &hooked)
-			cfg = hooked
-		}
 		net.AddStationProfile(pos, cfg, stProfile)
 		if spec.Routing != nil {
 			inst.nbrThreshDBm = append(inst.nbrThreshDBm, neighborThreshold(spec.Routing, cfg, stProfile, net.Profile))
@@ -489,9 +482,7 @@ func (inst *Instance) attachWorkload() {
 //
 // Station count, MAC configuration and radio profiles come from the
 // spec and do not depend on the seed, so they survive — that reuse is
-// the point. Specs with a MACHook are the one exception (the hook may
-// close over stateful objects like rate controllers that Reset cannot
-// reach); scenario.Replicate rebuilds those instead.
+// the point.
 func (inst *Instance) Reset(seed uint64) error {
 	s := inst.orig
 	s.Seed = seed

@@ -119,11 +119,7 @@ func (e *ExecSummary) Plan() string {
 //
 // Each worker builds the network once and re-seeds it per replication
 // (Instance.Reset), so a sweep pays the O(stations²) construction cost
-// per worker, not per replication. Specs with a MACHook opt out: the
-// hook may close over per-run state (rate controllers) that Reset
-// cannot reach, so those replications rebuild — and serialize, since
-// the shared hook state would also make concurrent replications a data
-// race.
+// per worker, not per replication.
 //
 // Specs with a parallel block run the hybrid schedule instead: every
 // replication keeps the space-partitioned kernel, and the worker
@@ -153,38 +149,19 @@ func Replicate(spec Spec, reps, workers int, progress func(done, total int)) (Su
 	if spec.Parallel != nil {
 		return replicateParallel(spec, reps, workers, progress)
 	}
-	if spec.MACHook != nil {
-		workers = 1
-	}
 	ro := newRunnerObs(spec.ObsRegistry)
 	var sweepStart time.Time
 	if spec.ObsRegistry != nil {
 		sweepStart = time.Now()
 	}
 	cfg := runner.Config{Workers: workers, Progress: progress, OnJobDone: ro.onJobDone()}
-	var runs []Result
-	if spec.MACHook != nil {
-		runs = replicateRebuild(cfg, spec, reps)
-	} else {
-		runs = runner.ReplicateWith(cfg, spec.Seed, reps, func(inst **Instance, seed uint64) Result {
-			return runReused(inst, spec, seed)
-		})
-	}
+	runs := runner.ReplicateWith(cfg, spec.Seed, reps, func(inst **Instance, seed uint64) Result {
+		return runReused(inst, spec, seed)
+	})
 	if spec.ObsRegistry != nil {
 		ro.noteSweep(min(reps, resolveWorkers(workers)), time.Since(sweepStart))
 	}
 	return summarize(spec, runs), nil
-}
-
-// replicateRebuild runs a sweep that compiles every replication from
-// scratch with its own Build, the path for specs whose per-run state
-// Instance.Reset cannot reach (a MACHook's closures).
-func replicateRebuild(cfg runner.Config, spec Spec, reps int) []Result {
-	return runner.Replicate(cfg, spec.Seed, reps, func(seed uint64) Result {
-		s := spec
-		s.Seed = seed
-		return MustRun(s)
-	})
 }
 
 // resolveWorkers maps a Config-style worker count (0 = all CPUs) to the
@@ -209,11 +186,6 @@ func resolveWorkers(w int) int {
 // compiles from scratch — no arena reuse.
 func replicateParallel(spec Spec, reps, workers int, progress func(done, total int)) (Summary, error) {
 	repWorkers, regionWorkers := splitWorkers(reps, workers, spec.Parallel.Workers)
-	if spec.MACHook != nil {
-		// Concurrent replications would race on the shared hook state;
-		// region workers are fine (the hook only runs at build time).
-		repWorkers = 1
-	}
 	type outcome struct {
 		res Result
 		es  *ExecSummary
@@ -370,9 +342,6 @@ func PlanExec(spec Spec, reps, workers int) (*ExecSummary, error) {
 		reps = 1
 	}
 	repWorkers, regionWorkers := splitWorkers(reps, workers, spec.Parallel.Workers)
-	if spec.MACHook != nil {
-		repWorkers = 1
-	}
 	return &ExecSummary{
 		Cols:               grid.Cols,
 		Rows:               grid.Rows,

@@ -15,7 +15,9 @@ import (
 // benchmark instead), plus purpose-built specs for the per-run state
 // the presets do not exercise — TCP connections, IBSS beaconing, and a
 // seed-dependent random topology with NearestDst re-pairing, which
-// forces Reset to re-place every radio and re-resolve the flow matrix.
+// forces Reset to re-place every radio and re-resolve the flow matrix,
+// and a rate-fallback link whose rate moves, so a Reset that forgot the
+// ARF state would start the next replication at a stale rate.
 func reuseSpecs(t *testing.T) []Spec {
 	t.Helper()
 	var specs []Spec
@@ -65,6 +67,14 @@ func reuseSpecs(t *testing.T) []Spec {
 					Interval: Duration(20 * time.Millisecond), Port: 9001},
 			},
 		},
+		Spec{
+			Name:     "reuse-arf",
+			Seed:     42,
+			Duration: Duration(time.Second),
+			Topology: Topology{Kind: KindLine, N: 2, Spacing: 60},
+			MAC:      MACParams{RateMbps: 11, ARF: true},
+			Flows:    []Flow{{Src: 0, Dst: 1, Transport: TransportUDP, PacketSize: 512, Port: 9000}},
+		},
 	)
 	return specs
 }
@@ -79,11 +89,22 @@ func marshalSummary(t *testing.T, s Summary) []byte {
 	return b
 }
 
-// TestReplicateReuseMatchesRebuild is the PR 4 arena-reuse equivalence
-// test: a replication sweep that builds each worker's network once and
+// replicateRebuild runs a sweep that compiles every replication from
+// scratch with its own Build: the reference the arena-reuse path of
+// Replicate is checked against.
+func replicateRebuild(cfg runner.Config, spec Spec, reps int) []Result {
+	return runner.Replicate(cfg, spec.Seed, reps, func(seed uint64) Result {
+		s := spec
+		s.Seed = seed
+		return MustRun(s)
+	})
+}
+
+// TestReplicateReuseMatchesRebuild is the arena-reuse equivalence test:
+// a replication sweep that builds each worker's network once and
 // re-seeds it per replication must produce a byte-identical summary to
-// the sweep that rebuilds the network for every replication (the path
-// MACHook specs take), across the preset library and the purpose-built
+// the sweep that rebuilds the network for every replication
+// (replicateRebuild), across the preset library and the purpose-built
 // specs above.
 func TestReplicateReuseMatchesRebuild(t *testing.T) {
 	const reps = 3

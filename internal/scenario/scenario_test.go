@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"adhocsim/internal/mac"
 	"adhocsim/internal/phy"
 )
 
@@ -239,6 +238,8 @@ func TestValidateErrors(t *testing.T) {
 		{"bad profile", func(s *Spec) { s.Profile = "indoor" }, "unknown profile"},
 		{"oversized packet", func(s *Spec) { s.Flows[0].PacketSize = 4000 }, "packet size"},
 		{"negative interval", func(s *Spec) { s.Flows[0].Interval = -1 }, "interval"},
+		{"1ns interval", func(s *Spec) { s.Flows[0].Interval = Duration(time.Nanosecond) }, "under the 192µs floor"},
+		{"191µs interval", func(s *Spec) { s.Flows[0].Interval = Duration(191 * time.Microsecond) }, "under the 192µs floor"},
 		{"port clash", func(s *Spec) {
 			s.Flows = append(s.Flows, Flow{Src: 1, Dst: 1, Transport: TransportUDP})
 			s.Flows[1].Src = 0 // both flows 0→1 on default port 9000
@@ -278,6 +279,11 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := validSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	paced := validSpec()
+	paced.Flows[0].Interval = Duration(phy.PLCPTime)
+	if err := paced.Validate(); err != nil {
+		t.Errorf("192µs interval rejected: %v", err)
 	}
 	for _, p := range []ParallelParams{{}, {Cols: 16, Rows: 16}, {Cols: 32}, {Cols: 2, Rows: 2}} {
 		spec := validSpec()
@@ -412,18 +418,6 @@ func TestPerStationOverrides(t *testing.T) {
 	}
 	if got := inst.Net.Stations[1].Radio.Profile().Name; got != phy.TestbedProfile().Name {
 		t.Fatalf("station 1 profile = %q, want the testbed profile", got)
-	}
-}
-
-func TestMACHookRuns(t *testing.T) {
-	spec := validSpec()
-	var seen []int
-	spec.MACHook = func(i int, _ *mac.Config) { seen = append(seen, i) }
-	if _, err := Build(spec); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seen, []int{0, 1}) {
-		t.Fatalf("hook stations = %v", seen)
 	}
 }
 

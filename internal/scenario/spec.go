@@ -89,6 +89,9 @@ type MACParams struct {
 	// mac.Config (see DESIGN.md).
 	DisableEIFS    bool `json:"disable_eifs,omitempty"`
 	DeferResponses bool `json:"defer_responses,omitempty"`
+	// ARF switches on Automatic Rate Fallback, starting from RateMbps
+	// (mac.Config.ARF).
+	ARF bool `json:"arf,omitempty"`
 	// BeaconInterval enables IBSS beaconing when positive.
 	BeaconInterval Duration `json:"beacon_interval,omitempty"`
 }
@@ -132,6 +135,7 @@ func (p MACParams) Config() (mac.Config, error) {
 		QueueCap:        p.QueueCap,
 		DisableEIFS:     p.DisableEIFS,
 		DeferResponses:  p.DeferResponses,
+		ARF:             p.ARF,
 		BeaconInterval:  p.BeaconInterval.D(),
 	}, nil
 }
@@ -167,6 +171,7 @@ type Flow struct {
 	PacketSize int `json:"packet_size,omitempty"`
 	// Interval paces a UDP CBR source (one packet per interval); zero
 	// keeps the MAC queue saturated, the paper's asymptotic regime.
+	// A positive interval must be at least phy.PLCPTime (192 µs).
 	// Ignored for TCP.
 	Interval Duration `json:"interval,omitempty"`
 	// Port is the destination port (default 9000). Two flows may share a
@@ -376,12 +381,6 @@ type Spec struct {
 	// by Replicate (sweeps parallelize across seeds instead).
 	Parallel *ParallelParams `json:"parallel,omitempty"`
 
-	// MACHook, when non-nil, is applied to every station's compiled
-	// mac.Config after overrides (station is the 0-based index). It is
-	// the programmatic escape hatch for non-serializable configuration —
-	// rate controllers, ablation mutations. Not serialized.
-	MACHook func(station int, cfg *mac.Config) `json:"-"`
-
 	// Obs opts the run into the out-of-band observability layer
 	// (internal/obs): kernel, medium, runner and fault metrics collected
 	// into a registry the run report and the live /metrics endpoint
@@ -497,6 +496,12 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 		}
 		if f.Interval < 0 {
 			return nil, nil, fmt.Errorf("scenario: flow %d has negative interval", i)
+		}
+		if f.Interval > 0 && f.Interval.D() < phy.PLCPTime {
+			// No frame is shorter on the air than its PLCP preamble and
+			// header, so a faster source only fails against a full queue:
+			// one event per interval, a hang in practice.
+			return nil, nil, fmt.Errorf("scenario: flow %d interval %v is under the %v floor (the PLCP time, the shortest frame on the air)", i, f.Interval.D(), phy.PLCPTime)
 		}
 		k := sinkKey{f.Dst, f.Port}
 		if prev, clash := sinks[k]; clash {
