@@ -5,6 +5,7 @@ import (
 
 	"adhocsim/internal/frame"
 	"adhocsim/internal/phy"
+	"adhocsim/internal/sim"
 	"adhocsim/internal/trace"
 )
 
@@ -17,6 +18,12 @@ import (
 //
 //   - resumeEv fires when the channel has stayed available for a full
 //     IFS (DIFS, or EIFS after a PHY error); it starts/resumes backoff.
+//     At a quiet station (idle, no backoff drawn, nothing to send) that
+//     resume would do nothing, so the wait is a sim.Mark, resumeMark,
+//     instead: it reserves the event's key and counts in Fired where the
+//     event would have fired, but nothing is queued. Every re-arm and
+//     channelBusy withdraw it; a frame that arrives during the wait
+//     re-arms a real resume through kick, at the same instant.
 //   - slotEv is the backoff countdown: one sim.Countdown entry for all
 //     the remaining slots, firing when the last one elapses. Like
 //     resumeEv it is cancelled the instant the channel becomes
@@ -85,7 +92,7 @@ func (m *MAC) CCAChanged(busy bool) {
 // available.
 func (m *MAC) channelBusy() {
 	m.available = false
-	m.sched.Cancel(m.resumeEv)
+	m.cancelResume()
 	if m.slotEv.Pending() {
 		m.backoff = m.sched.Left(m.slotEv) // freeze the countdown
 		m.sched.Cancel(m.slotEv)
@@ -140,8 +147,22 @@ func (m *MAC) setNAV(t time.Duration) {
 	m.navEv = m.sched.Reschedule(m.navEv, m.nav, (*navTimer)(m))
 }
 
+// armResume arms the IFS wait to end at t: a resume event, or a mark at
+// a quiet station, where resume would find nothing to do.
 func (m *MAC) armResume(t time.Duration) {
-	m.resumeEv = m.sched.Reschedule(m.resumeEv, t, (*resumeTimer)(m))
+	m.cancelResume()
+	if m.st == stIdle && m.backoff < 0 && m.current == nil && len(m.queue) == 0 {
+		m.resumeMark = m.sched.Mark(t)
+		return
+	}
+	m.resumeEv = m.sched.AtAction(t, (*resumeTimer)(m))
+}
+
+// cancelResume withdraws the pending IFS wait, event or mark.
+func (m *MAC) cancelResume() {
+	m.sched.Cancel(m.resumeEv)
+	m.sched.Unmark(m.resumeMark)
+	m.resumeMark = sim.Mark{}
 }
 
 // scheduleResumeIfAvailable re-arms contention after a wait state ends

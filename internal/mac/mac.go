@@ -207,12 +207,13 @@ type MAC struct {
 	lastRxError bool // most recent reception ended in a PHY error (EIFS owed)
 	down        bool // station crashed (PowerDown); all PHY callbacks gated
 
-	resumeEv  sim.Event // fires when IFS after idle has elapsed
-	slotEv    sim.Event // the backoff countdown
-	navEv     sim.Event // NAV expiry
-	timeoutEv sim.Event // CTS/ACK timeout
-	sifsEv    sim.Event // pending SIFS response
-	beaconEv  sim.Event // next beacon
+	resumeEv   sim.Event // fires when IFS after idle has elapsed
+	resumeMark sim.Mark  // stands for resumeEv while the station is quiet
+	slotEv     sim.Event // the backoff countdown
+	navEv      sim.Event // NAV expiry
+	timeoutEv  sim.Event // CTS/ACK timeout
+	sifsEv     sim.Event // pending SIFS response
+	beaconEv   sim.Event // next beacon
 
 	pendingResp  *frame.Frame
 	respRate     phy.Rate
@@ -304,6 +305,7 @@ func (m *MAC) Reset(src *sim.Source) {
 	m.lastRxError = false
 	m.down = false
 	m.resumeEv = sim.Event{}
+	m.resumeMark = sim.Mark{}
 	m.slotEv = sim.Event{}
 	m.navEv = sim.Event{}
 	m.timeoutEv = sim.Event{}

@@ -40,7 +40,7 @@ func (m *MAC) PowerDown() {
 		return
 	}
 	m.down = true
-	m.sched.Cancel(m.resumeEv)
+	m.cancelResume()
 	m.sched.Cancel(m.slotEv)
 	m.sched.Cancel(m.navEv)
 	m.sched.Cancel(m.timeoutEv)

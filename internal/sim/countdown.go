@@ -186,16 +186,16 @@ func (s *Scheduler) running() uint64 {
 
 // band is the band of an event scheduled now exactly one slot ahead.
 func (s *Scheduler) band() uint64 {
-	return s.mark(&s.grids[s.gridAt()])
+	return s.cursor(&s.grids[s.gridAt()])
 }
 
-// mark returns the rank of the last marker passed on g at the current
+// cursor returns the rank of the last marker passed on g at the current
 // instant — a countdown's tick or start, or a one-slot schedule — and
 // records it as g's cursor. Ticks are passed in rank order, so the event
 // firing has passed none of them (it sorts before the instant's ticks),
 // all of them (after), or those up to its own band (it ties with them on
 // (at, sub), being itself a one-slot event or a countdown's end).
-func (s *Scheduler) mark(g *grid) uint64 {
+func (s *Scheduler) cursor(g *grid) uint64 {
 	var m uint64
 	if g.curAt == s.now {
 		m = g.cur
@@ -215,10 +215,10 @@ func (s *Scheduler) mark(g *grid) uint64 {
 }
 
 // rankAfter allocates the rank of a countdown starting now on g: above
-// the current mark, below every running countdown ranked above it.
+// the cursor, below every running countdown ranked above it.
 func (s *Scheduler) rankAfter(g *grid) uint64 {
 	for {
-		m := s.mark(g)
+		m := s.cursor(g)
 		n := bandLimit
 		for _, ci := range g.lanes {
 			if r := s.cds[ci].rank; r > m && r < n {
@@ -246,10 +246,10 @@ func (s *Scheduler) rankAfter(g *grid) uint64 {
 
 // relabel spreads the ranks in use on g evenly over the rank space. It
 // rewrites every holder — running countdowns and their entries, one-slot
-// events' bands, the cursor and the firing event's key — through one
-// monotone map, so every comparison keeps its outcome. Entries that
-// carry a rank are never in a FIFO (schedule files them in the heap),
-// so the heap is all it scans.
+// events' bands, queued or marked, the cursor and the firing event's
+// key — through one monotone map, so every comparison keeps its
+// outcome. Entries that carry a rank are never in a FIFO (schedule
+// files them in the heap), so the heap and the marks are all it scans.
 func (s *Scheduler) relabel(g *grid) {
 	onGrid := func(e heapEntry) bool {
 		return e.sub&1 == 0 && e.at >= s.slot && e.sub == uint64(e.at-s.slot)<<1 && e.at%s.slot == g.res
@@ -261,6 +261,14 @@ func (s *Scheduler) relabel(g *grid) {
 	for _, e := range s.heap {
 		if onGrid(e) {
 			vals = append(vals, e.seq>>bandShift)
+		}
+	}
+	for i := range s.rings {
+		q := &s.rings[i]
+		for p := q.head; p != q.tail; p++ {
+			if e := q.buf[p&q.mask]; onGrid(e) {
+				vals = append(vals, e.seq>>bandShift)
+			}
 		}
 	}
 	if onGrid(s.cur) {
@@ -286,6 +294,14 @@ func (s *Scheduler) relabel(g *grid) {
 	for i := range s.heap {
 		if onGrid(s.heap[i]) {
 			s.heap[i].seq = rebase(s.heap[i].seq)
+		}
+	}
+	for i := range s.rings {
+		q := &s.rings[i]
+		for p := q.head; p != q.tail; p++ {
+			if e := &q.buf[p&q.mask]; onGrid(*e) {
+				e.seq = rebase(e.seq)
+			}
 		}
 	}
 	if onGrid(s.cur) {

@@ -27,14 +27,23 @@ type refCountdown struct {
 	left int
 }
 
-// passTicks passes the countdown ticks at the head of the reference
-// queue, up to and including instant limit, as the chain would fire
-// them: each one files the next tick a slot later under a fresh
-// sequence number. A countdown's last tick is a real event, and stops
-// the walk.
+// passTicks passes the countdown ticks and marks at the head of the
+// reference queue, up to and including instant limit, as the chain
+// would fire them: each tick files the next tick a slot later under a
+// fresh sequence number, and a mark fires doing nothing. A countdown's
+// last tick is a real event, and stops the walk.
 func (env *orderEnv) passTicks(limit time.Duration) {
 	for len(env.pending) > 0 {
 		head := env.pending[0]
+		if env.marks[head.id] {
+			if head.key.at > limit {
+				return
+			}
+			env.pending = append(env.pending[:0], env.pending[1:]...)
+			delete(env.marks, head.id)
+			env.fired++
+			continue
+		}
 		c := env.ticks[head.id]
 		if c == nil || c.left == 1 || head.key.at > limit {
 			return
@@ -60,6 +69,11 @@ func (a *cdAction) Act() {
 	a.env.fire(id)
 	delete(a.env.ticks, id)
 	a.c.left = 0
+	if a.env.cdMarks != nil {
+		// A mark one slot ahead set here takes the countdown's rank as
+		// its band.
+		a.env.mark(a.env.slot, a.env.cdMarks)
+	}
 }
 
 // countdown starts a countdown of n slots on the scheduler and its
@@ -175,14 +189,20 @@ func (env *orderEnv) fifoHead(b byte) (liveEvent, bool) {
 type fifoRun struct {
 	relabels        int    // relabels the starters observed
 	appends, pushes uint64 // FIFO appends and all insertions, over every Reset
+	marks           markRun
 }
 
 // interpretFIFOOps runs one byte-coded script against a fresh
 // scheduler, checking it against the reference after every op, then
 // drains both. Every run starts, and restarts after each Reset, with
-// fifoMinLen ballast events.
-func interpretFIFOOps(t *testing.T, data []byte) (run fifoRun) {
-	env := &orderEnv{t: t, s: NewScheduler(), ticks: make(map[int]*refCountdown)}
+// fifoMinLen ballast events. With marks set, three more ops set and
+// withdraw marks (markOp); without, every script means what it always
+// did.
+func interpretFIFOOps(t *testing.T, data []byte, marks bool) (run fifoRun) {
+	env := &orderEnv{t: t, s: NewScheduler(), ticks: make(map[int]*refCountdown), marks: make(map[int]bool), firedInEvent: marks}
+	if marks {
+		env.cdMarks = &run.marks
+	}
 	s := env.s
 	pos := 0
 	next := func() byte {
@@ -216,8 +236,12 @@ func interpretFIFOOps(t *testing.T, data []byte) (run fifoRun) {
 	}
 	ballast()
 	var starters []*starter
+	nOps := byte(10)
+	if marks {
+		nOps = 13
+	}
 	for pos < len(data) {
-		switch op := next(); op % 10 {
+		switch op := next(); op % nOps {
 		case 0, 1, 2: // a closure one of the delays ahead
 			env.at(s.Now() + delay())
 		case 3: // a pooled timer re-arming itself one of the delays ahead
@@ -261,6 +285,12 @@ func interpretFIFOOps(t *testing.T, data []byte) (run fifoRun) {
 		case 7: // inter-region message
 			at := s.Now() + delay()
 			sentAt := max(s.Now()-delay(), 0)
+			if marks && at == s.Now() {
+				// Sent now: a message due now but sent earlier would
+				// sort before events the loop has passed, which dips
+				// the countdowns' Fired inside the events after it.
+				sentAt = at
+			}
 			a := &chainAction{env: env, id: env.nextID}
 			s.InjectAt(at, sentAt, a)
 			env.file(at, uint64(sentAt)<<1|1)
@@ -284,12 +314,15 @@ func interpretFIFOOps(t *testing.T, data []byte) (run fifoRun) {
 				for _, c := range env.cds {
 					c.left = 0
 				}
+				env.resetMarks()
 				ballast()
 			case 2: // a run of countdown starts long enough to relabel
 				a := &starter{env: env, hops: starterHops}
 				starters = append(starters, a)
 				a.arm()
 			}
+		default:
+			env.markOp(op%nOps, next, delay, &run.marks)
 		}
 		env.check()
 	}
@@ -297,6 +330,13 @@ func interpretFIFOOps(t *testing.T, data []byte) (run fifoRun) {
 	for s.Step() {
 	}
 	env.check()
+	if n := len(env.pending); n > 0 {
+		// Step never passes a mark; run to the last one.
+		last := env.pending[n-1].key.at
+		s.RunUntil(last)
+		env.passTicks(last)
+		env.check()
+	}
 	if len(env.pending) != 0 {
 		t.Fatalf("scheduler drained with %d reference events pending", len(env.pending))
 	}
@@ -318,7 +358,7 @@ func TestSchedulerFIFOMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 200+rng.Intn(1500))
 		rng.Read(data)
-		run := interpretFIFOOps(t, data)
+		run := interpretFIFOOps(t, data, false)
 		if t.Failed() {
 			t.Fatalf("seed %d diverged", seed)
 		}
@@ -349,7 +389,7 @@ func FuzzSchedulerFIFOOrder(f *testing.F) {
 		if len(data) > 1<<13 {
 			t.Skip("script too long")
 		}
-		interpretFIFOOps(t, data)
+		interpretFIFOOps(t, data, false)
 	})
 }
 

@@ -209,6 +209,12 @@ type Scheduler struct {
 
 	fifos  [nFIFOs]fifo
 	missed [nMissed]miss // delays no FIFO took, and how often
+
+	// Marks (mark.go): reserved keys, in rings bound to their delay.
+	// epoch tells a Mark set before the last Reset.
+	rings  []markRing
+	epoch  uint32
+	marked uint64 // marks set
 }
 
 // Stats is a point-in-time copy of a scheduler's out-of-band counters.
@@ -223,12 +229,15 @@ type Stats struct {
 	// CountdownSlots counts the slot boundaries countdowns crossed
 	// without a heap event: the part of Fired that Pushes never paid.
 	CountdownSlots uint64
+	// Marks counts the keys reserved by Mark instead of scheduling an
+	// event that would do nothing; those that are passed count in Fired.
+	Marks uint64
 }
 
 // Stats returns the scheduler's observability counters.
 func (s *Scheduler) Stats() Stats {
 	r := s.running()
-	return Stats{Fired: s.fired + r, Pushes: s.pushes, FIFOAppends: s.appends, CountdownSlots: s.cdSlots + r}
+	return Stats{Fired: s.fired + r + s.marksPassed(), Pushes: s.pushes, FIFOAppends: s.appends, CountdownSlots: s.cdSlots + r, Marks: s.marked}
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -242,8 +251,9 @@ func (s *Scheduler) Len() int {
 	return len(s.heap) + s.queued
 }
 
-// Fired returns the total number of events executed so far.
-func (s *Scheduler) Fired() uint64 { return s.fired + s.running() }
+// Fired returns the total number of events executed so far, passed
+// marks and countdowns' virtual ticks included.
+func (s *Scheduler) Fired() uint64 { return s.fired + s.running() + s.marksPassed() }
 
 // At schedules fn to run at absolute simulated time t.
 // Scheduling in the past panics: it always indicates a logic bug in a
@@ -292,19 +302,31 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	sl := &s.slots[idx]
 	sl.fn = fn
 	sl.act = act
-	e := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq, idx: idx}
-	s.seq++
+	e := s.key(t)
+	e.idx = idx
+	if t == s.now {
+		s.foldBelow(e)
+	}
 	if d := t - s.now; s.slot != 0 && d == s.slot {
-		// One slot ahead: the event ties on (at, sub) with the ticks of
-		// countdowns on this instant's grid; its band places it among
-		// them (countdown.go). relabel may rewrite the band, and it
-		// rewrites only heap entries.
-		e.seq = s.band()<<bandShift | (e.seq + 1)
-		s.push(e)
+		s.push(e) // banded: relabel rewrites only heap entries
 	} else if s.Len() < fifoMinLen || !s.enqueue(d, e) {
 		s.push(e)
 	}
 	return Event{s: s, idx: idx, gen: sl.gen, at: t}
+}
+
+// key returns the key of an event scheduled now for t, using up a
+// sequence number.
+func (s *Scheduler) key(t time.Duration) heapEntry {
+	e := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq}
+	s.seq++
+	if s.slot != 0 && t-s.now == s.slot {
+		// One slot ahead: the event ties on (at, sub) with the ticks of
+		// countdowns on this instant's grid; its band places it among
+		// them (countdown.go).
+		e.seq = s.band()<<bandShift | (e.seq + 1)
+	}
+	return e
 }
 
 // miss counts the events scheduled d ahead that no FIFO took since d
@@ -456,8 +478,10 @@ func (s *Scheduler) InjectAt(t, sentAt time.Duration, a Action) {
 	sl := &s.slots[idx]
 	sl.fn = nil
 	sl.act = a
-	s.push(heapEntry{at: t, sub: uint64(sentAt)<<1 | 1, seq: s.seq, idx: idx})
+	e := heapEntry{at: t, sub: uint64(sentAt)<<1 | 1, seq: s.seq, idx: idx}
 	s.seq++
+	s.foldBelow(e)
+	s.push(e)
 }
 
 // PeekAt returns the timestamp of the earliest pending event, or false
@@ -672,6 +696,9 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	}
 	s.now = t
 	s.cur = afterAll
+	for i := range s.rings {
+		s.fold(&s.rings[i])
+	}
 }
 
 // Run executes events until the queue is empty. Most experiments should
@@ -711,6 +738,7 @@ func (s *Scheduler) Reset() {
 	s.queued = 0
 	s.missed = [nMissed]miss{}
 	s.resetCountdowns()
+	s.resetMarks()
 	s.now = 0
 	s.seq = 0
 	s.fired = 0

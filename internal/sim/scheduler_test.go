@@ -396,6 +396,18 @@ type orderEnv struct {
 	slot  time.Duration
 	ticks map[int]*refCountdown // pending tick id → its countdown
 	cds   []*refCountdown       // the most recent countdowns, ended or not
+
+	// Marks, which the reference files as events that do nothing (see
+	// refMark).
+	marks  map[int]bool // pending mark ids
+	mks    []*refMark   // the most recent marks, withdrawn or not
+	marked uint64       // marks set since the last Reset
+
+	// firedInEvent checks Fired inside every event, not only between
+	// ops; with cdMarks set, every countdown's final firing marks a slot
+	// ahead.
+	firedInEvent bool
+	cdMarks      *markRun
 }
 
 // maxLive bounds the handles a script can cancel or reschedule, which
@@ -464,6 +476,9 @@ func (env *orderEnv) fire(id int) {
 	}
 	env.pending = append(env.pending[:0], env.pending[1:]...)
 	env.fired++
+	if f := env.s.Fired(); env.firedInEvent && f != env.fired {
+		env.t.Fatalf("event %d: Fired() = %d inside it, reference fired %d", id, f, env.fired)
+	}
 }
 
 // at schedules a checked closure at absolute time t.
@@ -477,15 +492,22 @@ func (env *orderEnv) at(t time.Duration) {
 // reference's.
 func (env *orderEnv) check() {
 	env.t.Helper()
-	if env.s.Len() != len(env.pending) {
-		env.t.Fatalf("Len() = %d, reference holds %d", env.s.Len(), len(env.pending))
+	if want := len(env.pending) - len(env.marks); env.s.Len() != want {
+		env.t.Fatalf("Len() = %d, reference holds %d events", env.s.Len(), want)
 	}
 	if env.s.Fired() != env.fired {
 		env.t.Fatalf("Fired() = %d, reference fired %d", env.s.Fired(), env.fired)
 	}
-	// A countdown's one entry is due at its last tick, not its next.
+	if m := env.s.Stats().Marks; m != env.marked {
+		env.t.Fatalf("Stats().Marks = %d, reference set %d", m, env.marked)
+	}
+	// A countdown's one entry is due at its last tick, not its next;
+	// marks are never due.
 	var first time.Duration = math.MaxInt64
 	for _, e := range env.pending {
+		if env.marks[e.id] {
+			continue
+		}
 		at := e.key.at
 		if c := env.ticks[e.id]; c != nil {
 			at += time.Duration(c.left-1) * env.slot
@@ -493,7 +515,7 @@ func (env *orderEnv) check() {
 		first = min(first, at)
 	}
 	at, ok := env.s.PeekAt()
-	if ok != (len(env.pending) > 0) || ok && at != first {
+	if ok != (first != math.MaxInt64) || ok && at != first {
 		env.t.Fatalf("PeekAt() = %v, %v disagrees with the reference", at, ok)
 	}
 	for _, l := range env.live {
