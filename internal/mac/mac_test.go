@@ -538,3 +538,51 @@ func TestBackoffKeyMatchesFormattedName(t *testing.T) {
 		}
 	}
 }
+
+// TestQuietStationMarksIFS: a station with nothing to send waits out
+// each DIFS as a mark, not an event. Over 100 busy/idle edges it queues
+// nothing, while Fired grows by one for every wait that ran out, as the
+// resume events did. A frame queued halfway through a wait still goes
+// out without backoff at availSince + DIFS, through kick.
+func TestQuietStationMarksIFS(t *testing.T) {
+	tb := newTestbed(t, 1, false, defaults(phy.Rate11, false), phy.Pos(0, 0), phy.Pos(20, 0))
+	m, s := tb.stations[0].mac, tb.sched
+	before := s.Stats()
+	ran := uint64(0)
+	for i := range 100 {
+		m.CCAChanged(true)
+		m.CCAChanged(false) // idle again: a DIFS wait starts
+		gap := phy.DIFS / 2
+		if i%2 == 0 {
+			gap = 2 * phy.DIFS
+			ran++
+		}
+		s.RunUntil(s.Now() + gap)
+	}
+	after := s.Stats()
+	if after.Pushes != before.Pushes || s.Len() != 0 {
+		t.Fatalf("a quiet station queued %d events over 100 edges (%d pending), want none", after.Pushes-before.Pushes, s.Len())
+	}
+	if got := after.Fired - before.Fired; got != ran {
+		t.Fatalf("Fired grew by %d, want %d: one for each wait that ran out", got, ran)
+	}
+	if after.Marks-before.Marks != 100 {
+		t.Fatalf("%d marks for 100 idle edges", after.Marks-before.Marks)
+	}
+
+	m.CCAChanged(true)
+	m.CCAChanged(false)
+	since := s.Now()
+	s.RunUntil(since + phy.DIFS/2)
+	if err := m.Send([]byte("mid-DIFS"), addr(2)); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(since + phy.DIFS - 1)
+	if m.Counters.DataTx != 0 {
+		t.Fatal("the frame left before the DIFS ran out")
+	}
+	s.RunUntil(since + phy.DIFS)
+	if m.Counters.DataTx != 1 || s.Stats().CountdownSlots != 0 || m.slotEv.Pending() {
+		t.Fatalf("at availSince + DIFS: %d data frames sent, backoff countdown %v; want one frame, no backoff", m.Counters.DataTx, m.slotEv.Pending())
+	}
+}

@@ -228,6 +228,7 @@ func (n *Network) KernelStats() sim.Stats {
 		agg.Pushes += s.Pushes
 		agg.FIFOAppends += s.FIFOAppends
 		agg.CountdownSlots += s.CountdownSlots
+		agg.Marks += s.Marks
 	}
 	return agg
 }

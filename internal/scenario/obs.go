@@ -27,6 +27,7 @@ type obsPub struct {
 
 	simFired, simPushes        *obs.Counter
 	simAppends, simCountdown   *obs.Counter
+	simMarks                   *obs.Counter
 	execWindows, execMessages  *obs.Counter
 	medTx, medDeliv, medPHYErr *obs.Counter
 	gainHits, gainMisses       *obs.Counter
@@ -65,6 +66,7 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		simPushes:    reg.Counter("sim_queue_pushes_total", "event-queue insertions"),
 		simAppends:   reg.Counter("sim_fifo_appends_total", "event-queue insertions filed in a constant-delay FIFO instead of the heap"),
 		simCountdown: reg.Counter("sim_countdown_slots_total", "backoff slot boundaries crossed without a heap event"),
+		simMarks:     reg.Counter("sim_marks_total", "IFS waits at quiet stations reserved as marks instead of queued as events"),
 		execWindows:  reg.Counter("exec_windows_total", "parallel executor barrier windows run"),
 		execMessages: reg.Counter("exec_messages_total", "cross-region messages delivered into region schedulers"),
 		medTx:        reg.Counter("medium_transmissions_total", "frames put on the air"),
@@ -136,6 +138,7 @@ func (p *obsPub) publish(inst *Instance) {
 	p.simPushes.Add(dsub(cur.sched.Pushes, p.last.sched.Pushes))
 	p.simAppends.Add(dsub(cur.sched.FIFOAppends, p.last.sched.FIFOAppends))
 	p.simCountdown.Add(dsub(cur.sched.CountdownSlots, p.last.sched.CountdownSlots))
+	p.simMarks.Add(dsub(cur.sched.Marks, p.last.sched.Marks))
 	p.execWindows.Add(dsub(cur.windows, p.last.windows))
 	p.execMessages.Add(dsub(cur.messages, p.last.messages))
 	p.medTx.Add(dsub(cur.med.Transmissions, p.last.med.Transmissions))

@@ -80,6 +80,12 @@ func TestObsTogglesByteIdentical(t *testing.T) {
 			} else if appends == 0 || appends >= pushes {
 				t.Fatalf("sim_fifo_appends_total = %d of %d pushes, want a nonzero part", appends, pushes)
 			}
+			// Stations with nothing to send wait out their DIFS and
+			// EIFS as marks: hidden-terminal's receiver, most of the
+			// mesh and of the 1024-station field.
+			if v := reg.Counter("sim_marks_total", "").Value(); v == 0 {
+				t.Fatal("registry saw no marks")
+			}
 			if v := reg.Gauge("medium_gain_cache_entries", "").Value(); v == 0 {
 				t.Fatal("registry saw no link-gain entries")
 			}
