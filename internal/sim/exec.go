@@ -410,6 +410,12 @@ func (e *Exec) windows(w, stride int, bar *barrier) {
 		}
 		for i := w; i < n; i += stride {
 			r := e.regions[i]
+			if r.next > until {
+				// Nothing due before the run's end: the execute loop
+				// below would stop at its first peek, so the O(regions)
+				// horizon scan is skipped too.
+				continue
+			}
 			horizon := infClock
 			for j := 0; j < n; j++ {
 				if j == i {
