@@ -450,16 +450,22 @@ func (m *Medium) ensureIndex() {
 		}
 	}
 	threshold := minFloor - IrrelevantMarginDB
-	maxReach := 0.0
+	maxReach, d := 0.0, 0.0
+	var last *phy.Profile
 	for _, r := range m.radios {
-		// A non-positive path-loss exponent means received power does not
-		// fall with distance, so no relevance radius exists at all; a
-		// non-finite ReachRange means the budget never runs out. Either
-		// way the index cannot soundly prune anything — keep the
-		// exhaustive path.
-		d := r.profile.ReachRange(threshold)
-		if r.profile.PathLoss.Exponent <= 0 || !(d > 0) || math.IsInf(d, 1) {
-			return
+		// Stations share their profile in runs (a city has one or two),
+		// so the radius is computed once per run of equal pointers.
+		if r.profile != last {
+			last = r.profile
+			// A non-positive path-loss exponent means received power
+			// does not fall with distance, so no relevance radius exists
+			// at all; a non-finite ReachRange means the budget never
+			// runs out. Either way the index cannot soundly prune
+			// anything — keep the exhaustive path.
+			d = r.profile.ReachRange(threshold)
+			if r.profile.PathLoss.Exponent <= 0 || !(d > 0) || math.IsInf(d, 1) {
+				return
+			}
 		}
 		r.reach = d
 		if d > maxReach {
