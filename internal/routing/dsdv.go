@@ -174,7 +174,8 @@ type DSDV struct {
 	cfg    DSDVConfig
 
 	// table plus its deterministic iteration order: advertisement
-	// content must not depend on Go map ordering.
+	// content must not depend on Go map ordering. table and the four
+	// maps below are made at their first write.
 	table map[network.Addr]*dsdvEntry
 	order []network.Addr
 
@@ -228,15 +229,10 @@ var _ mac.TxObserver = (*DSDV)(nil)
 // forwarding + RequireRoutes mode. Call Start to begin advertising.
 func New(sched *sim.Scheduler, source *sim.Source, node Node, cfg DSDVConfig) *DSDV {
 	r := &DSDV{
-		sched:        sched,
-		source:       source,
-		node:         node,
-		cfg:          cfg.withDefaults(),
-		table:        make(map[network.Addr]*dsdvEntry),
-		blacklist:    make(map[network.Addr]time.Duration),
-		failStreak:   make(map[network.Addr]int),
-		admitted:     make(map[network.Addr]bool),
-		strongStreak: make(map[network.Addr]int),
+		sched:  sched,
+		source: source,
+		node:   node,
+		cfg:    cfg.withDefaults(),
 	}
 	r.rng = source.Lazy(dsdvKey(node.Addr))
 	node.Stack.Handle(network.ProtoRouting, r.onAdvert)
@@ -420,6 +416,9 @@ func (r *DSDV) onAdvert(payload []byte, from network.Addr, _ network.Addr) {
 		delete(r.blacklist, from)
 	}
 	if r.cfg.MinNeighborDBm != 0 && !r.admitted[from] {
+		if r.strongStreak == nil {
+			r.strongStreak = make(map[network.Addr]int)
+		}
 		if r.node.MAC.LastRxRSSIDBm() < r.cfg.MinNeighborDBm {
 			r.strongStreak[from] = 0
 			r.Counters.Filtered++
@@ -431,6 +430,9 @@ func (r *DSDV) onAdvert(payload []byte, from network.Addr, _ network.Addr) {
 			return
 		}
 		delete(r.strongStreak, from)
+		if r.admitted == nil {
+			r.admitted = make(map[network.Addr]bool)
+		}
 		r.admitted[from] = true
 	}
 	if len(payload) < 1 {
@@ -481,6 +483,9 @@ func (r *DSDV) consider(from, dst network.Addr, seq uint32, metric uint8) {
 	}
 	if !known {
 		cur = &dsdvEntry{}
+		if r.table == nil {
+			r.table = make(map[network.Addr]*dsdvEntry)
+		}
 		r.table[dst] = cur
 		r.order = append(r.order, dst)
 	}
@@ -548,11 +553,17 @@ func (r *DSDV) ObserveTx(o mac.TxOutcome) {
 		delete(r.failStreak, neighbor)
 		return
 	}
+	if r.failStreak == nil {
+		r.failStreak = make(map[network.Addr]int)
+	}
 	r.failStreak[neighbor]++
 	if r.failStreak[neighbor] < r.cfg.FailStreak {
 		return
 	}
 	delete(r.failStreak, neighbor)
+	if r.blacklist == nil {
+		r.blacklist = make(map[network.Addr]time.Duration)
+	}
 	r.blacklist[neighbor] = r.sched.Now() + r.cfg.BlacklistFor
 	delete(r.admitted, neighbor) // re-admission takes fresh strong samples
 	delete(r.strongStreak, neighbor)

@@ -105,29 +105,50 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestBuildAllocs gates what one station costs to build: the quartered
+// TestBuildAllocs gates what one station costs to build. The quartered
 // block city (25 000 stations) at seed 42 allocates at most 12 objects
 // per station in Build (11.02 measured: the MAC, radio, station, stack,
 // UDP and TCP structs and five callback closures). Formatted stream
 // names, empty maps, a generator per MAC and TCP and a spatial index
-// built to pair 32 flows used to bring it to 29.5.
+// built to pair 32 flows used to bring it to 29.5. churn-mesh-5x5 adds
+// a DSDV router per station and allocates at most 27.5 per station
+// (25.16 measured). Its routers make their five maps at their first
+// write; made eagerly, they cost 30.16 per station (34.2 while each
+// router also held an O(stations²) map of its peers).
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const maxPerStation = 12
-	spec := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
-	quarterCity(&spec)
-	spec.Seed = 42
-	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := Build(spec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perStation := allocs / float64(spec.Topology.N)
-	t.Logf("quartered block city: %.0f allocations in Build, %.2f per station", allocs, perStation)
-	if perStation > maxPerStation {
-		t.Errorf("Build allocates %.2f objects per station, want at most %g", perStation, float64(maxPerStation))
+	city := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
+	quarterCity(&city)
+	mesh, err := Preset("churn-mesh-5x5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		spec          Spec
+		maxPerStation float64
+	}{
+		{"quartered-city", city, 12},
+		{"churn-mesh-5x5", mesh, 27.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Seed = 42
+			var n int
+			allocs := testing.AllocsPerRun(1, func() {
+				inst, err := Build(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = len(inst.Net.Stations)
+			})
+			perStation := allocs / float64(n)
+			t.Logf("%s: %.0f allocations in Build, %.2f per station", tc.name, allocs, perStation)
+			if perStation > tc.maxPerStation {
+				t.Errorf("%s: Build allocates %.2f objects per station, want at most %g", tc.name, perStation, tc.maxPerStation)
+			}
+		})
 	}
 }
 
