@@ -17,10 +17,9 @@ import (
 //
 // Marks scheduled the same delay ahead arrive in key order, as the
 // constant-delay FIFOs' events do, so they are kept in rings bound to
-// their delay. Passed marks are folded into fired from the ring heads,
-// when a mark joins its ring and when RunUntil returns; Fired counts
-// the passed marks not yet folded, as it counts the virtual ticks of
-// running countdowns.
+// their delay. Passed marks are folded into fired from the ring heads:
+// a ring's when a mark joins it, and every ring's when RunUntil returns
+// and when Fired or Stats reads the count.
 
 // Mark is a handle to a reserved key. The zero Mark is valid and
 // withdraws nothing.
@@ -134,9 +133,14 @@ func (s *Scheduler) markPassed(k heapEntry) bool {
 // before the event firing now.
 func (s *Scheduler) foldBelow(e heapEntry) {
 	if e.at == s.now && s.cur.sub != afterAll.sub && less(e, s.cur) {
-		for i := range s.rings {
-			s.fold(&s.rings[i])
-		}
+		s.foldMarks()
+	}
+}
+
+// foldMarks folds every ring's passed marks into fired.
+func (s *Scheduler) foldMarks() {
+	for i := range s.rings {
+		s.fold(&s.rings[i])
 	}
 }
 
@@ -152,25 +156,6 @@ func (s *Scheduler) fold(q *markRing) {
 			s.fired++
 		}
 	}
-}
-
-// marksPassed counts the passed marks not yet folded.
-func (s *Scheduler) marksPassed() uint64 {
-	var n uint64
-	for i := range s.rings {
-		q := &s.rings[i]
-		for p := q.head; p != q.tail; p++ {
-			e := q.buf[p&q.mask]
-			if e.idx == dead {
-				continue
-			}
-			if !s.markPassed(e) {
-				break
-			}
-			n++
-		}
-	}
-	return n
 }
 
 // grow doubles the ring, keeping every entry at its count position.

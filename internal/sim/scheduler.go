@@ -236,8 +236,9 @@ type Stats struct {
 
 // Stats returns the scheduler's observability counters.
 func (s *Scheduler) Stats() Stats {
+	s.foldMarks()
 	r := s.running()
-	return Stats{Fired: s.fired + r + s.marksPassed(), Pushes: s.pushes, FIFOAppends: s.appends, CountdownSlots: s.cdSlots + r, Marks: s.marked}
+	return Stats{Fired: s.fired + r, Pushes: s.pushes, FIFOAppends: s.appends, CountdownSlots: s.cdSlots + r, Marks: s.marked}
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -253,7 +254,10 @@ func (s *Scheduler) Len() int {
 
 // Fired returns the total number of events executed so far, passed
 // marks and countdowns' virtual ticks included.
-func (s *Scheduler) Fired() uint64 { return s.fired + s.running() + s.marksPassed() }
+func (s *Scheduler) Fired() uint64 {
+	s.foldMarks()
+	return s.fired + s.running()
+}
 
 // At schedules fn to run at absolute simulated time t.
 // Scheduling in the past panics: it always indicates a logic bug in a
@@ -696,9 +700,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	}
 	s.now = t
 	s.cur = afterAll
-	for i := range s.rings {
-		s.fold(&s.rings[i])
-	}
+	s.foldMarks()
 }
 
 // Run executes events until the queue is empty. Most experiments should
