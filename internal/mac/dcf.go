@@ -67,7 +67,11 @@ func (t *sifsData) Act() {
 	}
 }
 
-func (t *resumeTimer) Act()  { (*MAC)(t).resume() }
+func (t *resumeTimer) Act() {
+	m := (*MAC)(t)
+	m.resumeEv = sim.Event{} // fired: cancelling it later need not look it up
+	m.resume()
+}
 func (t *navTimer) Act()     { (*MAC)(t).maybeAvailable() }
 func (t *ctsTimer) Act()     { (*MAC)(t).ctsTimeout() }
 func (t *ackTimer) Act()     { (*MAC)(t).ackTimeout() }
@@ -158,11 +162,12 @@ func (m *MAC) armResume(t time.Duration) {
 	m.resumeEv = m.sched.AtAction(t, (*resumeTimer)(m))
 }
 
-// cancelResume withdraws the pending IFS wait, event or mark.
+// cancelResume withdraws the pending IFS wait, event or mark, and
+// zeroes both handles, so that the next withdrawal costs nothing.
 func (m *MAC) cancelResume() {
 	m.sched.Cancel(m.resumeEv)
 	m.sched.Unmark(m.resumeMark)
-	m.resumeMark = sim.Mark{}
+	m.resumeEv, m.resumeMark = sim.Event{}, sim.Mark{}
 }
 
 // scheduleResumeIfAvailable re-arms contention after a wait state ends

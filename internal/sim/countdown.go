@@ -266,7 +266,7 @@ func (s *Scheduler) relabel(g *grid) {
 	for i := range s.rings {
 		q := &s.rings[i]
 		for p := q.head; p != q.tail; p++ {
-			if e := q.buf[p&q.mask]; onGrid(e) {
+			if e := q.buf[p&q.mask]; onGrid(q.key(e)) {
 				vals = append(vals, e.seq>>bandShift)
 			}
 		}
@@ -299,7 +299,7 @@ func (s *Scheduler) relabel(g *grid) {
 	for i := range s.rings {
 		q := &s.rings[i]
 		for p := q.head; p != q.tail; p++ {
-			if e := &q.buf[p&q.mask]; onGrid(*e) {
+			if e := &q.buf[p&q.mask]; onGrid(q.key(*e)) {
 				e.seq = rebase(e.seq)
 			}
 		}

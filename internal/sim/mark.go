@@ -24,21 +24,38 @@ import (
 // Mark is a handle to a reserved key. The zero Mark is valid and
 // withdraws nothing.
 type Mark struct {
-	ring  int32  // 1 + the index of the ring holding it; 0 for the zero Mark
-	pos   uint32 // its position in the ring's count of appends
-	epoch uint32 // Scheduler.epoch when it was set
+	at    time.Duration // the key's instant
+	ring  int32         // 1 + the index of the ring holding it; 0 for the zero Mark
+	pos   uint32        // its position in the ring's count of appends
+	epoch uint32        // Scheduler.epoch when it was set
 }
 
 // markRing is a ring of reserved keys in key order, like a fifo's: head
 // and tail count the entries ever folded and appended, so a Mark's pos
 // stays valid until Reset; the ring's length is a power of two, mask
-// one less. A withdrawn entry stays as a tombstone, its idx set to
-// dead, until it is folded. d is the delay of the marks it takes.
+// one less. Every key in it was reserved d ahead, so an entry holds only
+// its instant and seq: its sub is (at - d)<<1. A withdrawn entry stays
+// as a tombstone until it is folded, its at complemented (negative), so
+// that its key still orders the ring.
 type markRing struct {
 	head, tail uint32
 	mask       uint32
-	buf        []heapEntry
+	buf        []markEntry
 	d          time.Duration
+}
+
+type markEntry struct {
+	at  time.Duration
+	seq uint64
+}
+
+// key returns the full key of entry e.
+func (q *markRing) key(e markEntry) heapEntry {
+	at := e.at
+	if at < 0 {
+		at = ^at
+	}
+	return heapEntry{at: at, sub: uint64(at-q.d) << 1, seq: e.seq}
 }
 
 // Mark reserves the key of an event scheduled now for t, without
@@ -57,7 +74,7 @@ func (s *Scheduler) Mark(t time.Duration) Mark {
 	for i := range s.rings {
 		if q := &s.rings[i]; q.d == d {
 			s.fold(q)
-			if q.head == q.tail || !less(k, q.buf[(q.tail-1)&q.mask]) {
+			if q.head == q.tail || !less(k, q.key(q.buf[(q.tail-1)&q.mask])) {
 				r = i
 			}
 			break
@@ -84,9 +101,9 @@ func (s *Scheduler) Mark(t time.Duration) Mark {
 	if q.tail-q.head == uint32(len(q.buf)) {
 		q.grow()
 	}
-	q.buf[q.tail&q.mask] = k
+	q.buf[q.tail&q.mask] = markEntry{at: t, seq: k.seq}
 	q.tail++
-	return Mark{ring: int32(r + 1), pos: q.tail - 1, epoch: s.epoch}
+	return Mark{at: t, ring: int32(r + 1), pos: q.tail - 1, epoch: s.epoch}
 }
 
 // Unmark withdraws the mark m and reports whether the loop had already
@@ -98,18 +115,26 @@ func (s *Scheduler) Unmark(m Mark) bool {
 	if m.ring == 0 || m.epoch != s.epoch {
 		return false
 	}
+	if m.at < s.now {
+		return true // its instant is over: no need to look it up
+	}
+	return s.unmark(m)
+}
+
+// unmark is Unmark of a mark at the current instant or later.
+func (s *Scheduler) unmark(m Mark) bool {
 	q := &s.rings[m.ring-1]
 	if m.pos-q.head >= q.tail-q.head {
 		return true // folded
 	}
 	e := &q.buf[m.pos&q.mask]
-	if e.idx == dead {
-		return false
+	if e.at < 0 {
+		return false // withdrawn before
 	}
-	if s.markPassed(*e) {
+	if s.markPassed(q.key(*e)) {
 		return true
 	}
-	e.idx = dead
+	e.at = ^e.at
 	return false
 }
 
@@ -149,8 +174,8 @@ func (s *Scheduler) foldMarks() {
 func (s *Scheduler) fold(q *markRing) {
 	for ; q.head != q.tail; q.head++ {
 		e := q.buf[q.head&q.mask]
-		if e.idx != dead {
-			if !s.markPassed(e) {
+		if e.at >= 0 {
+			if !s.markPassed(q.key(e)) {
 				return
 			}
 			s.fired++
@@ -160,7 +185,7 @@ func (s *Scheduler) fold(q *markRing) {
 
 // grow doubles the ring, keeping every entry at its count position.
 func (q *markRing) grow() {
-	buf := make([]heapEntry, max(2*len(q.buf), 64))
+	buf := make([]markEntry, max(2*len(q.buf), 64))
 	mask := uint32(len(buf) - 1)
 	for p := q.head; p != q.tail; p++ {
 		buf[p&mask] = q.buf[p&q.mask]

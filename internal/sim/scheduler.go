@@ -27,10 +27,11 @@
 // Closures are for cold paths: set-up, fault schedules, tests.
 //
 // Beside the heap sit a few FIFOs, each bound to one delay. Most of a
-// large run's insertions are idle stations' DIFS, EIFS and NAV timers,
-// each scheduled a fixed delay ahead; once the queue holds fifoMinLen
-// events, an event scheduled exactly d ahead joins the FIFO bound to d
-// and never enters the heap. The clock never runs backwards and
+// large run's insertions are idle stations' NAV expiries and the DIFS
+// and EIFS waits of stations with a frame to send, each scheduled a
+// fixed delay ahead; once the queue holds fifoMinLen events, an event
+// scheduled exactly d ahead joins the FIFO bound to d and never enters
+// the heap. The clock never runs backwards and
 // sequence numbers only grow, so such a stream arrives already sorted
 // by (at, sub, seq): appending, popping and cancelling cost O(1), and
 // Step, taking the least of the heap top and the FIFO heads by the same
@@ -50,6 +51,12 @@
 // reproduce the chain's (at, sub, seq) order exactly, so a countdown
 // fires and freezes (Left) where the chain would have. countdown.go has
 // the argument; DESIGN.md ("Backoff without slot events") the numbers.
+//
+// An event that would do nothing when it fired — the DCF wait of a
+// station with nothing to send, once most of a large run's insertions —
+// is not queued at all: Mark reserves its key and Fired counts it where
+// it would have fired (mark.go; DESIGN.md, "Quiet stations arm no
+// timer").
 package sim
 
 import (
