@@ -202,8 +202,8 @@ type MAC struct {
 	backoff int // remaining backoff slots (at the countdown's start while slotEv runs); -1 = not drawn
 
 	nav         time.Duration // virtual carrier sense expiry (absolute)
-	available   bool          // channel available (CCA idle && NAV expired)
 	availSince  time.Duration
+	available   bool // channel available (CCA idle && NAV expired)
 	lastRxError bool // most recent reception ended in a PHY error (EIFS owed)
 	down        bool // station crashed (PowerDown); all PHY callbacks gated
 
