@@ -67,9 +67,14 @@ func (s *Scheduler) Mark(t time.Duration) Mark {
 	if t <= s.now {
 		panic(fmt.Sprintf("sim: marking %v, not after now %v", t, s.now))
 	}
-	k := s.key(t)
-	s.marked++
+	// The key an event scheduled now for t would get (schedule).
+	k := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq}
+	s.seq++
 	d := t - s.now
+	if s.slot != 0 && d == s.slot {
+		k.seq = s.banded(k.seq)
+	}
+	s.marked++
 	r := -1
 	for i := range s.rings {
 		if q := &s.rings[i]; q.d == d {
@@ -112,17 +117,18 @@ func (s *Scheduler) Mark(t time.Duration) Mark {
 // once: a mark withdrawn and then folded reads as passed. A zero Mark,
 // or one set before the last Reset, reports false.
 func (s *Scheduler) Unmark(m Mark) bool {
-	if m.ring == 0 || m.epoch != s.epoch {
-		return false
-	}
 	if m.at < s.now {
-		return true // its instant is over: no need to look it up
+		// Its instant is over: no need to look it up.
+		return m.ring != 0 && m.epoch == s.epoch
 	}
 	return s.unmark(m)
 }
 
 // unmark is Unmark of a mark at the current instant or later.
 func (s *Scheduler) unmark(m Mark) bool {
+	if m.ring == 0 || m.epoch != s.epoch {
+		return false
+	}
 	q := &s.rings[m.ring-1]
 	if m.pos-q.head >= q.tail-q.head {
 		return true // folded

@@ -26,22 +26,21 @@
 // MAC — and schedule it with AtAction, AfterAction or Reschedule.
 // Closures are for cold paths: set-up, fault schedules, tests.
 //
-// Beside the heap sit a few FIFOs, each bound to one delay. Most of a
-// large run's insertions are idle stations' NAV expiries and the DIFS
-// and EIFS waits of stations with a frame to send, each scheduled a
-// fixed delay ahead; once the queue holds fifoMinLen events, an event
-// scheduled exactly d ahead joins the FIFO bound to d and never enters
-// the heap. The clock never runs backwards and
-// sequence numbers only grow, so such a stream arrives already sorted
-// by (at, sub, seq): appending, popping and cancelling cost O(1), and
-// Step, taking the least of the heap top and the FIFO heads by the same
-// less, fires events in exactly the order the heap alone would. Events
-// one slot ahead while countdowns run, countdowns and injected messages
-// always go to the heap. The FIFOs are not a second backend: there is
-// no switch, and every event leaves through the one pop path. A
-// calendar queue once ran beside the heap and was deleted; DESIGN.md
-// ("Why one heap", "Constant-delay FIFOs beside the heap") keeps the
-// numbers for both.
+// Beside the heap sit a few FIFOs, each bound to one delay. Many of a
+// large run's insertions are MAC timers scheduled a fixed delay ahead:
+// NAV expiries, and the DIFS and EIFS waits of stations with a frame
+// to send. Once the queue holds fifoMinLen events, an event scheduled
+// exactly d ahead joins the FIFO bound to d and never enters the heap.
+// The clock never runs backwards and sequence numbers only grow, so
+// such a stream arrives already sorted by (at, sub, seq): appending,
+// popping and cancelling cost O(1), and Step, taking the least of the
+// heap top and the FIFO heads by the same less, fires events in exactly
+// the order the heap alone would. Events one slot ahead while
+// countdowns run, countdowns and injected messages always go to the
+// heap. The FIFOs are not a second backend: there is no switch, and
+// every event leaves through the one pop path. A calendar queue once
+// ran beside the heap and was deleted; DESIGN.md ("Why one heap",
+// "Constant-delay FIFOs beside the heap") keeps the numbers for both.
 //
 // A chain of one-slot events — the DCF backoff, which used to be most of
 // every contended run's events — is one heap entry (Countdown): the
@@ -313,31 +312,27 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	sl := &s.slots[idx]
 	sl.fn = fn
 	sl.act = act
-	e := s.key(t)
-	e.idx = idx
+	e := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq, idx: idx}
+	s.seq++
 	if t == s.now {
 		s.foldBelow(e)
 	}
 	if d := t - s.now; s.slot != 0 && d == s.slot {
-		s.push(e) // banded: relabel rewrites only heap entries
+		// relabel rewrites the band of heap entries only.
+		e.seq = s.banded(e.seq)
+		s.push(e)
 	} else if s.Len() < fifoMinLen || !s.enqueue(d, e) {
 		s.push(e)
 	}
 	return Event{s: s, idx: idx, gen: sl.gen, at: t}
 }
 
-// key returns the key of an event scheduled now for t, using up a
-// sequence number.
-func (s *Scheduler) key(t time.Duration) heapEntry {
-	e := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq}
-	s.seq++
-	if s.slot != 0 && t-s.now == s.slot {
-		// One slot ahead: the event ties on (at, sub) with the ticks of
-		// countdowns on this instant's grid; its band places it among
-		// them (countdown.go).
-		e.seq = s.band()<<bandShift | (e.seq + 1)
-	}
-	return e
+// banded returns the seq of an event scheduled now exactly one slot
+// ahead under sequence number seq. It ties on (at, sub) with the ticks
+// of countdowns on this instant's grid, and its band places it among
+// them (countdown.go).
+func (s *Scheduler) banded(seq uint64) uint64 {
+	return s.band()<<bandShift | (seq + 1)
 }
 
 // miss counts the events scheduled d ahead that no FIFO took since d
@@ -719,14 +714,14 @@ func (s *Scheduler) Run() {
 }
 
 // Reset returns the scheduler to its just-constructed state — time
-// zero, no pending events, counters and FIFO bindings cleared — while
-// keeping the slot arena, heap and FIFO capacity, so a replication
-// sweep reuses the memory a previous run grew. Every outstanding Event
-// handle is invalidated (generations bump exactly as if each event had
-// been cancelled); a fresh run scheduled after Reset is bit-identical
-// to one on a new scheduler, because event ordering depends only on
-// (time, sequence), never on slot indices or on which queue holds an
-// event.
+// zero, no pending events or marks, counters and FIFO bindings cleared
+// — while keeping the slot arena, heap, FIFO and mark-ring capacity, so
+// a replication sweep reuses the memory a previous run grew. Every
+// outstanding Event handle is invalidated (generations bump exactly as
+// if each event had been cancelled), and so is every Mark; a fresh run
+// scheduled after Reset is bit-identical to one on a new scheduler,
+// because event ordering depends only on (time, sequence), never on
+// slot indices or on which queue holds an event.
 func (s *Scheduler) Reset() {
 	s.heap = s.heap[:0]
 	s.free = s.free[:0]
