@@ -18,8 +18,8 @@ import (
 // Marks scheduled the same delay ahead arrive in key order, as the
 // constant-delay FIFOs' events do, so they are kept in rings bound to
 // their delay. Passed marks are folded into fired from the ring heads:
-// a ring's when a mark joins it, and every ring's when RunUntil returns
-// and when Fired or Stats reads the count.
+// a ring's when it is full, and every ring's when RunUntil returns and
+// when Fired or Stats reads the count.
 
 // Mark is a handle to a reserved key. The zero Mark is valid and
 // withdraws nothing.
@@ -68,47 +68,60 @@ func (s *Scheduler) Mark(t time.Duration) Mark {
 		panic(fmt.Sprintf("sim: marking %v, not after now %v", t, s.now))
 	}
 	// The key an event scheduled now for t would get (schedule).
-	k := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq}
+	e := markEntry{at: t, seq: s.seq}
 	s.seq++
 	d := t - s.now
 	if s.slot != 0 && d == s.slot {
-		k.seq = s.banded(k.seq)
+		e.seq = s.banded(e.seq)
 	}
 	s.marked++
-	r := -1
+	r := s.ringFor(d, e)
+	q := &s.rings[r]
+	if q.tail-q.head == uint32(len(q.buf)) {
+		// Full: make room by folding, and grow only if that is not
+		// enough. A ring is folded here and when RunUntil returns, so it
+		// grows to the most marks pending at once, not to a run's count.
+		if s.fold(q); q.tail-q.head == uint32(len(q.buf)) {
+			q.grow()
+		}
+	}
+	q.buf[q.tail&q.mask] = e
+	q.tail++
+	return Mark{at: t, ring: int32(r + 1), pos: q.tail - 1, epoch: s.epoch}
+}
+
+// ringFor returns the index of the ring a mark reserved d ahead joins:
+// the ring bound to d, unless e sorts before its tail; else a drained
+// ring, bound to d anew; else a new one.
+func (s *Scheduler) ringFor(d time.Duration, e markEntry) int {
 	for i := range s.rings {
 		if q := &s.rings[i]; q.d == d {
-			s.fold(q)
-			if q.head == q.tail || !less(k, q.key(q.buf[(q.tail-1)&q.mask])) {
-				r = i
+			if q.head == q.tail || !e.before(q.buf[(q.tail-1)&q.mask]) {
+				return i
 			}
 			break
 		}
 	}
-	if r < 0 {
-		// No ring takes d, or its tail sorts after k: bind a drained
-		// ring to d, or add one.
-		for i := range s.rings {
-			if q := &s.rings[i]; q.d != d {
-				if s.fold(q); q.head == q.tail {
-					r = i
-					break
-				}
+	for i := range s.rings {
+		if q := &s.rings[i]; q.d != d {
+			if s.fold(q); q.head == q.tail {
+				q.d = d
+				return i
 			}
 		}
-		if r < 0 {
-			s.rings = append(s.rings, markRing{})
-			r = len(s.rings) - 1
-		}
-		s.rings[r].d = d
 	}
-	q := &s.rings[r]
-	if q.tail-q.head == uint32(len(q.buf)) {
-		q.grow()
+	s.rings = append(s.rings, markRing{d: d})
+	return len(s.rings) - 1
+}
+
+// before reports whether entry e sorts before entry o of the same ring.
+// Their delay is the same, so their subs compare as their instants do.
+func (e markEntry) before(o markEntry) bool {
+	at := o.at
+	if at < 0 {
+		at = ^at
 	}
-	q.buf[q.tail&q.mask] = markEntry{at: t, seq: k.seq}
-	q.tail++
-	return Mark{at: t, ring: int32(r + 1), pos: q.tail - 1, epoch: s.epoch}
+	return e.at < at || e.at == at && e.seq < o.seq
 }
 
 // Unmark withdraws the mark m and reports whether the loop had already
