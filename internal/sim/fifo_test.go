@@ -69,10 +69,10 @@ func (a *cdAction) Act() {
 	a.env.fire(id)
 	delete(a.env.ticks, id)
 	a.c.left = 0
-	if a.env.cdMarks != nil {
+	if a.env.markRun != nil {
 		// A mark one slot ahead set here takes the countdown's rank as
 		// its band.
-		a.env.mark(a.env.slot, a.env.cdMarks)
+		a.env.mark(a.env.slot)
 	}
 }
 
@@ -199,9 +199,9 @@ type fifoRun struct {
 // withdraw marks (markOp); without, every script means what it always
 // did.
 func interpretFIFOOps(t *testing.T, data []byte, marks bool) (run fifoRun) {
-	env := &orderEnv{t: t, s: NewScheduler(), ticks: make(map[int]*refCountdown), marks: make(map[int]bool), firedInEvent: marks}
+	env := &orderEnv{t: t, s: NewScheduler(), ticks: make(map[int]*refCountdown), marks: make(map[int]bool)}
 	if marks {
-		env.cdMarks = &run.marks
+		env.markRun = &run.marks
 	}
 	s := env.s
 	pos := 0
@@ -322,7 +322,7 @@ func interpretFIFOOps(t *testing.T, data []byte, marks bool) (run fifoRun) {
 				a.arm()
 			}
 		default:
-			env.markOp(op%nOps, next, delay, &run.marks)
+			env.markOp(op%nOps, next, delay)
 		}
 		env.check()
 	}

@@ -35,8 +35,9 @@ func (r *markRun) add(o markRun) {
 }
 
 // mark sets a mark d ahead on both sides.
-func (env *orderEnv) mark(d time.Duration, run *markRun) *refMark {
+func (env *orderEnv) mark(d time.Duration) *refMark {
 	now := env.s.Now()
+	run := env.markRun
 	if env.s.slot != 0 && d == env.s.slot {
 		run.banded++
 	}
@@ -55,7 +56,7 @@ func (env *orderEnv) mark(d time.Duration, run *markRun) *refMark {
 
 // unmark withdraws m on both sides, once, and checks what Unmark
 // reports: passed exactly when the reference has passed it.
-func (env *orderEnv) unmark(m *refMark, run *markRun) {
+func (env *orderEnv) unmark(m *refMark) {
 	if m.done {
 		return
 	}
@@ -69,9 +70,9 @@ func (env *orderEnv) unmark(m *refMark, run *markRun) {
 	case pending:
 		env.drop(m.e)
 		delete(env.marks, m.e.id)
-		run.withdrawn++
+		env.markRun.withdrawn++
 	case !m.stale:
-		run.withdrawnAfter++
+		env.markRun.withdrawnAfter++
 	}
 }
 
@@ -89,7 +90,6 @@ func (env *orderEnv) resetMarks() {
 // gap ahead, and re-arms itself gap later, hops times.
 type markerAction struct {
 	env  *orderEnv
-	run  *markRun
 	id   int
 	hops int
 	gap  time.Duration
@@ -100,9 +100,9 @@ func (a *markerAction) Act() {
 	env := a.env
 	env.fire(a.id)
 	if a.last != nil {
-		env.unmark(a.last, a.run)
+		env.unmark(a.last)
 	}
-	a.last = env.mark(a.gap, a.run)
+	a.last = env.mark(a.gap)
 	if a.hops > 0 {
 		a.hops--
 		a.arm(a.gap)
@@ -118,7 +118,7 @@ func (a *markerAction) arm(d time.Duration) {
 
 // markOp runs one of the interpreter's mark ops, 10 to 12. A mark lies
 // after now, so a zero delay marks a slot ahead instead.
-func (env *orderEnv) markOp(op byte, next func() byte, delay func() time.Duration, run *markRun) {
+func (env *orderEnv) markOp(op byte, next func() byte, delay func() time.Duration) {
 	delay = func(d func() time.Duration) func() time.Duration {
 		return func() time.Duration {
 			if v := d(); v > 0 {
@@ -129,16 +129,16 @@ func (env *orderEnv) markOp(op byte, next func() byte, delay func() time.Duratio
 	}(delay)
 	switch op {
 	case 10: // a mark one of the delays ahead
-		env.mark(delay(), run)
+		env.mark(delay())
 	case 11: // withdraw a mark; then re-mark it, or schedule its event
 		if len(env.mks) == 0 {
 			return
 		}
 		m := env.mks[int(next())%len(env.mks)]
-		env.unmark(m, run)
+		env.unmark(m)
 		switch next() % 3 {
 		case 1:
-			env.mark(delay(), run)
+			env.mark(delay())
 		case 2:
 			at := m.e.key.at
 			if at < env.s.Now() {
@@ -147,7 +147,7 @@ func (env *orderEnv) markOp(op byte, next func() byte, delay func() time.Duratio
 			env.at(at)
 		}
 	case 12: // an event that re-marks each time it fires
-		a := &markerAction{env: env, run: run, hops: int(next() % 8), gap: delay()}
+		a := &markerAction{env: env, hops: int(next() % 8), gap: delay()}
 		a.arm(delay())
 	}
 }

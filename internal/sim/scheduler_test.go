@@ -403,11 +403,10 @@ type orderEnv struct {
 	mks    []*refMark   // the most recent marks, withdrawn or not
 	marked uint64       // marks set since the last Reset
 
-	// firedInEvent checks Fired inside every event, not only between
-	// ops; with cdMarks set, every countdown's final firing marks a slot
-	// ahead.
-	firedInEvent bool
-	cdMarks      *markRun
+	// markRun is nil unless the script runs mark ops. Then Fired is
+	// checked inside every event, not only between ops, and every
+	// countdown's final firing marks a slot ahead.
+	markRun *markRun
 }
 
 // maxLive bounds the handles a script can cancel or reschedule, which
@@ -476,7 +475,7 @@ func (env *orderEnv) fire(id int) {
 	}
 	env.pending = append(env.pending[:0], env.pending[1:]...)
 	env.fired++
-	if f := env.s.Fired(); env.firedInEvent && f != env.fired {
+	if f := env.s.Fired(); env.markRun != nil && f != env.fired {
 		env.t.Fatalf("event %d: Fired() = %d inside it, reference fired %d", id, f, env.fired)
 	}
 }
