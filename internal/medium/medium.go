@@ -453,8 +453,9 @@ func (m *Medium) ensureIndex() {
 	maxReach, d := 0.0, 0.0
 	var last *phy.Profile
 	for _, r := range m.radios {
-		// Stations share their profile in runs (a city has one or two),
-		// so the radius is computed once per run of equal pointers.
+		// Radios share profile pointers in long runs (every station of
+		// the city presets has the same one), so the radius is computed
+		// once per run of equal pointers.
 		if r.profile != last {
 			last = r.profile
 			// A non-positive path-loss exponent means received power
