@@ -21,9 +21,9 @@ import (
 //     At a quiet station (idle, no backoff drawn, nothing to send) that
 //     resume would do nothing, so the wait is a sim.Mark, resumeMark,
 //     instead: it reserves the event's key and counts in Fired where the
-//     event would have fired, but nothing is queued. Every re-arm and
-//     channelBusy withdraw it; a frame that arrives during the wait
-//     re-arms a real resume through kick, at the same instant.
+//     event would have fired, but nothing is queued. Every re-arm,
+//     channelBusy and PowerDown withdraw it; a frame that arrives during
+//     the wait re-arms a real resume through kick, at the same instant.
 //   - slotEv is the backoff countdown: one sim.Countdown entry for all
 //     the remaining slots, firing when the last one elapses. Like
 //     resumeEv it is cancelled the instant the channel becomes
