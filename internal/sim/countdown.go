@@ -142,10 +142,9 @@ func (s *Scheduler) passed(c *countdown) int64 {
 }
 
 // tickPassed reports whether the virtual tick of rank r at the current
-// instant sorts before the event now firing.
+// instant sorts before cur, the highest key fired at it.
 func (s *Scheduler) tickPassed(r uint64) bool {
-	ts := uint64(s.now-s.slot) << 1
-	return s.cur.sub > ts || s.cur.sub == ts && r<<bandShift < s.cur.seq
+	return below(heapEntry{sub: uint64(s.now-s.slot) << 1, seq: r << bandShift}, s.cur)
 }
 
 // endCountdown retires countdown ci whose entry fired or was cancelled
@@ -191,10 +190,11 @@ func (s *Scheduler) band() uint64 {
 
 // cursor returns the rank of the last marker passed on g at the current
 // instant — a countdown's tick or start, or a one-slot schedule — and
-// records it as g's cursor. Ticks are passed in rank order, so the event
-// firing has passed none of them (it sorts before the instant's ticks),
-// all of them (after), or those up to its own band (it ties with them on
-// (at, sub), being itself a one-slot event or a countdown's end).
+// records it as g's cursor. Ticks are passed in rank order, so cur, the
+// highest key fired at this instant, has passed none of them (it sorts
+// before the instant's ticks), all of them (after), or those up to its
+// own band (it ties with them on (at, sub), being itself a one-slot
+// event or a countdown's end).
 func (s *Scheduler) cursor(g *grid) uint64 {
 	var m uint64
 	if g.curAt == s.now {

@@ -285,12 +285,6 @@ func interpretFIFOOps(t *testing.T, data []byte, marks bool) (run fifoRun) {
 		case 7: // inter-region message
 			at := s.Now() + delay()
 			sentAt := max(s.Now()-delay(), 0)
-			if marks && at == s.Now() {
-				// Sent now: a message due now but sent earlier would
-				// sort before events the loop has passed, which dips
-				// the countdowns' Fired inside the events after it.
-				sentAt = at
-			}
 			a := &chainAction{env: env, id: env.nextID}
 			s.InjectAt(at, sentAt, a)
 			env.file(at, uint64(sentAt)<<1|1)

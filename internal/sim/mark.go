@@ -158,27 +158,20 @@ func (s *Scheduler) unmark(m Mark) bool {
 }
 
 // markPassed reports whether the loop has passed key k: k's instant is
-// over, or k sorts before the event firing now (every key does, once
-// RunUntil has run to now and cur is afterAll).
-//
-// The keys the loop fires only grow, with one exception: an event
-// queued for the current instant may sort before the event firing now
-// (a message injected at now, sent earlier). Before such a key enters
-// the queue, foldBelow counts every mark passed so far, so that a mark
-// the loop has passed never reads as pending again.
+// over, or k sorts before the highest key fired at it (every key does,
+// once RunUntil has run to now and cur is afterAll). cur never moves
+// back within an instant, so a mark the loop has passed never reads as
+// pending again.
 func (s *Scheduler) markPassed(k heapEntry) bool {
 	if k.at != s.now {
 		return k.at < s.now
 	}
-	return k.sub < s.cur.sub || k.sub == s.cur.sub && k.seq < s.cur.seq
+	return below(k, s.cur)
 }
 
-// foldBelow folds the passed marks if e, about to be queued, sorts
-// before the event firing now.
-func (s *Scheduler) foldBelow(e heapEntry) {
-	if e.at == s.now && s.cur.sub != afterAll.sub && less(e, s.cur) {
-		s.foldMarks()
-	}
+// below reports whether key a sorts before key b of the same instant.
+func below(a, b heapEntry) bool {
+	return a.sub < b.sub || a.sub == b.sub && a.seq < b.seq
 }
 
 // foldMarks folds every ring's passed marks into fired.

@@ -200,8 +200,8 @@ type Scheduler struct {
 	pushes  uint64 // insertions, heap and FIFO
 	appends uint64 // FIFO insertions
 
-	// Countdowns (countdown.go). cur is the key of the event firing, or
-	// last fired; afterAll once RunUntil has passed the instant.
+	// Countdowns (countdown.go). cur is the highest key fired at the
+	// current instant; afterAll once RunUntil has passed the instant.
 	slot      time.Duration
 	cur       heapEntry
 	cds       []countdown
@@ -314,9 +314,6 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), act Action) Event {
 	sl.act = act
 	e := heapEntry{at: t, sub: uint64(s.now) << 1, seq: s.seq, idx: idx}
 	s.seq++
-	if t == s.now {
-		s.foldBelow(e)
-	}
 	if d := t - s.now; s.slot != 0 && d == s.slot {
 		// relabel rewrites the band of heap entries only.
 		e.seq = s.banded(e.seq)
@@ -486,7 +483,6 @@ func (s *Scheduler) InjectAt(t, sentAt time.Duration, a Action) {
 	sl.act = a
 	e := heapEntry{at: t, sub: uint64(sentAt)<<1 | 1, seq: s.seq, idx: idx}
 	s.seq++
-	s.foldBelow(e)
 	s.push(e)
 }
 
@@ -646,8 +642,11 @@ func (s *Scheduler) Step() bool {
 }
 
 // fire pops the earliest pending event from src, the queue next found
-// it in, and runs it. cur becomes its key wherever it was queued: the
-// countdowns read it.
+// it in, and runs it. cur becomes its key wherever it was queued, unless
+// an event already fired at this instant sorts after it: a message
+// injected at now but sent earlier sorts before events the loop has
+// passed. The countdowns and marks read cur as how far the loop has
+// got, so it never moves back within an instant.
 func (s *Scheduler) fire(src int) {
 	var e heapEntry
 	if src >= 0 {
@@ -666,7 +665,9 @@ func (s *Scheduler) fire(src int) {
 			s.siftDown(0)
 		}
 	}
-	s.cur = e
+	if e.at != s.now || below(s.cur, e) {
+		s.cur = e
+	}
 	s.now = e.at
 	idx := e.idx
 	sl := &s.slots[idx]

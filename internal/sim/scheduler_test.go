@@ -475,7 +475,7 @@ func (env *orderEnv) fire(id int) {
 	}
 	env.pending = append(env.pending[:0], env.pending[1:]...)
 	env.fired++
-	if f := env.s.Fired(); env.markRun != nil && f != env.fired {
+	if f := env.s.Fired(); f != env.fired {
 		env.t.Fatalf("event %d: Fired() = %d inside it, reference fired %d", id, f, env.fired)
 	}
 }
