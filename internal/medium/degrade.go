@@ -221,10 +221,11 @@ func (d *DegTimeline) Empty() bool {
 
 // SetDegradation installs (or, with nil, removes) the run's link
 // degradation timeline. The timeline must be finalized. Installation
-// invalidates the link-gain cache and the candidate/fan memos: the
-// timeline is part of the link-power function, and a reused arena must
-// recompute against the new run's schedule. Installing nil over nil is
-// a no-op, so fault-free scenarios keep every cache warm across resets.
+// advances posEpoch, which stales the gain rows and the candidate/fan
+// memos: the timeline is part of the link-power function, and a reused
+// arena must recompute against the new run's schedule. Installing nil
+// over nil is a no-op, so fault-free scenarios keep every cache warm
+// across resets.
 func (m *Medium) SetDegradation(d *DegTimeline) {
 	if m.deg == nil && d == nil {
 		return
@@ -233,6 +234,5 @@ func (m *Medium) SetDegradation(d *DegTimeline) {
 		panic("medium: SetDegradation before Finalize")
 	}
 	m.deg = d
-	m.invalidateGains()
 	m.posEpoch++
 }

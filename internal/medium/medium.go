@@ -93,22 +93,16 @@ type Medium struct {
 	lins []linMemo
 
 	// Struct-of-arrays mirrors of the per-radio state the transmit inner
-	// loop reads per candidate, indexed by radio slot: id, position, the
-	// mobility epoch keying the link-gain cache, and the precomputed
-	// irrelevance power cut. Packing them densely keeps the per-candidate
-	// work inside a few sequential cache lines instead of chasing a map
-	// probe plus a Radio pointer per candidate; the *Radio itself is
-	// touched only when the candidate survives the power cut. The arrays
-	// are mirrors — Radio.pos stays authoritative for the public API —
-	// kept in sync by AddRadio, SetPos and Reset.
+	// loop reads per candidate, indexed by radio slot: id, position, and
+	// the precomputed irrelevance power cut. Packing them densely keeps
+	// the per-candidate work inside a few sequential cache lines instead
+	// of chasing a map probe plus a Radio pointer per candidate; the
+	// *Radio itself is touched only when the candidate survives the
+	// power cut. The arrays are mirrors — Radio.pos stays authoritative
+	// for the public API — kept in sync by AddRadio, SetPos and Reset.
 	soaID    []uint32
 	soaPos   []phy.Position
-	soaMove  []uint64
 	soaIrrel []float64
-
-	// candBuf stages candidate-memo rebuilds in sequential mode (see
-	// rebuildCandidates); each parallel region has its own in its shard.
-	candBuf []uint32
 
 	// idsMonotone records whether radio ids ascend in slot order — true
 	// for node-built networks, which assign ids sequentially. It lets
@@ -125,17 +119,19 @@ type Medium struct {
 	index      *phy.CellIndex
 	indexDirty bool
 
-	// posEpoch stamps the station geometry. It advances on every radio
-	// insertion, move, arena reset, and partition install, and
-	// validates the per-transmitter candidate memos (Radio.cand): while
-	// the geometry stands still, a repeat transmitter's index walk and
-	// dispatch-order sort collapse to a slice reuse. Seed changes and
-	// degradation installs advance it too, after clearing the gain rows.
+	// posEpoch stamps everything the per-transmitter candidate memos
+	// (Radio.cand) and the gain rows beside them are a function of. It
+	// advances on every radio insertion, move, arena reset that moves a
+	// radio, and partition install — the geometry — and on every seed
+	// change and degradation install, the link power's other inputs.
+	// While it stands still, a repeat transmitter's index walk and
+	// dispatch-order sort collapse to a slice reuse and its gain row
+	// stays valid; once it moves, every row is rebuilt empty.
 	posEpoch uint64
 
-	// gainSeed is the sim.Source root seed the link-gain cache contents
-	// were drawn under; Reset invalidates the cache only when the seed
-	// it finds on the source differs.
+	// gainSeed is the sim.Source root seed the link-gain rows were drawn
+	// under; Reset advances posEpoch only when the seed it finds on the
+	// source differs.
 	gainSeed uint64
 
 	// deg is the run's link-degradation timeline (nil when no fault
@@ -247,16 +243,6 @@ func New(sched *sim.Scheduler, src *sim.Source) *Medium {
 // Now returns the current simulated time.
 func (m *Medium) Now() time.Duration { return m.sched.Now() }
 
-// invalidateGains marks every link-gain entry stale without releasing
-// the transmitters' gain rows (Radio.gains).
-func (m *Medium) invalidateGains() {
-	for _, r := range m.radios {
-		for i := range r.gains {
-			r.gains[i].have = 0
-		}
-	}
-}
-
 // Reset returns the medium to its just-built state so a replication
 // sweep can re-seed a constructed network instead of rebuilding it:
 // aggregate counters clear. Everything derived from the run seed or the
@@ -264,16 +250,16 @@ func (m *Medium) invalidateGains() {
 // same-seed same-placement replication — the benchmark loop, a
 // variance-reduction sweep — re-runs on every cached structure intact:
 //
-//   - The link-gain cache is invalidated (and the fan-out memos
-//     staled via posEpoch) only if the owning sim.Source's root seed
-//     changed since the entries were drawn — the node layer reseeds
+//   - posEpoch advances, and with it every candidate memo, gain row and
+//     fan-out memo goes stale, only if the owning sim.Source's root
+//     seed changed since the rows were drawn — the node layer reseeds
 //     the source before calling here, and the shadowing draws are pure
 //     functions of (seed, link).
-//   - The spatial index and the candidate memos are NOT touched here:
-//     Radio.Reset dirties them if (and only if) its radio lands on a
-//     new position, and AddRadio covers radio-set changes.
+//   - The spatial index is NOT touched here: Radio.Reset dirties it,
+//     and advances posEpoch, if (and only if) its radio lands on a new
+//     position, and AddRadio covers radio-set changes.
 //
-// The arrival/transmission pools and the cache's allocated entries are
+// The arrival/transmission pools and the gain rows' capacity are
 // deliberately retained — reusing them is the point of the arena. Radio
 // placement and per-radio state are the caller's next step, via
 // Radio.Reset.
@@ -282,7 +268,6 @@ func (m *Medium) Reset() {
 	m.memo = memoCounters{}
 	if seed := m.src.Seed(); seed != m.gainSeed {
 		m.gainSeed = seed
-		m.invalidateGains()
 		m.posEpoch++
 	}
 }
@@ -291,38 +276,39 @@ func (m *Medium) Reset() {
 
 // linkGain validity bits.
 const (
-	gainBase   uint8 = 1 << iota // baseDBm matches the radios' mobility epochs
-	gainStatic                   // staticDB drawn for this run
+	gainBase   uint8 = 1 << iota // baseDBm computed for this row
+	gainStatic                   // staticDB drawn for this row
 	gainFade                     // fadeDB matches fadeEpoch
 	gainDeg                      // degDB matches both endpoints' degradation epochs
-	gainMW                       // mw matches the current composed power
 	gainCut                      // uMax matches baseDBm and staticDB
 )
 
 // linkGain caches the deterministic pieces of one directed link's
 // received power, each stored exactly as first computed so cached and
-// direct results are bit-identical:
+// direct results are bit-identical. An entry lives in its transmitter's
+// gain row, which is valid exactly while the candidate list beside it
+// is: rebuildCandidates hands back a zeroed row whenever posEpoch has
+// moved, so the entry needs no stamp for the geometry or the seed.
 //
 //   - baseDBm: transmit power minus log-distance path loss — a pure
-//     function of the two positions, invalidated by either radio's
-//     mobility epoch (bumped on SetPos). Static stations, the common
-//     case, never recompute the math.Log10.
+//     function of the two positions. Static stations, the common case,
+//     compute the math.Log10 once per row.
 //   - staticDB: the per-run static shadowing draw — a pure function of
-//     (seed, link), valid for the whole run.
+//     (seed, link).
 //   - fadeDB: the time-varying shadowing draw — a pure function of
 //     (seed, link, coherence epoch), valid until the epoch rolls over.
-//   - mw: the linear-milliwatt form of the composed power, memoized so
-//     repeat arrivals within one epoch skip the dBm→mW exponential.
 //   - uMax: the link's fade-cut bound, phy.Fading.EpochCutBound of how
 //     far baseDBm + staticDB lies under the receiver's irrelevance cut
 //     — a pure function of the two cached terms and the receiver's
-//     fixed cut, recomputed when either term is. It lets propagate
-//     reject a link whose epoch fade cannot lift it over the cut from
-//     the fade's uniform deviates alone (see DESIGN.md, "Fade draws the
-//     cut throws away"). It sits in the padding after have, so the
-//     entry stays 88 bytes (TestLinkGainSize).
+//     fixed cut. It lets propagate reject a link whose epoch fade
+//     cannot lift it over the cut from the fade's uniform deviates
+//     alone (see DESIGN.md, "Fade draws the cut throws away"). It sits
+//     in the padding after have, so the entry is 64 bytes, one cache
+//     line (TestLinkGainSize).
+//
+// The linear form of the composed power is not cached here: the
+// fan-out memo (Radio.fan) already holds both forms for every target.
 type linkGain struct {
-	txMove, rxMove uint64  // mobility epochs the base term was computed at
 	fadeEpoch      uint64  // coherence epoch of the cached dynamic fade
 	txDegE, rxDegE uint64  // degradation epochs of the cached deg offset
 	have           uint8   // gain* validity bits
@@ -331,39 +317,27 @@ type linkGain struct {
 	staticDB       float64
 	fadeDB         float64
 	degDB          float64
-	mw             float64
-}
-
-// milliwatt returns phy.DBmToMilliwatt(dbm), memoized on the entry
-// until any gain component is recomputed (which changes dbm).
-func (g *linkGain) milliwatt(dbm float64) float64 {
-	if g.have&gainMW == 0 {
-		g.mw = phy.DBmToMilliwatt(dbm)
-		g.have |= gainMW
-	}
-	return g.mw
 }
 
 // linkPower returns the instantaneous received power in dBm for the
 // directed link from the given radio to the receiver in slot rxSlot at
 // time now, served from g, the link's entry in the transmitter's gain
-// row (which then memoizes the linear form). The receiver side is read
-// entirely from the slot-indexed SoA arrays. The composition —
-// path-loss base plus static shadow plus epoch fade, summed in that
-// order, then the fault engine's degradation offset when a timeline is
-// installed — mirrors phy.Profile.RxPowerDBm exactly, so a cache hit is
-// bit-identical to the direct computation, MeanRxPowerDBm(d) +
-// (ShadowDB + linkOffset) under degradation.
+// row. The receiver side is read entirely from the slot-indexed SoA
+// arrays. The composition — path-loss base plus static shadow plus
+// epoch fade, summed in that order, then the fault engine's
+// degradation offset when a timeline is installed — mirrors
+// phy.Profile.RxPowerDBm exactly, so a cache hit is bit-identical to
+// the direct computation, MeanRxPowerDBm(d) + (ShadowDB + linkOffset)
+// under degradation.
 //
 // linkPower may instead report ok=false: the power is certainly below
 // the receiver's irrelevance cut, decided from the epoch fade's uniform
 // deviates before the transcendental draw. The entry then caches no
-// fade and no linear form — its fade stays stale, so any later lookup
-// recomputes it in full. The cut ignores a
-// degradation timeline's offset, which is sound because the offset is
-// never positive (DegTimeline panics on one, the invariant the spatial
-// index rests on too): it can only push the composed power further
-// under the cut.
+// fade — its fade stays stale, so any later lookup recomputes it in
+// full. The cut ignores a degradation timeline's offset, which is
+// sound because the offset is never positive (DegTimeline panics on
+// one, the invariant the spatial index rests on too): it can only push
+// the composed power further under the cut.
 func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration) (p float64, ok bool) {
 	rxID := uint64(m.soaID[rxSlot])
 	// Hit/miss classification: the cache exists to skip the
@@ -377,12 +351,9 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 	// region's, in parallel mode — the same discipline that makes the
 	// entry mutations here safe), so the plain counters need no atomics.
 	c := from.memo()
-	txMove, rxMove := m.soaMove[from.slot], m.soaMove[rxSlot]
-	if g.have&gainBase == 0 || g.txMove != txMove || g.rxMove != rxMove {
+	if g.have&gainBase == 0 {
 		g.baseDBm = from.profile.MeanRxPowerDBm(phy.Dist(from.pos, m.soaPos[rxSlot]))
-		g.txMove, g.rxMove = txMove, rxMove
 		g.have |= gainBase
-		g.have &^= gainMW | gainCut
 		c.gainMisses++
 	} else {
 		c.gainHits++
@@ -393,7 +364,6 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 		if g.have&gainStatic == 0 {
 			g.staticDB = fad.StaticShadowDB(m.src, uint64(from.id), rxID)
 			g.have |= gainStatic
-			g.have &^= gainMW | gainCut
 		}
 		shadow = g.staticDB
 	}
@@ -412,7 +382,6 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 			g.fadeDB = fade
 			g.fadeEpoch = epoch
 			g.have |= gainFade
-			g.have &^= gainMW
 		}
 		shadow += g.fadeDB
 	}
@@ -422,7 +391,6 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 			g.degDB = dg.linkOffset(from.slot, rxSlot, now)
 			g.txDegE, g.rxDegE = te, re
 			g.have |= gainDeg
-			g.have &^= gainMW
 		}
 		shadow += g.degDB
 	}
@@ -505,7 +473,7 @@ type Radio struct {
 	// this radio's frames above the irrelevance threshold.
 	reach float64
 
-	// lin caches the profile's dB-scale thresholds in linear milliwatts,
+	// lin caches the profile's dB-scale thresholds in linear mW,
 	// snapshotted at attach time (profiles are configured before attach)
 	// so the hot CCA/verdict paths never re-run the dBm→mW exponential
 	// on constants. irrelevantDBm is the precomputed per-receiver power
@@ -514,8 +482,8 @@ type Radio struct {
 	irrelevantDBm float64
 
 	// slot is this radio's dense index in Medium.radios and in the
-	// medium's slot-indexed SoA arrays (positions, mobility epochs,
-	// irrelevance cuts).
+	// medium's slot-indexed SoA arrays (ids, positions, irrelevance
+	// cuts).
 	slot int32
 
 	// Parallel partition bindings (zero in sequential mode): the radio's
@@ -549,8 +517,8 @@ type Radio struct {
 	// servicing this radio's transmissions, so it stays race-free.
 	//
 	// gains is this radio's link-gain row, parallel to cand: gains[i]
-	// caches the link to receiver slot cand[i]. A radio that never
-	// transmits holds neither.
+	// caches the link to receiver slot cand[i], and the row is valid
+	// exactly while cand is. A radio that never transmits holds neither.
 	cand      []uint32
 	gains     []linkGain
 	candEpoch uint64
@@ -682,8 +650,8 @@ func (a *txTrailAction) Act() {
 }
 
 // arrivalEntry is one in-flight transmission's received power at one
-// radio, in both scales: dBm for lock/sensitivity decisions, linear
-// milliwatts for energy summation.
+// radio, in both scales: dBm for lock/sensitivity decisions, linear mW
+// for energy summation.
 type arrivalEntry struct {
 	tx  *transmission
 	dbm float64
@@ -753,7 +721,6 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 	m.radios = append(m.radios, r)
 	m.soaID = append(m.soaID, id)
 	m.soaPos = append(m.soaPos, pos)
-	m.soaMove = append(m.soaMove, 0)
 	m.soaIrrel = append(m.soaIrrel, r.irrelevantDBm)
 	m.indexDirty = true
 	m.posEpoch++
@@ -809,7 +776,6 @@ func (r *Radio) SetPos(p phy.Position) {
 	m := r.m
 	r.pos = p
 	m.soaPos[r.slot] = p
-	m.soaMove[r.slot]++
 	m.posEpoch++
 	if m.index != nil && !m.indexDirty {
 		m.index.Move(uint32(r.slot), p)
@@ -819,16 +785,15 @@ func (r *Radio) SetPos(p phy.Position) {
 // Reset clears the radio's per-run receive state and counters and
 // re-places it at pos, keeping the attachment (profile, handler,
 // precomputed linear tables) intact. It is the per-radio half of the
-// arena-reuse path: call Medium.Reset first (which invalidates the
-// link-gain cache if the seed changed), then Reset every radio with its
-// new-run position. The move epoch, geometry epoch, and spatial-index
-// rebuild flag advance only if the radio actually lands somewhere new,
-// so a same-placement replication keeps its cached path-loss terms, its
-// candidate and fan-out memos, and the built index.
+// arena-reuse path: call Medium.Reset first (which stales every gain
+// row if the seed changed), then Reset every radio with its new-run
+// position. The geometry epoch and spatial-index rebuild flag advance
+// only if the radio actually lands somewhere new, so a same-placement
+// replication keeps its gain rows, its candidate and fan-out memos, and
+// the built index.
 func (r *Radio) Reset(pos phy.Position) {
 	m := r.m
 	if pos != r.pos {
-		m.soaMove[r.slot]++
 		m.posEpoch++
 		m.indexDirty = true
 	}
@@ -973,24 +938,16 @@ func (m *Medium) fanOut(tx *transmission, r *Radio, now time.Duration) {
 }
 
 // rebuildCandidates recomputes r's candidate list for the current
-// geometry — the spatial index's cells in deterministic grid order, or
-// every slot when there is no index — puts it in dispatch order, and
-// rebuilds the gain row alongside, in place. An entry whose receiver is
-// still a candidate carries over: both lists are in ascending-id order,
-// so one merge walk compacts the surviving entries to the front of the
-// row, and a backward walk spreads them to their new positions (an
-// entry only ever moves toward the back, so nothing is overwritten
-// before it is read). A carried entry keeps its epoch stamps and
-// revalidates itself at its next lookup like any other; every new
-// receiver's entry starts empty. The new list is staged in a scratch
-// buffer — the medium's in sequential mode, the region shard's in
-// parallel mode — since the old one is read until the end.
+// posEpoch — the spatial index's cells in deterministic grid order, or
+// every slot when there is no index — in place, puts it in dispatch
+// order, and hands back a zeroed gain row of the same length, reusing
+// both slices' capacity. Every entry of the new row starts empty: a
+// move anywhere on the field recomputes all of r's links, which costs a
+// field with a few moving stations more than carrying the unaffected
+// entries over would, and costs fixed fields nothing (DESIGN.md,
+// "Bit-identical caching").
 func (m *Medium) rebuildCandidates(r *Radio) {
-	buf := &m.candBuf
-	if sh := r.shard; sh != nil {
-		buf = &sh.candBuf
-	}
-	cand := (*buf)[:0]
+	cand := r.cand[:0]
 	if m.index != nil {
 		cand = m.index.AppendWithin(cand, r.pos, r.reach)
 	} else {
@@ -999,34 +956,9 @@ func (m *Medium) rebuildCandidates(r *Radio) {
 		}
 	}
 	m.sortCandidates(cand)
-	*buf = cand
-
-	ids, old, gains := m.soaID, r.cand, r.gains
-	kept, j := 0, 0
-	for k, slot := range old {
-		for j < len(cand) && ids[cand[j]] < ids[slot] {
-			j++
-		}
-		if j < len(cand) && cand[j] == slot {
-			old[kept], gains[kept] = slot, gains[k]
-			kept++
-			j++
-		}
-	}
-	if cap(gains) < len(cand) {
-		gains = append(make([]linkGain, 0, len(cand)), gains[:kept]...)
-	}
-	gains = gains[:len(cand)]
-	for i, k := len(cand)-1, kept-1; i >= 0; i-- {
-		if k >= 0 && old[k] == cand[i] {
-			gains[i] = gains[k]
-			k--
-		} else {
-			gains[i] = linkGain{}
-		}
-	}
-	r.cand = append(old[:0], cand...)
-	r.gains = gains
+	r.cand = cand
+	r.gains = slices.Grow(r.gains[:0], len(cand))[:len(cand)]
+	clear(r.gains)
 	r.candEpoch = m.posEpoch
 }
 
@@ -1049,11 +981,11 @@ func (m *Medium) sortCandidates(slots []uint32) {
 // the frame arrives so far under that receiver's noise floor that it
 // cannot shift any CCA, lock, or SINR decision there. The candidate
 // test runs entirely on the slot-indexed SoA arrays and g, the link's
-// gain entry — for static link/epoch combinations already seen this run
-// the transcendental PHY arithmetic is skipped entirely, and a link
-// whose new epoch fade provably cannot lift it over the cut is rejected
-// before its fade is drawn (linkPower's cut), which is the fate of most
-// candidates on a sparse field. The *Radio is only dereferenced for
+// gain entry — for link/epoch combinations already seen since posEpoch
+// last moved the transcendental PHY arithmetic is skipped entirely, and
+// a link whose new epoch fade provably cannot lift it over the cut is
+// rejected before its fade is drawn (linkPower's cut), which is the
+// fate of most candidates on a sparse field. The *Radio is only dereferenced for
 // candidates that survive the power cut. The edges themselves are
 // scheduled once per transmission by Transmit, not once per receiver.
 func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, g *linkGain, now time.Duration) {
@@ -1065,7 +997,7 @@ func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, g *linkG
 		return
 	}
 	rx := m.radios[rxSlot]
-	tx.targets = append(tx.targets, arrivalTarget{rx: rx, reg: rx.reg, dbm: p, mw: g.milliwatt(p)})
+	tx.targets = append(tx.targets, arrivalTarget{rx: rx, reg: rx.reg, dbm: p, mw: phy.DBmToMilliwatt(p)})
 }
 
 // arrivalStart handles the leading edge of a transmission reaching this

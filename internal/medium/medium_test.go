@@ -379,34 +379,16 @@ func gainEntry(t *testing.T, m *Medium, from, rx *Radio) *linkGain {
 	return &from.gains[i]
 }
 
-// linksTouching counts the cached candidate links with x at either end:
-// the most path-loss recomputations a move of x alone can cost, when
-// every other entry carries over.
-func linksTouching(m *Medium, x *Radio) uint64 {
-	n := uint64(0)
-	for _, r := range m.radios {
-		for _, slot := range r.cand {
-			if int32(slot) != r.slot && (r == x || int32(slot) == x.slot) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TestLinkGainCacheMatchesDirect pits the link-gain cache against the
 // direct per-call PHY computation across everything that can invalidate
 // an entry — time advancing through coherence epochs, either endpoint
 // moving (within its grid cell and across cells), static and dynamic
 // shadowing components, degradation epochs opening and closing — and
-// requires the returned power (and its memoized linear form) to be
-// bit-identical on every query, including repeat queries served from
-// the cache. A fourth radio receives a's mean power 2 dB under the
-// irrelevance cut, so the fade cut rejects some lookups: each of those
-// must have a direct power under the cut. It runs with ids rising and
-// falling as slots rise, and after each move only links touching the
-// moved radio may recompute their path-loss base: every other entry
-// must carry over into the rebuilt gain rows.
+// requires the returned power to be bit-identical on every query,
+// including repeat queries served from the cache. A fourth radio
+// receives a's mean power 2 dB under the irrelevance cut, so the fade
+// cut rejects some lookups: each of those must have a direct power
+// under the cut. It runs with ids rising and falling as slots rise.
 func TestLinkGainCacheMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -462,15 +444,7 @@ func testLinkGainCache(t *testing.T, ids [4]uint32) {
 		d := phy.Dist(from.Pos(), rx.Pos())
 		want := from.Profile().RxPowerDBm(src, uint64(from.ID()), uint64(rx.ID()), d, now)
 		for i := 0; i < 3; i++ { // repeat: later queries come from the cache
-			g := gainEntry(t, m, from, rx)
-			got, ok := query(from, rx, g, now, want, i)
-			if !ok {
-				continue
-			}
-			if mw := g.milliwatt(got); mw != phy.DBmToMilliwatt(want) {
-				t.Fatalf("milliwatt(%d->%d, %v) = %v, want direct %v",
-					from.ID(), rx.ID(), now, mw, phy.DBmToMilliwatt(want))
-			}
+			query(from, rx, gainEntry(t, m, from, rx), now, want, i)
 		}
 	}
 
@@ -484,8 +458,8 @@ func testLinkGainCache(t *testing.T, ids [4]uint32) {
 	}
 
 	// Move one endpoint at a time: both link directions touching it must
-	// pick up the new distance; untouched links must stay cached and
-	// correct, carried over into the rebuilt rows.
+	// pick up the new distance, and every other link must come out of
+	// the rebuilt rows unchanged.
 	cellOf := func(p phy.Position) [2]float64 {
 		return [2]float64{math.Floor(p.X / cell), math.Floor(p.Y / cell)}
 	}
@@ -502,16 +476,11 @@ func testLinkGainCache(t *testing.T, ids [4]uint32) {
 		if got := cellOf(mv.to) != cellOf(mv.r.Pos()); got != mv.across {
 			t.Fatalf("move of %d to %v crosses cells = %v, want %v", mv.r.id, mv.to, got, mv.across)
 		}
-		before := m.Stats().GainMisses
 		mv.r.SetPos(mv.to)
 		for _, now := range mv.at {
 			for _, p := range pairs {
 				check(p[0], p[1], now)
 			}
-		}
-		if misses, bound := m.Stats().GainMisses-before, linksTouching(m, mv.r); misses > bound {
-			t.Fatalf("move of %d: %d path-loss recomputations, want at most the %d links touching it",
-				mv.r.id, misses, bound)
 		}
 	}
 
@@ -543,14 +512,16 @@ func testLinkGainCache(t *testing.T, ids [4]uint32) {
 	}
 }
 
-// TestLinkGainSize pins the link-gain entry at 88 bytes. Every
-// candidate link of every transmitter holds one, so the entry size
-// scales blocks-25k's live heap (about 69 MB, most of it gain rows) and
-// TestCityLiveHeap's bound: a new field must fit the existing padding,
-// as the fade-cut bound uMax does, or grow every gain row on purpose.
+// TestLinkGainSize pins the link-gain entry at 64 bytes, one cache
+// line. Every candidate link of every transmitter holds one, so the
+// entry size scales the gain rows — about 8 MB of the quartered city's
+// 50 MB live heap (128,618 entries after a 2 s run; 11 MB at the
+// former 88 bytes) — and TestCityLiveHeap's
+// bound: a new field must fit the existing padding, as the fade-cut
+// bound uMax does, or grow every gain row on purpose.
 func TestLinkGainSize(t *testing.T) {
-	if got := unsafe.Sizeof(linkGain{}); got != 88 {
-		t.Fatalf("unsafe.Sizeof(linkGain{}) = %d bytes, want 88", got)
+	if got := unsafe.Sizeof(linkGain{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(linkGain{}) = %d bytes, want 64", got)
 	}
 }
 

@@ -69,10 +69,7 @@ func dispatched(m *Medium, r *Radio) []arrivalTarget {
 // across grid cells. It runs with node-style ascending ids, with ids
 // out of slot order and with ids falling as slots rise, each on a field
 // the spatial index prunes and on a degenerate one (path-loss exponent
-// 0) that has no index, where every radio is a candidate. After a step
-// that moves one station, only links touching it may recompute their
-// path-loss base: every other gain entry carries over into the rebuilt
-// rows.
+// 0) that has no index, where every radio is a candidate.
 //
 // Each id order also runs a leg without the degradation timeline and
 // with Symmetric fading. On every non-degenerate leg the fade cut (a
@@ -159,26 +156,21 @@ func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate, undegrad
 		}
 	}
 
-	checked, bounded := 0, 0
+	checked := 0
 	for step := 0; step < 60; step++ {
 		now := time.Duration(step) * 2 * time.Millisecond
 		sched.RunUntil(now)
-		var moved *Radio // the one station this step moves, if just one
 		switch step {
 		case 20:
-			moved = radios[5]
-			move(moved, 0.5*cell, 0)
+			move(radios[5], 0.5*cell, 0)
 		case 21:
-			moved = radios[10]
-			move(moved, -0.4*cell, 0.3*cell)
+			move(radios[10], -0.4*cell, 0.3*cell)
 		case 40:
-			moved = radios[16]
-			move(moved, -3.45*cell, -3.45*cell) // from the far pair into the lattice
+			move(radios[16], -3.45*cell, -3.45*cell) // from the far pair into the lattice
 		case 50:
 			move(radios[0], 2.2*cell, 2.2*cell) // out of everyone's earshot
 			move(radios[15], 0.01, 0)           // inside its cell
 		}
-		misses := m.Stats().GainMisses
 		for _, r := range radios {
 			want := exhaustiveFanOut(m, r, now)
 			got := dispatched(m, r)
@@ -195,13 +187,6 @@ func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate, undegrad
 			}
 			checked += len(want)
 		}
-		if moved != nil {
-			if misses, bound := m.Stats().GainMisses-misses, linksTouching(m, moved); misses > bound {
-				t.Fatalf("t=%v: moving %d cost %d path-loss recomputations, want at most the %d links touching it",
-					now, moved.id, misses, bound)
-			}
-			bounded++
-		}
 	}
 	sched.Run()
 
@@ -214,9 +199,6 @@ func testFanOut(t *testing.T, n int, id func(i int) uint32, degenerate, undegrad
 	}
 	if checked < 60*n {
 		t.Fatalf("only %d receivers checked: the field is too sparse to prove anything", checked)
-	}
-	if bounded != 3 {
-		t.Fatalf("%d single-move steps bounded, want 3", bounded)
 	}
 	if cuts := st.FadeCuts; degenerate == (cuts > 0) {
 		t.Fatalf("fade cut fired %d times on a degenerate=%v field: want it to fire exactly when the path loss leaves links under the cut", cuts, degenerate)

@@ -51,7 +51,6 @@ type medShard struct {
 	freeTx   []*transmission
 	regCount []int32
 	sortBuf  []arrivalTarget
-	candBuf  []uint32
 
 	transmissions uint64
 	deliveries    uint64

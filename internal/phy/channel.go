@@ -440,7 +440,7 @@ func (w Weather) Apply(p *Profile) *Profile {
 }
 
 // Linear holds a Profile's threshold quantities precomputed in linear
-// milliwatts. The medium's hot receive path sums energies in linear
+// mW. The medium's hot receive path sums energies in linear
 // scale, and before PR 4 it converted the *constant* dB-scale
 // thresholds (noise floor, CCA energy-detect, per-rate sensitivities)
 // through math.Pow on every busy-check and decode verdict. Linearize
@@ -454,7 +454,7 @@ type Linear struct {
 	// CCAThresholdMW is DBmToMilliwatt(Profile.CCAThresholdDBm).
 	CCAThresholdMW float64
 	// SensitivityMW[rate.Index()] is the per-rate decode sensitivity in
-	// milliwatts, DBmToMilliwatt(Profile.SensitivityDBm[i]).
+	// mW, DBmToMilliwatt(Profile.SensitivityDBm[i]).
 	SensitivityMW [4]float64
 }
 
@@ -474,12 +474,12 @@ func (p *Profile) Linearize() Linear {
 	return l
 }
 
-// DBmToMilliwatt converts dBm to linear milliwatts. The medium runs it
-// once per link that survives its irrelevance cut per fade epoch, and
-// memoizes the result on the link's gain entry.
+// DBmToMilliwatt converts dBm to linear mW. The medium runs it once per
+// link that survives its irrelevance cut per fan-out rebuild, and its
+// fan-out memo keeps the result beside the dBm value.
 func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
-// MilliwattToDBm converts linear milliwatts to dBm.
+// MilliwattToDBm converts linear mW to dBm.
 func MilliwattToDBm(mw float64) float64 {
 	if mw <= 0 {
 		return math.Inf(-1)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // BenchmarkRandom1024Sequential is the end-to-end baseline the parallel
@@ -51,6 +52,44 @@ func benchmarkRandom1024(b *testing.B, par *ParallelParams) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fired), "ns/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(logical), "ns/logical-event")
 	b.ReportMetric(float64(fired), "events/run")
+}
+
+// BenchmarkRandom1024Movers measures what the medium's gain rows cost
+// under mobility: the random-1024 preset over a 1 s horizon with
+// random-waypoint motion (on the preset's 3400 m field) on no station,
+// on 4 stations spread over the field, and on every station. A gain
+// row is valid only while no station moves, so one mover anywhere
+// recomputes every transmitter's path-loss terms at its next
+// transmission: the "4" case pays the most for that, and "0" not at
+// all (DESIGN.md, "Bit-identical caching", records both sides).
+func BenchmarkRandom1024Movers(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		mob  *Mobility
+	}{
+		{"0", nil},
+		{"4", &Mobility{Model: ModelRandomWaypoint, Width: 3400, Height: 3400, Stations: []int{64, 320, 576, 832}}},
+		{"all", &Mobility{Model: ModelRandomWaypoint, Width: 3400, Height: 3400}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			spec, err := Preset("random-1024")
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec.Duration = Duration(time.Second)
+			spec.Mobility = tc.mob
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inst, err := Build(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				horizon := inst.Spec.Duration.D()
+				inst.Net.Run(horizon)
+				inst.Collect(horizon)
+			}
+		})
+	}
 }
 
 // BenchmarkRandom16k is the PR 7 headline bench: the 16384-station city
