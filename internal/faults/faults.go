@@ -21,6 +21,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -31,6 +32,19 @@ import (
 
 // churnStream names the Source stream all churn draws come from.
 const churnStream = "faults.churn"
+
+// Churn ceilings, checked by Validate. A churn process draws every
+// crash at Compile, before the run starts, so an unbounded rate or
+// window would hang the build rather than the run.
+const (
+	// MaxChurnRatePerMin is one crash a microsecond on average. Crash
+	// instants are whole nanoseconds; at much faster rates most gaps
+	// round to zero and the process stops advancing.
+	MaxChurnRatePerMin = 6e7
+	// MaxChurnCrashes caps the crashes a churn process is expected to
+	// draw over its window, RatePerMin times the window in minutes.
+	MaxChurnCrashes = 1 << 20
+)
 
 // Crash takes one station down at At: radio detached from the channel,
 // MAC stack cold, routes gone. Until, when positive, restarts it — the
@@ -150,11 +164,21 @@ func (p Params) Validate(n, nFlows int, horizon time.Duration) error {
 		if c.RatePerMin <= 0 {
 			return fmt.Errorf("faults: churn rate %g/min must be positive", c.RatePerMin)
 		}
+		if c.RatePerMin > MaxChurnRatePerMin {
+			return fmt.Errorf("faults: churn rate %g/min exceeds the limit of %g/min", c.RatePerMin, float64(MaxChurnRatePerMin))
+		}
 		if c.MinDown <= 0 || c.MaxDown < c.MinDown {
 			return fmt.Errorf("faults: churn downtime range [%v, %v] is invalid", c.MinDown, c.MaxDown)
 		}
 		if c.Start < 0 || (c.End != 0 && c.End <= c.Start) {
 			return fmt.Errorf("faults: churn window [%v, %v) is empty", c.Start, c.End)
+		}
+		end := c.End
+		if end == 0 || end > horizon {
+			end = horizon
+		}
+		if want := c.RatePerMin * float64(end-c.Start) / float64(time.Minute); want > MaxChurnCrashes {
+			return fmt.Errorf("faults: churn expects %.3g crashes over [%v, %v), over the limit of %d", want, c.Start, end, MaxChurnCrashes)
 		}
 		seen := make(map[int]bool, len(c.Stations))
 		for _, st := range c.Stations {
@@ -248,11 +272,23 @@ func drawChurn(c Churn, src *sim.Source, horizon time.Duration, n int, existing 
 		end = horizon
 	}
 	ratePerNs := c.RatePerMin / float64(time.Minute)
-	windows := append([]Crash(nil), existing...)
+	// A draw overlaps one of its victim's planned windows, or one drawn
+	// before it. The draws come in time order, so of those it overlaps
+	// exactly the ones ending after it starts: the latest end decides.
+	planned := map[int][]Crash{}
+	for _, w := range existing {
+		planned[w.Station] = append(planned[w.Station], w)
+	}
+	drawnEnd := map[int]time.Duration{}
 	var drawn []Crash
 	for t := c.Start; ; {
-		t += time.Duration(rng.ExpFloat64() / ratePerNs)
-		if t >= end {
+		// Compared as a float first: a gap past the window may not fit
+		// a Duration.
+		gap := rng.ExpFloat64() / ratePerNs
+		if gap >= float64(end-t) {
+			break
+		}
+		if t += time.Duration(gap); t >= end {
 			break
 		}
 		victim := cands[rng.Intn(len(cands))]
@@ -260,13 +296,17 @@ func drawChurn(c Churn, src *sim.Source, horizon time.Duration, n int, existing 
 		if c.MaxDown > c.MinDown {
 			down += time.Duration(rng.Int63n(int64(c.MaxDown-c.MinDown) + 1))
 		}
+		until := t + down
+		if until < t {
+			until = math.MaxInt64 // down forever, past any horizon
+		}
 		// A victim already inside a crash window is skipped, but its
 		// draws are consumed: the rest of the process is unchanged.
-		ev := Crash{Station: victim, At: t, Until: t + down}
-		if overlapsAny(windows, ev, horizon) {
+		ev := Crash{Station: victim, At: t, Until: until}
+		if t < drawnEnd[victim] || overlapsAny(planned[victim], ev, horizon) {
 			continue
 		}
-		windows = append(windows, ev)
+		drawnEnd[victim] = until
 		drawn = append(drawn, ev)
 	}
 	return drawn

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,6 +97,11 @@ func TestValidateRejections(t *testing.T) {
 		{"churn rate", Params{Churn: &Churn{RatePerMin: 0, MinDown: sec(1), MaxDown: sec(1)}}, "positive"},
 		{"churn downtime", Params{Churn: &Churn{RatePerMin: 1, MinDown: sec(2), MaxDown: sec(1)}}, "invalid"},
 		{"churn station dup", Params{Churn: &Churn{RatePerMin: 1, MinDown: sec(1), MaxDown: sec(1), Stations: []int{1, 1}}}, "twice"},
+		// A flood rounds most gaps to zero nanoseconds, and a long
+		// window draws more crashes than memory holds: both used to
+		// hang Compile.
+		{"churn flood", Params{Churn: &Churn{RatePerMin: 1e12, MinDown: sec(1), MaxDown: sec(1)}}, "exceeds the limit"},
+		{"churn count", Params{Churn: &Churn{RatePerMin: 1e7, MinDown: sec(1), MaxDown: sec(1)}}, "over the limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,5 +209,88 @@ func TestTimelineClassifiesPartition(t *testing.T) {
 	}
 	if s2, _ := Compile(Params{}, sim.NewSource(1), sec(10), 3, 0); s2.Timeline(positions) != nil {
 		t.Fatal("empty schedule produced a timeline")
+	}
+}
+
+// TestChurnLimits: a churn process at the rate and count ceilings
+// compiles, a tiny rate draws nothing instead of overflowing the first
+// gap, and a downtime reaching past the largest Duration leaves the
+// victim down for good rather than restarting at a negative instant.
+func TestChurnLimits(t *testing.T) {
+	h := sec(1)
+	at := Params{Churn: &Churn{RatePerMin: MaxChurnCrashes, MinDown: time.Nanosecond, MaxDown: time.Nanosecond}}
+	if _, err := Compile(at, sim.NewSource(1), time.Minute, 64, 0); err != nil {
+		t.Fatalf("churn at the count limit: %v", err)
+	}
+	fast := Params{Churn: &Churn{RatePerMin: MaxChurnRatePerMin, MinDown: time.Nanosecond, MaxDown: time.Nanosecond}}
+	if _, err := Compile(fast, sim.NewSource(1), time.Millisecond, 64, 0); err != nil {
+		t.Fatalf("churn at the rate limit: %v", err)
+	}
+	slow := Params{Churn: &Churn{RatePerMin: 1e-300, MinDown: time.Nanosecond, MaxDown: time.Nanosecond}}
+	if s, err := Compile(slow, sim.NewSource(1), h, 4, 0); err != nil || len(s.Crashes) != 0 {
+		t.Fatalf("churn at 1e-300/min: %v, %d crashes; want none", err, len(s.Crashes))
+	}
+	long := Params{Churn: &Churn{RatePerMin: 600, MinDown: sec(1), MaxDown: math.MaxInt64 - 1}}
+	s, err := Compile(long, sim.NewSource(3), h, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Crashes) == 0 {
+		t.Fatal("the case draws no crash")
+	}
+	for _, c := range s.Crashes {
+		if c.Until <= c.At {
+			t.Fatalf("crash %+v restarts before it crashes", c)
+		}
+		if !s.DownAt(c.Station, h-1) {
+			t.Fatalf("station %d is up at the horizon after a crash %+v", c.Station, c)
+		}
+	}
+}
+
+// TestChurnMatchesPairwiseCheck holds drawChurn, which checks a draw
+// against its victim's planned windows and the latest end it drew
+// there, to the pairwise check it replaced: a draw is kept only if it
+// overlaps no planned or earlier kept window of its victim.
+func TestChurnMatchesPairwiseCheck(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		n := 1 + int(seed%5)
+		c := Churn{RatePerMin: 300, MinDown: sec(0.05), MaxDown: sec(float64(seed%4) + 0.05), Start: sec(0.5)}
+		if seed%3 == 0 {
+			c.Stations = []int{0}
+		}
+		planned := []Crash{{Station: 0, At: sec(2), Until: sec(3)}, {Station: n - 1, At: sec(6)}}
+		got := drawChurn(c, sim.NewSource(seed), sec(10), n, planned)
+		// Replay the same draws and keep a draw exactly when it misses
+		// every window kept so far.
+		rng := sim.NewSource(seed).Stream(churnStream)
+		cands := c.Stations
+		if len(cands) == 0 {
+			for i := 0; i < n; i++ {
+				cands = append(cands, i)
+			}
+		}
+		windows := append([]Crash(nil), planned...)
+		var want []Crash
+		for t := c.Start; ; {
+			t += time.Duration(rng.ExpFloat64() / (c.RatePerMin / float64(time.Minute)))
+			if t >= sec(10) {
+				break
+			}
+			victim := cands[rng.Intn(len(cands))]
+			down := c.MinDown
+			if c.MaxDown > c.MinDown {
+				down += time.Duration(rng.Int63n(int64(c.MaxDown-c.MinDown) + 1))
+			}
+			ev := Crash{Station: victim, At: t, Until: t + down}
+			if overlapsAny(windows, ev, sec(10)) {
+				continue
+			}
+			windows = append(windows, ev)
+			want = append(want, ev)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: drew %v, pairwise check keeps %v", seed, got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adhocsim/internal/phy"
+	"adhocsim/internal/routing"
 )
 
 func line(n int, spacing float64) Topology { return Topology{Kind: KindLine, N: n, Spacing: spacing} }
@@ -262,6 +263,25 @@ func TestValidateErrors(t *testing.T) {
 		{"mobility station duplicated", func(s *Spec) {
 			s.Mobility = &Mobility{Model: ModelRandomWaypoint, Stations: []int{1, 1}}
 		}, "listed twice"},
+		{"1ns mobility tick", func(s *Spec) {
+			s.Mobility = &Mobility{Model: ModelRandomWaypoint, Tick: Duration(time.Nanosecond)}
+		}, "mobility tick 1ns is under the 192µs floor"},
+		{"1ns advert interval", func(s *Spec) {
+			s.Routing = &RoutingParams{Protocol: routing.ProtocolDSDV, AdvertInterval: Duration(time.Nanosecond)}
+		}, "advert interval 1ns is under the 192µs floor"},
+		{"station limit", func(s *Spec) {
+			s.Topology = Topology{Kind: KindRandomUniform, N: MaxStations + 1, Width: 100, Height: 100}
+		}, "exceeds the 1048576-station limit"},
+		{"grid past the station limit", func(s *Spec) {
+			s.Topology = Topology{Kind: KindGrid, Rows: 1 << 32, Cols: 1 << 32, Spacing: 1}
+		}, "exceeds the 1048576-station limit"},
+		{"line past the station limit", func(s *Spec) {
+			s.Topology = Topology{Kind: KindLine, N: 1 << 62, Spacing: 1}
+		}, "exceeds the 1048576-station limit"},
+		{"churn over a huge horizon", func(s *Spec) {
+			s.Duration = Duration(1 << 62)
+			s.Faults = &FaultSpec{Churn: &FaultChurn{RatePerMin: 600, MinDown: Duration(time.Millisecond), MaxDown: Duration(time.Second)}}
+		}, "over the limit"},
 		{"oversized region grid", func(s *Spec) {
 			s.Parallel = &ParallelParams{Cols: 1000, Rows: 1000}
 		}, "exceeds 256 regions"},
@@ -284,6 +304,11 @@ func TestValidateErrors(t *testing.T) {
 	paced.Flows[0].Interval = Duration(phy.PLCPTime)
 	if err := paced.Validate(); err != nil {
 		t.Errorf("192µs interval rejected: %v", err)
+	}
+	paced.Mobility = &Mobility{Model: ModelRandomWaypoint, Tick: Duration(phy.PLCPTime)}
+	paced.Routing = &RoutingParams{Protocol: routing.ProtocolDSDV, AdvertInterval: Duration(phy.PLCPTime)}
+	if err := paced.Validate(); err != nil {
+		t.Errorf("192µs mobility tick and advert interval rejected: %v", err)
 	}
 	for _, p := range []ParallelParams{{}, {Cols: 16, Rows: 16}, {Cols: 32}, {Cols: 2, Rows: 2}} {
 		spec := validSpec()

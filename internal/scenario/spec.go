@@ -522,10 +522,19 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 		if r.AdvertInterval < 0 || r.SettleDelay < 0 {
 			return nil, nil, fmt.Errorf("scenario: negative routing interval")
 		}
+		if r.AdvertInterval > 0 && r.AdvertInterval.D() < phy.PLCPTime {
+			// As for a flow's interval: each advertisement is a frame.
+			return nil, nil, fmt.Errorf("scenario: routing advert interval %v is under the %v floor (the PLCP time, the shortest frame on the air)", r.AdvertInterval.D(), phy.PLCPTime)
+		}
 	}
 	if m := s.Mobility; m != nil {
 		if m.Model != ModelRandomWaypoint {
 			return nil, nil, fmt.Errorf("scenario: unknown mobility model %q", m.Model)
+		}
+		if m.Tick > 0 && m.Tick.D() < phy.PLCPTime {
+			// Every tick is an event per mover, and no frame is shorter
+			// on the air: a finer tick moves nothing a frame could see.
+			return nil, nil, fmt.Errorf("scenario: mobility tick %v is under the %v floor (the PLCP time, the shortest frame on the air)", m.Tick.D(), phy.PLCPTime)
 		}
 		seen := make(map[int]bool, len(m.Stations))
 		for _, st := range m.Stations {

@@ -33,6 +33,17 @@ const (
 	KindClusteredBlocks = "clustered-blocks"
 )
 
+// MaxStations is the most stations a topology may place: ten times the
+// largest preset, the 100k block city. A count past it fails at
+// validation, before Expand allocates a position per station, instead
+// of exhausting memory or panicking at Build.
+const MaxStations = 1 << 20
+
+// tooMany is the error for a topology of n stations over MaxStations.
+func tooMany(kind string, n int) error {
+	return fmt.Errorf("scenario: %s topology of %d stations exceeds the %d-station limit", kind, n, MaxStations)
+}
+
 // TopologyKinds lists the supported generators.
 func TopologyKinds() []string {
 	return []string{KindExplicit, KindLine, KindGrid, KindRing, KindRandomUniform, KindClusteredBlocks}
@@ -84,6 +95,9 @@ func (t Topology) Expand(seed uint64) ([]phy.Position, error) {
 		if t.N != 0 && t.N != len(t.Positions) {
 			return nil, fmt.Errorf("scenario: explicit n=%d contradicts %d positions", t.N, len(t.Positions))
 		}
+		if len(t.Positions) > MaxStations {
+			return nil, tooMany(t.Kind, len(t.Positions))
+		}
 		out := make([]phy.Position, len(t.Positions))
 		for i, p := range t.Positions {
 			out[i] = phy.Pos(p[0], p[1])
@@ -97,6 +111,9 @@ func (t Topology) Expand(seed uint64) ([]phy.Position, error) {
 		}
 		if n < 2 {
 			return nil, fmt.Errorf("scenario: line topology needs n ≥ 2, got %d", n)
+		}
+		if n > MaxStations {
+			return nil, tooMany(t.Kind, n)
 		}
 		hops := t.Spacings
 		if len(hops) == 0 {
@@ -129,6 +146,9 @@ func (t Topology) Expand(seed uint64) ([]phy.Position, error) {
 		if t.Rows < 1 || t.Cols < 1 {
 			return nil, fmt.Errorf("scenario: grid topology needs rows ≥ 1 and cols ≥ 1")
 		}
+		if t.Rows > MaxStations/t.Cols {
+			return nil, fmt.Errorf("scenario: grid topology of %d×%d stations exceeds the %d-station limit", t.Rows, t.Cols, MaxStations)
+		}
 		if t.Spacing <= 0 {
 			return nil, fmt.Errorf("scenario: grid topology needs positive spacing")
 		}
@@ -147,6 +167,9 @@ func (t Topology) Expand(seed uint64) ([]phy.Position, error) {
 		if t.N < 3 {
 			return nil, fmt.Errorf("scenario: ring topology needs n ≥ 3, got %d", t.N)
 		}
+		if t.N > MaxStations {
+			return nil, tooMany(t.Kind, t.N)
+		}
 		if t.Radius <= 0 {
 			return nil, fmt.Errorf("scenario: ring topology needs positive radius")
 		}
@@ -162,6 +185,9 @@ func (t Topology) Expand(seed uint64) ([]phy.Position, error) {
 		if t.N < 1 {
 			return nil, fmt.Errorf("scenario: random-uniform topology needs n ≥ 1, got %d", t.N)
 		}
+		if t.N > MaxStations {
+			return nil, tooMany(t.Kind, t.N)
+		}
 		if t.Width <= 0 || t.Height <= 0 {
 			return nil, fmt.Errorf("scenario: random-uniform topology needs positive width and height")
 		}
@@ -175,6 +201,9 @@ func (t Topology) Expand(seed uint64) ([]phy.Position, error) {
 	case KindClusteredBlocks:
 		if t.N < 1 {
 			return nil, fmt.Errorf("scenario: clustered-blocks topology needs n ≥ 1, got %d", t.N)
+		}
+		if t.N > MaxStations {
+			return nil, tooMany(t.Kind, t.N)
 		}
 		if t.Rows < 1 || t.Cols < 1 {
 			return nil, fmt.Errorf("scenario: clustered-blocks topology needs rows ≥ 1 and cols ≥ 1")
