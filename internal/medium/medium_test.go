@@ -458,8 +458,8 @@ func testLinkGainCache(t *testing.T, ids [4]uint32) {
 	}
 
 	// Move one endpoint at a time: both link directions touching it must
-	// pick up the new distance, and every other link must come out of
-	// the rebuilt rows unchanged.
+	// pick up the new distance, and every link must still match the
+	// direct power once the move has rebuilt the rows.
 	cellOf := func(p phy.Position) [2]float64 {
 		return [2]float64{math.Floor(p.X / cell), math.Floor(p.Y / cell)}
 	}
@@ -516,9 +516,9 @@ func testLinkGainCache(t *testing.T, ids [4]uint32) {
 // line. Every candidate link of every transmitter holds one, so the
 // entry size scales the gain rows — about 8 MB of the quartered city's
 // 50 MB live heap (128,618 entries after a 2 s run; 11 MB at the
-// former 88 bytes) — and TestCityLiveHeap's
-// bound: a new field must fit the existing padding, as the fade-cut
-// bound uMax does, or grow every gain row on purpose.
+// former 88 bytes) — and TestCityLiveHeap's bound: a new field must
+// fit the existing padding, as the fade-cut bound uMax does, or grow
+// every gain row on purpose.
 func TestLinkGainSize(t *testing.T) {
 	if got := unsafe.Sizeof(linkGain{}); got != 64 {
 		t.Fatalf("unsafe.Sizeof(linkGain{}) = %d bytes, want 64", got)
