@@ -456,9 +456,9 @@ func runScenario(ref string, o scenarioOpts) {
 		// A single run has no per-replication completions to count, so
 		// -progress meters the run itself: simulated time against the
 		// horizon, plus events fired — the meter a city-scale run needs.
-		// Driving the instance here (the same 1% slices RunProgressExec
-		// takes) also gives the run report its build/run/drain phases and
-		// refreshes the live /metrics view between slices.
+		// Driving the instance here in 1% slices (invisible to the
+		// simulation) also gives the run report its build/run/drain
+		// phases and refreshes the live /metrics view between slices.
 		if err := spec.Validate(); err != nil {
 			fail(2, err)
 		}

@@ -27,8 +27,8 @@ func BenchmarkMedium64Stations(b *testing.B) {
 // with the same 700 m spacing (21.7 km per side). At this scale the
 // pre-index medium spent O(N) work per transmission computing distance
 // and fading for every radio on the field before discarding almost all
-// of them; the spatial hash grid visits only the cells a transmission
-// can physically matter to (see BENCH_PR3.json at the root).
+// of them; the spatial grid visits only the cells a transmission can
+// physically matter to (see BENCH_PR3.json at the root).
 func BenchmarkMedium1024Stations(b *testing.B) {
 	benchmarkMediumGrid(b, 32)
 }

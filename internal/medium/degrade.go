@@ -40,7 +40,7 @@ type DegTimeline struct {
 	pairs []degPair
 
 	// global is the sorted distinct union of every boundary instant, the
-	// coarse epoch the fan-out memo keys on.
+	// field-wide epoch the fan-out memo keys on.
 	global []time.Duration
 
 	// episodes is builder state, consumed by Finalize.
@@ -180,7 +180,7 @@ func (d *DegTimeline) epoch(slot int32, now time.Duration) uint64 {
 	return uint64(sort.Search(len(b), func(i int) bool { return b[i] > now }))
 }
 
-// globalEpoch returns the coarse whole-field epoch at time now — the
+// globalEpoch returns the whole-field epoch at time now — the
 // count of any boundary instants ≤ now — keying the fan-out memo.
 func (d *DegTimeline) globalEpoch(now time.Duration) uint64 {
 	g := d.global

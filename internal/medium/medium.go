@@ -19,9 +19,9 @@
 // "who hears whom" adjacency; instead it derives a hard relevance radius
 // from the radio model itself — the distance beyond which no shadowing
 // draw can lift a transmission's power to within IrrelevantMarginDB of
-// any receiver's noise floor (phy.Profile.ReachRange) — and keeps the
-// radios in a spatial hash grid (phy.CellIndex) with that radius as the
-// cell size. Transmit then touches only the 3×3 cell neighborhood of the
+// any receiver's noise floor (phy.Profile.ReachRange) — and buckets the
+// radios in a spatial grid (phy.CellIndex) with that radius as the cell
+// size. Transmit then touches only the 3×3 cell neighborhood of the
 // transmitter: per-transmission cost is proportional to the stations in
 // earshot, not the stations in existence, which is what makes
 // thousand-station fields tractable. A degenerate radio model with no
@@ -40,7 +40,6 @@
 package medium
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -104,18 +103,10 @@ type Medium struct {
 	soaPos   []phy.Position
 	soaIrrel []float64
 
-	// idsMonotone records whether radio ids ascend in slot order — true
-	// for node-built networks, which assign ids sequentially. It lets
-	// sortCandidates order slots directly instead of through the id
-	// array, and AddRadio prove a new id unique by comparing it with the
-	// last one.
-	idsMonotone bool
-
-	// index is the spatial neighbor grid; nil while dirty, on an empty
+	// index is the spatial neighbor grid over soaPos; nil on an empty
 	// field, or when a degenerate radio model admits no finite relevance
-	// radius (every radio is then a candidate). It is rebuilt lazily on
-	// the first Transmit after a radio set change and updated
-	// incrementally by Radio.SetPos.
+	// radius (every radio is then a candidate). It is rebuilt whole on
+	// the first Transmit after a radio is added, moved or re-placed.
 	index      *phy.CellIndex
 	indexDirty bool
 
@@ -232,11 +223,10 @@ func (m *Medium) Stats() Stats {
 // from src.
 func New(sched *sim.Scheduler, src *sim.Source) *Medium {
 	return &Medium{
-		sched:       sched,
-		src:         src,
-		gainSeed:    src.Seed(),
-		indexDirty:  true,
-		idsMonotone: true,
+		sched:      sched,
+		src:        src,
+		gainSeed:   src.Seed(),
+		indexDirty: true,
 	}
 }
 
@@ -397,11 +387,12 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 	return g.baseDBm + shadow, true
 }
 
-// ensureIndex rebuilds the neighbor grid if the radio set changed since
-// the last transmission. The cell size is the maximum relevance radius
-// over all transmitter profiles against the lowest noise floor on the
-// field, so any transmission's candidate set lies within the 3×3 cell
-// block around the transmitter.
+// ensureIndex rebuilds the neighbor grid if a radio was added, moved or
+// re-placed since the last transmission. The cell size is the maximum
+// relevance radius over all transmitter profiles against the lowest
+// noise floor on the field (or a power-of-two multiple of it on a field
+// too sparse for that many cells), so any transmission's candidate set
+// lies within the 3×3 cell block around the transmitter.
 func (m *Medium) ensureIndex() {
 	if !m.indexDirty {
 		return
@@ -441,13 +432,10 @@ func (m *Medium) ensureIndex() {
 			maxReach = d
 		}
 	}
-	ix := phy.NewCellIndex(maxReach)
-	for _, r := range m.radios {
-		// The index holds slots, not ids: a query result then drives the
-		// SoA arrays directly, with no id→radio map probe on the hot path.
-		ix.Insert(uint32(r.slot), r.pos)
-	}
-	m.index = ix
+	// The index is built over the slot-indexed positions, so it holds
+	// slots, not ids: a query result then drives the SoA arrays directly,
+	// with no id→radio map probe on the hot path.
+	m.index = phy.NewCellIndex(m.soaPos, maxReach)
 }
 
 // radioState tracks what a radio's receive chain is doing.
@@ -692,16 +680,12 @@ func (m *Medium) releaseTransmission(tx *transmission) {
 }
 
 // AddRadio attaches a radio at pos with the given profile and handler.
-// The id must be unique; it keys the fading process and the spatial
-// index. While ids ascend (every node-built network) an id above the
-// last one is unique by construction; only a medium assembled with ids
-// out of order scans the ids already attached.
+// The id keys the fading process and sets the dispatch order; each id
+// must be above the last one attached (node-built networks number
+// stations from 1), which makes ids unique and slot order id order.
 func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h Handler) *Radio {
-	if n := len(m.soaID); n > 0 && (!m.idsMonotone || id <= m.soaID[n-1]) {
-		if slices.Contains(m.soaID, id) {
-			panic(fmt.Sprintf("medium: duplicate radio id %d", id))
-		}
-		m.idsMonotone = false
+	if n := len(m.soaID); n > 0 && id <= m.soaID[n-1] {
+		panic(fmt.Sprintf("medium: radio id %d does not ascend (last %d)", id, m.soaID[n-1]))
 	}
 	if m.shards != nil {
 		panic("medium: AddRadio after SetPartition")
@@ -769,17 +753,14 @@ func (r *Radio) ID() uint32 { return r.id }
 func (r *Radio) Pos() phy.Position { return r.pos }
 
 // SetPos moves the radio (mobility support). Takes effect for
-// transmissions that begin after the move. The spatial index follows
-// incrementally: a move within the radio's current grid cell is O(1)
-// bookkeeping, and only a cell-boundary crossing relocates it.
+// transmissions that begin after the move, the first of which rebuilds
+// the spatial index.
 func (r *Radio) SetPos(p phy.Position) {
 	m := r.m
 	r.pos = p
 	m.soaPos[r.slot] = p
 	m.posEpoch++
-	if m.index != nil && !m.indexDirty {
-		m.index.Move(uint32(r.slot), p)
-	}
+	m.indexDirty = true
 }
 
 // Reset clears the radio's per-run receive state and counters and
@@ -955,26 +936,12 @@ func (m *Medium) rebuildCandidates(r *Radio) {
 			cand = append(cand, uint32(slot))
 		}
 	}
-	m.sortCandidates(cand)
+	// Dispatch order is ascending radio id, which is slot order.
+	slices.Sort(cand)
 	r.cand = cand
 	r.gains = slices.Grow(r.gains[:0], len(cand))[:len(cand)]
 	clear(r.gains)
 	r.candEpoch = m.posEpoch
-}
-
-// sortCandidates puts a candidate slot list into dispatch order:
-// ascending radio id. Node-built networks assign ids in slot order, so
-// the common case is a plain slot sort; hand-assembled media with
-// out-of-order ids sort through the id array instead.
-func (m *Medium) sortCandidates(slots []uint32) {
-	if m.idsMonotone {
-		slices.Sort(slots)
-		return
-	}
-	ids := m.soaID
-	slices.SortFunc(slots, func(a, b uint32) int {
-		return cmp.Compare(ids[a], ids[b])
-	})
 }
 
 // propagate adds the radio in slot rxSlot to tx's receiver set, unless

@@ -34,19 +34,18 @@ import (
 // in CI checks exactly this). The link-gain cache stays safe: a
 // radio's gain row, like its candidate memo, is rebuilt and written
 // only by its own region (a radio transmits only on its own region's
-// goroutine, and a rebuild stages through that region's shard buffer),
-// and the receiver-side SoA arrays a cache fill reads (position,
-// mobility epoch, id) are immutable while a partition is installed
-// (mobility scenarios fall back to the sequential kernel).
+// goroutine), and what a rebuild reads — the spatial index and the
+// receiver-side SoA arrays (position, id, irrelevance cut) — is
+// immutable while a partition is installed (mobility scenarios fall
+// back to the sequential kernel).
 
 // medShard is the per-region slice of the medium's mutable transmit
-// state: descriptor pool, sort and candidate-rebuild scratch and
-// counters, each touched only by the owning region's goroutine —
-// except returns, the locked list through which remote regions hand
-// descriptors back to their origin pool so the targets capacity stays
-// warm where the fan-out happens (one short lock per finished
-// transmission). The pad keeps two shards' hot counters off one cache
-// line.
+// state: descriptor pool, region-sort scratch and counters, each
+// touched only by the owning region's goroutine — except returns, the
+// locked list through which remote regions hand descriptors back to
+// their origin pool so the targets capacity stays warm where the
+// fan-out happens (one short lock per finished transmission). The pad
+// keeps two shards' hot counters off one cache line.
 type medShard struct {
 	freeTx   []*transmission
 	regCount []int32

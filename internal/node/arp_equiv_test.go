@@ -9,25 +9,37 @@ import (
 	"adhocsim/internal/phy"
 )
 
+// tableARP is the reference the computed resolver replaced: it drops
+// every station's resolver and gives its stack a warm ARP entry for
+// every other station instead — O(stations²) entries.
+func tableARP(n *Network) {
+	for _, st := range n.Stations {
+		st.Net.SetResolver(nil)
+		for _, other := range n.Stations {
+			if other != st {
+				st.Net.AddNeighbor(other.Addr(), other.HWAddr())
+			}
+		}
+	}
+}
+
 // arpRun drives one fixed-seed network — a 4×4 grid of stations with
 // three concurrently paced UDP flows — and returns every observable
-// metric. With table set the network wires the explicit O(stations²)
-// neighbor tables (the WithNeighborTable reference); otherwise IP→HW
-// resolution goes through the computed resolver the city-scale builds
-// rely on.
+// metric. With table set the stations resolve through explicit
+// neighbor tables (tableARP); otherwise IP→HW resolution goes through
+// the computed resolver the city-scale builds rely on.
 func arpRun(t *testing.T, table bool) []uint64 {
 	t.Helper()
-	var opts []Option
-	if table {
-		opts = append(opts, WithNeighborTable())
-	}
-	n := NewNetwork(99, opts...)
+	n := NewNetwork(99)
 
 	var sts []*Station
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
 			sts = append(sts, n.AddStation(phy.Pos(float64(c)*60, float64(r)*60), mac.Config{DataRate: phy.Rate2}))
 		}
+	}
+	if table {
+		tableARP(n)
 	}
 
 	pairs := [][2]int{{0, 1}, {5, 6}, {10, 14}}

@@ -82,7 +82,7 @@ func gainCacheRun(t *testing.T, seed uint64) []uint64 {
 }
 
 // TestGainCacheMatchesDirectUnderInterleaving is the link-gain
-// property test: arbitrary interleavings of Move and Transmit must
+// property test: arbitrary interleavings of SetPos and Transmit must
 // produce exactly the metrics — including the number of scheduler
 // events fired — that the direct per-arrival PHY computation produced
 // before the cache was the only path, across several interleaving

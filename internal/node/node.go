@@ -57,7 +57,6 @@ type Network struct {
 	Grid phy.RegionGrid
 
 	partitioned bool // Medium.SetPartition installed (first Run)
-	tableARP    bool // explicit O(n²) neighbor wiring (WithNeighborTable)
 
 	// resolver is neighborHW as a func value, made once and shared by
 	// every station's stack.
@@ -73,16 +72,6 @@ func WithProfile(p *phy.Profile) Option { return func(n *Network) { n.Profile = 
 // WithMSS sets the TCP maximum segment size (the paper uses 512-byte
 // application packets).
 func WithMSS(mss int) Option { return func(n *Network) { n.MSS = mss } }
-
-// WithNeighborTable restores the explicit per-station neighbor wiring:
-// every station's stack gets a warm ARP entry for every other station,
-// the pre-resolver reference behaviour. Resolution results are
-// provably identical either way — station and link-layer addresses are
-// both pure functions of the station id — and the equivalence test
-// runs the same seed both ways to keep that claim honest. The explicit
-// table costs O(stations²) build time and memory, which is exactly why
-// city-scale networks default to the computed resolver.
-func WithNeighborTable() Option { return func(n *Network) { n.tableARP = true } }
 
 // WithParallel switches the network to the space-partitioned parallel
 // execution mode: the field is partitioned by grid, every station's
@@ -127,8 +116,7 @@ func NewNetwork(seed uint64, opts ...Option) *Network {
 // (Address is assigned automatically) and wires it into the network:
 // every station can resolve every other station's link-layer address —
 // the testbed equivalent of a warm ARP cache, served by a computed
-// resolver rather than O(stations²) table entries (WithNeighborTable
-// restores the explicit wiring).
+// resolver rather than O(stations²) table entries.
 func (n *Network) AddStation(pos phy.Position, cfg mac.Config) *Station {
 	return n.AddStationProfile(pos, cfg, nil)
 }
@@ -161,14 +149,7 @@ func (n *Network) AddStationProfile(pos phy.Position, cfg mac.Config, profile *p
 	// by Network.Reset.
 	st.Net.FreezeSubscribers()
 
-	if n.tableARP {
-		for _, other := range n.Stations {
-			other.Net.AddNeighbor(st.Addr(), st.HWAddr())
-			st.Net.AddNeighbor(other.Addr(), other.HWAddr())
-		}
-	} else {
-		st.Net.SetResolver(n.resolver)
-	}
+	st.Net.SetResolver(n.resolver)
 	n.Stations = append(n.Stations, st)
 	return st
 }

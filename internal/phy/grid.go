@@ -1,139 +1,138 @@
 package phy
 
-import (
-	"fmt"
-	"math"
-	"slices"
-)
+import "math"
 
-// cellKey addresses one square cell of a CellIndex: the integer floor of
-// the position divided by the cell size, per axis.
-type cellKey struct{ cx, cy int32 }
-
-// CellIndex is a uniform spatial hash grid over identified positions —
-// the neighbor index the medium uses to find every radio a transmission
-// could possibly matter to without touching the radios it cannot.
+// CellIndex is an immutable uniform grid over a fixed slice of
+// positions — the neighbor index the medium uses to find every radio a
+// transmission could possibly matter to without touching the radios it
+// cannot, and the one the static route compiler and nearest-station
+// pairing query. An index names a position by its index in the slice
+// it was built from; a caller whose positions change builds a new one.
 //
-// The grid is unbounded: cells exist only while occupied, so the index
-// costs memory proportional to the station count, not the field area.
-// Within each cell, ids are kept sorted ascending; queries visit cells
-// in deterministic row-major order (cy, then cx, ascending). Together
-// this makes every query's output a pure function of the current
-// id→position map — independent of insertion history, Go map iteration
-// order, and past Move calls — which is what lets fixed-seed simulation
-// runs stay bit-identical.
+// Cells are squares aligned to multiples of the cell size, so a
+// position's cell is the floor of each coordinate divided by the cell
+// size. Only the cells of the positions' bounding box exist, numbered
+// row-major from its lowest cell, and one counting sort fills them:
+// ids[start[c]:start[c+1]] are the positions of cell c, ascending.
+// Queries visit cells in row-major order (cy, then cx, ascending), so
+// every query's output is a pure function of the positions — which is
+// what lets fixed-seed simulation runs stay bit-identical.
 //
-// CellIndex is not safe for concurrent use, matching the
-// single-goroutine simulation kernel it serves.
-//
-// Above the fine cells sits a coarse layer of supercells, each covering
-// a coarseSize×coarseSize block of cells, holding only an occupancy
-// count. Wide queries — a radius spanning many cells, or a sparse
-// clustered field where most of the bounding box is empty space —
-// consult the coarse layer to skip whole supercell rows and row
-// segments without probing each fine cell. The skip only ever elides
-// provably empty cells, so query output (and its deterministic row-
-// major order) is the same as the flat scan's, which small boxes use.
+// The grid holds at most about four cells per position: when the
+// bounding box would need more at the requested cell size, the size
+// doubles until it does not. A large empty field therefore costs
+// memory proportional to the station count, not the field area, and a
+// query's cell walk is bounded by the grid however wide its radius.
 type CellIndex struct {
-	cell   float64
-	cells  map[cellKey][]uint32
-	where  map[uint32]cellKey
-	coarse map[cellKey]int32 // supercell → indexed-id count
+	cell       float64
+	kx0, ky0   float64 // cell coordinates of column 0 and row 0
+	cols, rows int
+	start      []int32
+	ids        []uint32
 }
 
-const (
-	// coarseShift is the log2 edge ratio between a supercell and a
-	// cell: supercells cover 8×8 cells, a balance between skip reach
-	// and coarse-layer probe cost.
-	coarseShift = 3
-	coarseSize  = 1 << coarseShift
-	// coarseMinCells is the bounding-box area (in cells) below which a
-	// query walks the flat grid directly: a handful of probes is
-	// cheaper than any amount of skipping.
-	coarseMinCells = 32
-)
-
-// superKey maps a cell to its supercell. Arithmetic shift floors
-// toward negative infinity, which is the correct block assignment for
-// negative coordinates too.
-func superKey(k cellKey) cellKey {
-	return cellKey{cx: k.cx >> coarseShift, cy: k.cy >> coarseShift}
-}
-
-// NewCellIndex returns an empty index with the given cell size in
-// meters. The caller picks the cell size from its query radius; the
-// medium uses the maximum relevance radius, so any query touches at
-// most a 3×3 block of cells.
-func NewCellIndex(cellSize float64) *CellIndex {
-	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
-		panic(fmt.Sprintf("phy: cell size %v must be positive and finite", cellSize))
+// NewCellIndex buckets positions into cells of the given size in
+// meters, doubled as often as the four-cells-per-position budget needs.
+// The medium picks the size from its query radius (the maximum
+// relevance radius), so a query touches at most a 3×3 block of cells.
+// A size that is not positive starts from the smallest float, so the
+// doubling picks the finest grid within budget; an infinite one is
+// taken as the largest float. Non-finite coordinates do not widen the
+// bounding box: such a position lands in an edge cell (a NaN one in the
+// first).
+//
+// Cell coordinates are exact while a coordinate divided by the cell
+// size stays under 2^53 in magnitude; beyond that, queries still end
+// but may over- or under-report at cell granularity.
+func NewCellIndex(positions []Position, cellSize float64) *CellIndex {
+	ix := &CellIndex{cell: cellSize}
+	switch {
+	case !(cellSize > 0):
+		ix.cell = math.SmallestNonzeroFloat64
+	case math.IsInf(cellSize, 1):
+		ix.cell = math.MaxFloat64
 	}
-	return &CellIndex{
-		cell:   cellSize,
-		cells:  make(map[cellKey][]uint32),
-		where:  make(map[uint32]cellKey),
-		coarse: make(map[cellKey]int32),
+	x0, x1 := math.Inf(1), math.Inf(-1)
+	y0, y1 := math.Inf(1), math.Inf(-1)
+	for _, p := range positions {
+		if !math.IsInf(p.X, 0) && !math.IsNaN(p.X) {
+			x0, x1 = min(x0, p.X), max(x1, p.X)
+		}
+		if !math.IsInf(p.Y, 0) && !math.IsNaN(p.Y) {
+			y0, y1 = min(y0, p.Y), max(y1, p.Y)
+		}
 	}
+	if x0 > x1 {
+		x0, x1 = 0, 0
+	}
+	if y0 > y1 {
+		y0, y1 = 0, 0
+	}
+	budget := 4*float64(len(positions)) + 4
+	for {
+		ix.kx0, ix.ky0 = math.Floor(x0/ix.cell), math.Floor(y0/ix.cell)
+		cols := math.Floor(x1/ix.cell) - ix.kx0 + 1
+		rows := math.Floor(y1/ix.cell) - ix.ky0 + 1
+		// Past half the largest float the next doubling would be
+		// infinite; every finite field then spans at most 5×5 cells.
+		if cols*rows <= budget || ix.cell > math.MaxFloat64/2 {
+			ix.cols, ix.rows = int(cols), int(rows)
+			break
+		}
+		ix.cell *= 2
+	}
+
+	ix.start = make([]int32, ix.cols*ix.rows+1)
+	for _, p := range positions {
+		ix.start[ix.cellOf(p)+1]++
+	}
+	for c := 1; c < len(ix.start); c++ {
+		ix.start[c] += ix.start[c-1]
+	}
+	// Filling advances each cell's start to the next cell's; shifting
+	// the offsets up one slot restores them.
+	ix.ids = make([]uint32, len(positions))
+	for i, p := range positions {
+		c := ix.cellOf(p)
+		ix.ids[ix.start[c]] = uint32(i)
+		ix.start[c]++
+	}
+	copy(ix.start[1:], ix.start)
+	ix.start[0] = 0
+	return ix
 }
 
-// CellSize returns the cell edge length in meters.
+// CellSize returns the cell edge length in meters, after any doubling.
 func (ix *CellIndex) CellSize() float64 { return ix.cell }
 
-// Len returns the number of indexed ids.
-func (ix *CellIndex) Len() int { return len(ix.where) }
-
-// keyFor maps a position to its cell.
-func (ix *CellIndex) keyFor(p Position) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / ix.cell)),
-		cy: int32(math.Floor(p.Y / ix.cell)),
-	}
+// cellOf returns the row-major cell holding p, clamped into the grid.
+func (ix *CellIndex) cellOf(p Position) int {
+	cx := clampCell(math.Floor(p.X/ix.cell)-ix.kx0, ix.cols)
+	cy := clampCell(math.Floor(p.Y/ix.cell)-ix.ky0, ix.rows)
+	return cy*ix.cols + cx
 }
 
-// Insert adds id at position p. Inserting an id twice panics: the caller
-// owns id uniqueness (the medium enforces it at AddRadio).
-func (ix *CellIndex) Insert(id uint32, p Position) {
-	if _, ok := ix.where[id]; ok {
-		panic(fmt.Sprintf("phy: CellIndex already holds id %d", id))
+// clampCell clamps a grid column or row into [0, n-1]; NaN maps to 0.
+func clampCell(v float64, n int) int {
+	if !(v > 0) {
+		return 0
 	}
-	k := ix.keyFor(p)
-	ix.where[id] = k
-	ix.cells[k] = insertSorted(ix.cells[k], id)
-	ix.coarse[superKey(k)]++
+	if v >= float64(n-1) {
+		return n - 1
+	}
+	return int(v)
 }
 
-// Move updates id's position, relocating it between cells only when the
-// move actually crosses a cell boundary — the common mobility tick stays
-// O(1) with no slice churn.
-func (ix *CellIndex) Move(id uint32, p Position) {
-	old, ok := ix.where[id]
-	if !ok {
-		panic(fmt.Sprintf("phy: CellIndex.Move of unknown id %d", id))
+// cellSpan returns the grid columns (or rows) [i0, i1] that the
+// coordinate interval [lo, hi] overlaps, given the axis's first cell
+// coordinate k0 and its cell count n; i0 > i1 when it misses the grid.
+func (ix *CellIndex) cellSpan(lo, hi, k0 float64, n int) (i0, i1 int) {
+	a := math.Floor(lo/ix.cell) - k0
+	b := math.Floor(hi/ix.cell) - k0
+	if !(b >= 0) || !(a < float64(n)) {
+		return 0, -1
 	}
-	k := ix.keyFor(p)
-	if k == old {
-		return
-	}
-	ix.cells[old] = removeSorted(ix.cells[old], id)
-	if len(ix.cells[old]) == 0 {
-		delete(ix.cells, old)
-	}
-	ix.where[id] = k
-	ix.cells[k] = insertSorted(ix.cells[k], id)
-	if os, ns := superKey(old), superKey(k); os != ns {
-		ix.coarseDec(os)
-		ix.coarse[ns]++
-	}
-}
-
-// coarseDec drops one occupant from a supercell, deleting the entry at
-// zero so the coarse map stays proportional to the occupied area.
-func (ix *CellIndex) coarseDec(sk cellKey) {
-	if n := ix.coarse[sk] - 1; n == 0 {
-		delete(ix.coarse, sk)
-	} else {
-		ix.coarse[sk] = n
-	}
+	return clampCell(a, n), clampCell(b, n)
 }
 
 // AppendWithin appends to dst the ids of every indexed position within
@@ -142,65 +141,37 @@ func (ix *CellIndex) coarseDec(sk cellKey) {
 // returned, plus possibly some ids in partially-overlapping cells that
 // lie just beyond it — callers that need the exact disc filter by true
 // distance (the medium does so implicitly through the received-power
-// cut). Passing a reused buffer as dst makes the query allocation-free
-// in steady state.
+// cut). Passing a reused buffer as dst makes the query allocation-free.
 //
 // Cells are visited in row-major (cy, cx) order and each cell's ids are
-// sorted ascending, so the output order is deterministic.
+// ascending, so the output order is deterministic.
 func (ix *CellIndex) AppendWithin(dst []uint32, center Position, radius float64) []uint32 {
 	if !(radius >= 0) {
 		return dst
 	}
+	cx0, cx1 := ix.cellSpan(center.X-radius, center.X+radius, ix.kx0, ix.cols)
+	cy0, cy1 := ix.cellSpan(center.Y-radius, center.Y+radius, ix.ky0, ix.rows)
 	c := ix.cell
-	cx0 := int32(math.Floor((center.X - radius) / c))
-	cx1 := int32(math.Floor((center.X + radius) / c))
-	cy0 := int32(math.Floor((center.Y - radius) / c))
-	cy1 := int32(math.Floor((center.Y + radius) / c))
 	r2 := radius * radius
-	// The coarse layer pays only on wide boxes: a 3×3 query is cheaper
-	// probed directly.
-	useCoarse := (int64(cx1-cx0)+1)*(int64(cy1-cy0)+1) >= coarseMinCells
 	for cy := cy0; cy <= cy1; cy++ {
-		if useCoarse && cy&(coarseSize-1) == 0 && cy1-cy >= coarseSize-1 &&
-			ix.coarseRowEmpty(cy>>coarseShift, cx0, cx1) {
-			// A fully empty supercell row, and the box covers all of it:
-			// skip its remaining coarseSize-1 cell rows too.
-			cy += coarseSize - 1
-			continue
-		}
-		cx := cx0
-		for cx <= cx1 {
-			if useCoarse && ix.coarse[superKey(cellKey{cx, cy})] == 0 {
-				// Empty supercell: jump to its right edge.
-				cx = (cx>>coarseShift + 1) << coarseShift
+		// Skip cells whose nearest point is beyond the radius: the
+		// bounding box visits corner cells the disc cannot touch.
+		ky := ix.ky0 + float64(cy)
+		dy := clampF(center.Y, ky*c, (ky+1)*c) - center.Y
+		row := cy * ix.cols
+		for cx := cx0; cx <= cx1; cx++ {
+			lo, hi := ix.start[row+cx], ix.start[row+cx+1]
+			if lo == hi {
 				continue
 			}
-			ids := ix.cells[cellKey{cx, cy}]
-			if len(ids) > 0 {
-				// Skip cells whose nearest point is beyond the radius: the
-				// bounding box visits corner cells the disc cannot touch.
-				nx := clampF(center.X, float64(cx)*c, float64(cx+1)*c)
-				ny := clampF(center.Y, float64(cy)*c, float64(cy+1)*c)
-				dx, dy := nx-center.X, ny-center.Y
-				if dx*dx+dy*dy <= r2 {
-					dst = append(dst, ids...)
-				}
+			kx := ix.kx0 + float64(cx)
+			dx := clampF(center.X, kx*c, (kx+1)*c) - center.X
+			if dx*dx+dy*dy <= r2 {
+				dst = append(dst, ix.ids[lo:hi]...)
 			}
-			cx++
 		}
 	}
 	return dst
-}
-
-// coarseRowEmpty reports whether every supercell of row sy overlapping
-// the cell-column range [cx0, cx1] is empty.
-func (ix *CellIndex) coarseRowEmpty(sy, cx0, cx1 int32) bool {
-	for sx := cx0 >> coarseShift; sx <= cx1>>coarseShift; sx++ {
-		if ix.coarse[cellKey{sx, sy}] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // clampF clamps v into [lo, hi].
@@ -212,19 +183,4 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// insertSorted inserts id into the ascending slice ids.
-func insertSorted(ids []uint32, id uint32) []uint32 {
-	i, _ := slices.BinarySearch(ids, id)
-	return slices.Insert(ids, i, id)
-}
-
-// removeSorted deletes id from the ascending slice ids.
-func removeSorted(ids []uint32, id uint32) []uint32 {
-	i, found := slices.BinarySearch(ids, id)
-	if !found {
-		return ids
-	}
-	return slices.Delete(ids, i, i+1)
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -8,20 +9,38 @@ import (
 	"adhocsim/internal/sim"
 )
 
-// TestIndexedAdjacencyMatchesBrute pins the spatial-hash edge discovery
-// against an all-pairs scan the test runs itself, on a field big enough
-// to take the indexed path: identical adjacency lists (order included,
-// so BFS tie-breaks agree), and identical next-hop tables and hop
-// counts when both graphs are solved.
+// TestIndexedAdjacencyMatchesBrute pins the grid edge discovery
+// against an all-pairs scan the test runs itself: identical adjacency
+// lists (order included, so BFS tie-breaks agree), and identical
+// next-hop tables and hop counts when both graphs are solved. It runs
+// on a 1024-station field and on a small one with stacked stations,
+// including link radii of 0 (only stacked stations link) and +Inf
+// (every pair links).
 func TestIndexedAdjacencyMatchesBrute(t *testing.T) {
 	rng := sim.NewSource(7).Stream("routing.adjacency-test")
-	n := 4 * indexedAdjacencyMin
-	positions := make([]phy.Position, n)
-	for i := range positions {
-		positions[i] = phy.Pos(rng.Float64()*3000, rng.Float64()*3000)
+	field := make([]phy.Position, 1024)
+	for i := range field {
+		field[i] = phy.Pos(rng.Float64()*3000, rng.Float64()*3000)
 	}
-	const linkRange = 130.0
+	small := append([]phy.Position(nil), field[:10]...)
+	small = append(small, small[3], small[7])
+	for _, tc := range []struct {
+		positions []phy.Position
+		linkRange float64
+		minEdges  int
+	}{
+		{field, 130, 1},
+		{small, 900, 1},
+		{small, 0, 4},
+		{small, math.Inf(1), 12 * 11},
+	} {
+		checkAdjacency(t, tc.positions, tc.linkRange, tc.minEdges)
+	}
+}
 
+func checkAdjacency(t *testing.T, positions []phy.Position, linkRange float64, minEdges int) {
+	t.Helper()
+	n := len(positions)
 	indexed := NewGraph(positions, linkRange)
 	brute := &Graph{
 		n:         n,
@@ -44,16 +63,16 @@ func TestIndexedAdjacencyMatchesBrute(t *testing.T) {
 	for i := range indexed.adj {
 		edges += len(indexed.adj[i])
 	}
-	if edges == 0 {
-		t.Fatal("graph has no edges: the field does not exercise edge discovery")
+	if edges < minEdges {
+		t.Fatalf("%d stations, link range %g: %d adjacency entries, want at least %d", n, linkRange, edges, minEdges)
 	}
 	if !reflect.DeepEqual(indexed.adj, brute.adj) {
-		t.Error("adjacency lists differ between indexed discovery and the all-pairs scan")
+		t.Errorf("%d stations, link range %g: adjacency lists differ between grid discovery and the all-pairs scan", n, linkRange)
 	}
 	if !reflect.DeepEqual(indexed.next, brute.next) {
-		t.Error("next-hop tables differ between indexed discovery and the all-pairs scan")
+		t.Errorf("%d stations, link range %g: next-hop tables differ between grid discovery and the all-pairs scan", n, linkRange)
 	}
 	if !reflect.DeepEqual(indexed.hops, brute.hops) {
-		t.Error("hop counts differ between indexed discovery and the all-pairs scan")
+		t.Errorf("%d stations, link range %g: hop counts differ between grid discovery and the all-pairs scan", n, linkRange)
 	}
 }

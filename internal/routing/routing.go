@@ -26,7 +26,6 @@ package routing
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"adhocsim/internal/mac"
@@ -69,11 +68,6 @@ type Graph struct {
 	hops      [][]int32 // hops[src][dst] = path length, -1 unreachable
 }
 
-// indexedAdjacencyMin is the station count above which NewGraph
-// discovers edges through a spatial hash instead of the all-pairs scan;
-// below it the scan is cheaper than building the index.
-const indexedAdjacencyMin = 256
-
 // NewGraph builds the connectivity graph over the given positions with
 // the given link radius (meters) and solves min-hop paths between every
 // pair.
@@ -86,36 +80,22 @@ func NewGraph(positions []phy.Position, linkRange float64) *Graph {
 		next:      make([][]int32, n),
 		hops:      make([][]int32, n),
 	}
-	if n >= indexedAdjacencyMin && linkRange > 0 && !math.IsInf(linkRange, 1) {
-		// Edge discovery through a spatial hash with the link radius as
-		// cell size: each station probes its 3×3 cell neighborhood instead
-		// of the whole field, O(n·earshot) against the scan's O(n²). The
-		// candidate list is sorted and filtered to j>i, so every adjacency
-		// append happens in exactly the order the all-pairs loop performs
-		// it — identical lists, identical BFS tie-breaks.
-		ix := phy.NewCellIndex(linkRange)
-		for i := 0; i < n; i++ {
-			ix.Insert(uint32(i), positions[i])
-		}
-		var buf []uint32
-		for i := 0; i < n; i++ {
-			buf = ix.AppendWithin(buf[:0], positions[i], linkRange)
-			slices.Sort(buf)
-			for _, v := range buf {
-				j := int(v)
-				if j > i && phy.Dist(positions[i], positions[j]) <= linkRange {
-					g.adj[i] = append(g.adj[i], int32(j))
-					g.adj[j] = append(g.adj[j], int32(i))
-				}
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if phy.Dist(positions[i], positions[j]) <= linkRange {
-					g.adj[i] = append(g.adj[i], int32(j))
-					g.adj[j] = append(g.adj[j], int32(i))
-				}
+	// Edge discovery through a spatial grid with the link radius as
+	// cell size: each station probes its 3×3 cell neighborhood instead
+	// of the whole field, O(n·earshot) against an all-pairs scan's
+	// O(n²). The candidate list is sorted and filtered to j>i, so every
+	// adjacency append happens in exactly the order an all-pairs loop
+	// over i<j performs it — identical lists, identical BFS tie-breaks.
+	ix := phy.NewCellIndex(positions, linkRange)
+	var buf []uint32
+	for i := 0; i < n; i++ {
+		buf = ix.AppendWithin(buf[:0], positions[i], linkRange)
+		slices.Sort(buf)
+		for _, v := range buf {
+			j := int(v)
+			if j > i && phy.Dist(positions[i], positions[j]) <= linkRange {
+				g.adj[i] = append(g.adj[i], int32(j))
+				g.adj[j] = append(g.adj[j], int32(i))
 			}
 		}
 	}
@@ -124,10 +104,10 @@ func NewGraph(positions []phy.Position, linkRange float64) *Graph {
 }
 
 // solve fills the next-hop and hop-count tables from the adjacency
-// lists by one BFS per source. The i<j discovery order (either path in
-// NewGraph) leaves every adjacency list ascending (a vertex receives
-// all smaller neighbors before any larger one), so BFS visits neighbors
-// in index order and tie-breaks are stable.
+// lists by one BFS per source. The i<j discovery order in NewGraph
+// leaves every adjacency list ascending (a vertex receives all smaller
+// neighbors before any larger one), so BFS visits neighbors in index
+// order and tie-breaks are stable.
 func (g *Graph) solve() {
 	n := g.n
 	queue := make([]int32, 0, n)

@@ -93,8 +93,8 @@ func BenchmarkRandom1024Movers(b *testing.B) {
 }
 
 // BenchmarkRandom16k is the PR 7 headline bench: the 16384-station city
-// preset at its full duration on its own configuration (hierarchical
-// index, incremental interference sums). BenchmarkClusteredBlocks100k
+// preset at its full duration on its own configuration (spatial grid,
+// incremental interference sums). BenchmarkClusteredBlocks100k
 // is the 100k tier. Both build once and Reset per iteration, so
 // ns/event is pure kernel cost (the city benches guard the scheduler,
 // not the construction path — TestRandom16kBuildBudget guards that).

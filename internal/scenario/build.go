@@ -761,39 +761,6 @@ func Run(spec Spec) (Result, error) {
 	return inst.Collect(horizon), nil
 }
 
-// RunProgress is Run with an in-run progress meter for long city-scale
-// runs: the horizon is driven in ~1% slices and tick is called after
-// each with the simulated time reached and the events fired so far.
-// Slicing is invisible to the simulation — the scheduler runs exactly
-// the events at or before each target either way — so the result is
-// bit-identical to Run's.
-func RunProgress(spec Spec, tick func(now, horizon time.Duration, fired uint64)) (Result, error) {
-	res, _, err := RunProgressExec(spec, tick)
-	return res, err
-}
-
-// RunProgressExec is RunProgress returning also the parallel kernel's
-// execution stats (nil when the build fell back to the sequential
-// kernel), for callers that surface the plan and counters alongside
-// the result — the CLI's metered single runs.
-func RunProgressExec(spec Spec, tick func(now, horizon time.Duration, fired uint64)) (Result, *ExecSummary, error) {
-	inst, err := Build(spec)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	horizon := inst.Spec.Duration.D()
-	const steps = 100
-	for i := 1; i <= steps; i++ {
-		target := time.Duration(int64(horizon) * int64(i) / steps)
-		inst.Net.Run(target - inst.Net.Now())
-		// Between slices no region worker runs, so this is a safe point
-		// to freshen a live /metrics view mid-run.
-		inst.pub.publish(inst)
-		tick(inst.Net.Now(), horizon, inst.Net.Fired())
-	}
-	return inst.Collect(horizon), inst.ExecStats(), nil
-}
-
 // MustRun is Run for presets that are valid by construction; it panics
 // on error.
 func MustRun(spec Spec) Result {

@@ -36,8 +36,8 @@ func cityShortSpec(t *testing.T, name string, horizon time.Duration) Spec {
 
 // TestRandom16kKernelToggles requires random-16k at 50 ms to
 // reproduce the result the retired calendar-queue backend recorded
-// (checkCalendarDigest). The index hierarchy and the incremental sums
-// it also runs are pinned mechanism by mechanism by the phy and medium
+// (checkCalendarDigest). The spatial grid and the incremental sums it
+// also runs are pinned mechanism by mechanism by the phy and medium
 // oracle tests.
 func TestRandom16kKernelToggles(t *testing.T) {
 	if testing.Short() {
@@ -190,13 +190,13 @@ func TestRandom16kBuildBudget(t *testing.T) {
 	}
 }
 
-// TestNearestDstIndexedMatchesBrute pins the indexed nearest-neighbor
-// resolver against a linear scan the test runs itself, on a field large
-// enough to take the indexed path: every resolved destination is the
-// first station at the minimum distance from the source, the scan's
-// answer, so equidistant ties break toward the lowest index.
+// TestNearestDstIndexedMatchesBrute pins the grid nearest-neighbor
+// resolver against a linear scan the test runs itself, on a
+// 4096-station field: every resolved destination is the first station
+// at the minimum distance from the source, the scan's answer, so
+// equidistant ties break toward the lowest index.
 func TestNearestDstIndexedMatchesBrute(t *testing.T) {
-	topo := Topology{Kind: KindRandomUniform, N: 4 * nearestIndexMin, Width: 8000, Height: 8000}
+	topo := Topology{Kind: KindRandomUniform, N: 4096, Width: 8000, Height: 8000}
 	positions, err := topo.Expand(1234)
 	if err != nil {
 		t.Fatal(err)
@@ -233,12 +233,13 @@ func TestNearestDstIndexedMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestNearestDstGridTies runs the bucket-grid resolver on fields built
-// to tie: a unit lattice, where most stations have four equidistant
-// nearest neighbors, with some stations stacked on others, and a line
-// of stations that makes the grid a single row. Every resolved
-// destination must be the linear scan's: the lowest index at the
-// minimum distance.
+// TestNearestDstGridTies runs the grid resolver on fields built to
+// tie: a unit lattice, where most stations have four equidistant
+// nearest neighbors, with some stations stacked on others; a line of
+// stations that makes the grid a single row; a five-station corner of
+// the lattice; and two stations at opposite ends of the float range,
+// whose distance overflows to +Inf. Every resolved destination must be
+// the linear scan's: the lowest index at the minimum distance.
 func TestNearestDstGridTies(t *testing.T) {
 	var lattice, line []phy.Position
 	for i := 0; i < 1600; i++ {
@@ -248,11 +249,17 @@ func TestNearestDstGridTies(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		lattice = append(lattice, lattice[i*13])
 	}
-	for name, positions := range map[string][]phy.Position{"lattice": lattice, "line": line} {
+	fields := map[string][]phy.Position{
+		"lattice": lattice,
+		"line":    line,
+		"small":   {lattice[0], lattice[1], lattice[40], lattice[41], lattice[0]},
+		"extreme": {phy.Pos(-math.MaxFloat64, -math.MaxFloat64), phy.Pos(math.MaxFloat64, math.MaxFloat64)},
+	}
+	for name, positions := range fields {
 		var flows []Flow
-		for i := 0; i < 64; i++ {
+		for i := 0; i < min(64, len(positions)); i++ {
 			flows = append(flows, Flow{
-				Src:        i * len(positions) / 64,
+				Src:        i * len(positions) / min(64, len(positions)),
 				NearestDst: true,
 				Port:       uint16(9000 + i),
 			})
@@ -264,7 +271,7 @@ func TestNearestDstGridTies(t *testing.T) {
 		for i, f := range flows {
 			brute, best := -1, math.Inf(1)
 			for j, p := range positions {
-				if d := phy.Dist(positions[f.Src], p); j != f.Src && d < best {
+				if d := phy.Dist(positions[f.Src], p); j != f.Src && (brute < 0 || d < best) {
 					brute, best = j, d
 				}
 			}

@@ -72,8 +72,8 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		medTx:        reg.Counter("medium_transmissions_total", "frames put on the air"),
 		medDeliv:     reg.Counter("medium_deliveries_total", "frames decoded by a receiver"),
 		medPHYErr:    reg.Counter("medium_phy_errors_total", "receptions lost to SINR/PHY errors"),
-		gainHits:     reg.Counter("medium_gain_cache_hits_total", "link-gain lookups served fully from cache"),
-		gainMisses:   reg.Counter("medium_gain_cache_misses_total", "link-gain lookups recomputing at least one component"),
+		gainHits:     reg.Counter("medium_gain_cache_hits_total", "link-gain lookups whose path-loss base came from the cache"),
+		gainMisses:   reg.Counter("medium_gain_cache_misses_total", "link-gain lookups that recomputed the path-loss base"),
 		fanReplays:   reg.Counter("medium_fanout_replays_total", "transmissions replayed from the fan-out memo"),
 		fanBuilds:    reg.Counter("medium_fanout_builds_total", "transmissions that walked candidates and rebuilt the memo"),
 		candReuses:   reg.Counter("medium_candidate_reuses_total", "candidate-memo reuses (index walk skipped)"),

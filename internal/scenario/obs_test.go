@@ -104,9 +104,10 @@ func TestObsTogglesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestObsScrapeDuringRun drives runs in slices (the RunProgress path,
-// bit-identical to Run) while a goroutine hammers a live /metrics
-// endpoint over the shared registry. The result must still match the
+// TestObsScrapeDuringRun drives runs in 1% slices, publishing the
+// metrics after each as the CLI's metered single run does (slicing is
+// invisible to the simulation), while a goroutine hammers a live
+// /metrics endpoint over the shared registry. The result must still match the
 // obs-off baseline byte for byte, and the scraper must actually see
 // mid-run metric text.
 func TestObsScrapeDuringRun(t *testing.T) {
@@ -148,21 +149,27 @@ func TestObsScrapeDuringRun(t *testing.T) {
 				}
 			}()
 
-			// ... and one deterministic scrape fires from the tick
-			// callback at mid-horizon, so even a run too fast for the
-			// goroutine provably serves mid-run metric text.
+			// ... and one deterministic scrape fires between slices at
+			// mid-horizon, so even a run too fast for the goroutine
+			// provably serves mid-run metric text.
+			inst, err := Build(s)
+			if err != nil {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("Build(%s): %v", s.Name, err)
+			}
+			horizon := inst.Spec.Duration.D()
 			var midRun string
-			res, err := RunProgress(s, func(now, horizon time.Duration, fired uint64) {
-				if midRun == "" && now >= horizon/2 && now < horizon {
+			for i := 1; i <= 100; i++ {
+				inst.Net.Run(time.Duration(int64(horizon)*int64(i)/100) - inst.Net.Now())
+				inst.PublishObs()
+				if now := inst.Net.Now(); midRun == "" && now >= horizon/2 && now < horizon {
 					midRun = scrape()
 				}
-			})
+			}
 			close(stop)
 			wg.Wait()
-			if err != nil {
-				t.Fatalf("RunProgress(%s): %v", s.Name, err)
-			}
-			got, err := json.Marshal(res)
+			got, err := json.Marshal(inst.Collect(horizon))
 			if err != nil {
 				t.Fatal(err)
 			}

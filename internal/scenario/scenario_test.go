@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -278,6 +279,12 @@ func TestValidateErrors(t *testing.T) {
 		{"line past the station limit", func(s *Spec) {
 			s.Topology = Topology{Kind: KindLine, N: 1 << 62, Spacing: 1}
 		}, "exceeds the 1048576-station limit"},
+		{"line past the float range", func(s *Spec) {
+			s.Topology = Topology{Kind: KindLine, N: 3, Spacing: 1e308}
+		}, "places station 2 at (+Inf,0.0)m, which is not finite"},
+		{"ring past the float range", func(s *Spec) {
+			s.Topology = Topology{Kind: KindRing, N: 4, Radius: 1e308}
+		}, "which is not finite"},
 		{"churn over a huge horizon", func(s *Spec) {
 			s.Duration = Duration(1 << 62)
 			s.Faults = &FaultSpec{Churn: &FaultChurn{RatePerMin: 600, MinDown: Duration(time.Millisecond), MaxDown: Duration(time.Second)}}
@@ -406,6 +413,48 @@ func TestRunMobilitySpec(t *testing.T) {
 	}
 	if inst.Net.Stations[0].Radio.Pos() != phy.Pos(150, 150) {
 		t.Fatal("static station moved")
+	}
+}
+
+// TestInt32EdgeFieldFinishes runs two stations 10 m apart where the
+// default profile's relevance-radius cell column is the largest int32:
+// a query box reaching one cell past it once wrapped an int32 cell
+// counter and spun for ever. Each run, direct, over static routing and
+// with a nearest_dst flow, must finish well inside the wall budget.
+func TestInt32EdgeFieldFinishes(t *testing.T) {
+	p := phy.DefaultProfile()
+	r := p.ReachRange(p.NoiseFloorDBm - 20)
+	x := math.MaxInt32*r - r/2
+	if math.Floor((x+10+r)/r) != math.MaxInt32 {
+		t.Fatalf("x = %v: the query box does not end in cell column %d", x, math.MaxInt32)
+	}
+	base := Spec{
+		Name:     "int32-edge",
+		Seed:     1,
+		Duration: Duration(200 * time.Millisecond),
+		Topology: Topology{Kind: KindExplicit, Positions: [][2]float64{{x, 0}, {x + 10, 0}}},
+		Flows:    []Flow{{Src: 0, Dst: 1}},
+	}
+	static, nearest := base, base
+	static.Routing = &RoutingParams{Protocol: routing.ProtocolStatic}
+	nearest.Flows = []Flow{{Src: 0, NearestDst: true}}
+	for _, spec := range []Spec{base, static, nearest} {
+		done := make(chan error, 1)
+		go func() {
+			res, err := Run(spec)
+			if err == nil && res.Flows[0].Received == 0 {
+				err = fmt.Errorf("nothing delivered")
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("run still going after 30 s of wall time")
+		}
 	}
 }
 

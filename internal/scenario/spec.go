@@ -443,6 +443,14 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	for i, p := range positions {
+		// A sum or product of finite parameters (a line's spacings, a
+		// ring's radius) can overflow; no distance from such a station
+		// means anything.
+		if math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) || math.IsNaN(p.X) || math.IsNaN(p.Y) {
+			return nil, nil, fmt.Errorf("scenario: %s topology places station %d at %v, which is not finite", s.Topology.Kind, i, p)
+		}
+	}
 	flows, err := resolveFlows(s.Flows, positions)
 	if err != nil {
 		return nil, nil, err
@@ -609,97 +617,28 @@ func (s Spec) staticReachability(positions []phy.Position, flows []Flow) (*routi
 	return g, nil
 }
 
-// nearestIndexMin is the station count above which NearestDst
-// resolution searches a bucket grid instead of scanning every position;
-// below it the scan wins.
-const nearestIndexMin = 1024
-
-// nearestGrid buckets a fixed set of positions into the square cells
-// of a flat row-major grid over their bounding box, sized to about one
-// station per cell. One counting sort builds it in two slices:
-// ids[start[c]:start[c+1]] are the stations of cell c, ascending. It
-// lives for one resolveFlows call and is never updated.
-type nearestGrid struct {
-	positions    []phy.Position
-	cell, x0, y0 float64
-	cols, rows   int
-	start, ids   []int32
-}
-
-// newNearestGrid buckets positions, or returns nil when their bounding
-// box is not finite.
-func newNearestGrid(positions []phy.Position) *nearestGrid {
-	g := &nearestGrid{positions: positions, x0: positions[0].X, y0: positions[0].Y}
-	x1, y1 := g.x0, g.y0
-	for _, p := range positions[1:] {
-		g.x0, x1 = math.Min(g.x0, p.X), math.Max(x1, p.X)
-		g.y0, y1 = math.Min(g.y0, p.Y), math.Max(y1, p.Y)
-	}
-	n := float64(len(positions))
-	g.cell = math.Max(x1-g.x0, y1-g.y0) / math.Sqrt(n)
-	if !(g.cell > 0) {
-		g.cell = 1
-	}
-	cols, rows := math.Floor((x1-g.x0)/g.cell)+1, math.Floor((y1-g.y0)/g.cell)+1
-	if !(cols*rows <= 4*n+4) {
-		return nil
-	}
-	g.cols, g.rows = int(cols), int(rows)
-	g.start = make([]int32, g.cols*g.rows+1)
-	for _, p := range positions {
-		g.start[g.cellOf(p)+1]++
-	}
-	for c := 1; c < len(g.start); c++ {
-		g.start[c] += g.start[c-1]
-	}
-	// Filling advances each cell's start to the next cell's; shifting
-	// the offsets up one slot restores them.
-	g.ids = make([]int32, len(positions))
-	for j, p := range positions {
-		c := g.cellOf(p)
-		g.ids[g.start[c]] = int32(j)
-		g.start[c]++
-	}
-	copy(g.start[1:], g.start)
-	g.start[0] = 0
-	return g
-}
-
-// cellOf returns the row-major cell holding p.
-func (g *nearestGrid) cellOf(p phy.Position) int {
-	return g.clampRow(int((p.Y-g.y0)/g.cell))*g.cols + g.clampCol(int((p.X-g.x0)/g.cell))
-}
-
-func (g *nearestGrid) clampCol(cx int) int { return min(max(cx, 0), g.cols-1) }
-func (g *nearestGrid) clampRow(cy int) int { return min(max(cy, 0), g.rows-1) }
-
-// nearest finds the station nearest positions[src] by a growing-radius
-// probe: each round visits every cell within r of the source, so once
-// the best candidate's distance is within r nothing closer can hide
-// outside it. Ties break toward the lowest index, exactly like the
-// reference scan (which keeps the first minimum it meets).
-func (g *nearestGrid) nearest(src int) int {
-	center := g.positions[src]
-	for r := g.cell; ; r *= 2 {
-		cx0 := g.clampCol(int(math.Floor((center.X - r - g.x0) / g.cell)))
-		cx1 := g.clampCol(int(math.Floor((center.X + r - g.x0) / g.cell)))
-		cy0 := g.clampRow(int(math.Floor((center.Y - r - g.y0) / g.cell)))
-		cy1 := g.clampRow(int(math.Floor((center.Y + r - g.y0) / g.cell)))
+// nearest returns the station nearest positions[src], ties toward the
+// lowest index, by a growing-radius probe of ix (built over positions):
+// each round visits every cell within r of the source, so once the
+// best candidate's distance is within r nothing closer can hide outside
+// it. The radius doubles up to infinity, which reaches every station,
+// so the probe ends for any finite field of at least two stations.
+func nearest(ix *phy.CellIndex, positions []phy.Position, src int, buf []uint32) (int, []uint32) {
+	center := positions[src]
+	for r := ix.CellSize(); ; r *= 2 {
+		buf = ix.AppendWithin(buf[:0], center, r)
 		dst, best := -1, math.Inf(1)
-		for cy := cy0; cy <= cy1; cy++ {
-			row := cy * g.cols
-			for _, v := range g.ids[g.start[row+cx0]:g.start[row+cx1+1]] {
-				j := int(v)
-				if j == src {
-					continue
-				}
-				if d := phy.Dist(center, g.positions[j]); d < best || (d == best && j < dst) {
-					dst, best = j, d
-				}
+		for _, v := range buf {
+			j := int(v)
+			if j == src {
+				continue
+			}
+			if d := phy.Dist(center, positions[j]); dst < 0 || d < best || (d == best && j < dst) {
+				dst, best = j, d
 			}
 		}
 		if dst >= 0 && best <= r {
-			return dst
+			return dst, buf
 		}
 	}
 }
@@ -711,7 +650,8 @@ func (g *nearestGrid) nearest(src int) int {
 func resolveFlows(flows []Flow, positions []phy.Position) ([]Flow, error) {
 	resolved := flows
 	copied := false
-	var grid *nearestGrid
+	var ix *phy.CellIndex
+	var buf []uint32
 	for i, f := range flows {
 		if !f.NearestDst {
 			continue
@@ -739,23 +679,12 @@ func resolveFlows(flows []Flow, positions []phy.Position) ([]Flow, error) {
 			resolved = append([]Flow(nil), flows...)
 			copied = true
 		}
-		if grid == nil && len(positions) >= nearestIndexMin {
-			grid = newNearestGrid(positions)
+		if ix == nil {
+			// Cell size 0: the finest grid within the index's
+			// four-cells-per-station budget.
+			ix = phy.NewCellIndex(positions, 0)
 		}
-		if grid != nil {
-			resolved[i].Dst = grid.nearest(f.Src)
-		} else {
-			dst, best := -1, math.Inf(1)
-			for j, p := range positions {
-				if j == f.Src {
-					continue
-				}
-				if d := phy.Dist(positions[f.Src], p); d < best {
-					dst, best = j, d
-				}
-			}
-			resolved[i].Dst = dst
-		}
+		resolved[i].Dst, buf = nearest(ix, positions, f.Src, buf)
 		resolved[i].NearestDst = false
 	}
 	return resolved, nil

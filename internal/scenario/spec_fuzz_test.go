@@ -33,6 +33,9 @@ var parseSpecSeeds = []string{
 	`{"name":"zero-radius-blocks","topology":{"kind":"clustered-blocks","n":16,"rows":2,"cols":2,"width":100,"height":100,"radius":0},"flows":[{"src":0,"dst":1}]}`,
 	`{"name":"point-blocks","topology":{"kind":"clustered-blocks","n":16,"rows":4,"cols":4,"width":1e-300,"height":1e-300,"radius":1e-300},"flows":[{"src":0,"dst":15,"nearest_dst":true}]}`,
 	`{"name":"far-line","topology":{"kind":"line","n":3,"spacing":1e308},"flows":[{"src":0,"dst":1}]}`,
+	// Two stations 10 m apart in the default profile's last int32
+	// relevance-radius cell (TestInt32EdgeFieldFinishes).
+	`{"name":"int32-edge","topology":{"kind":"explicit","positions":[[3.678939344891633e+13,0],[3.678939344892633e+13,0]]},"flows":[{"src":0,"dst":1}]}`,
 	`{"name":"far-grid","topology":{"kind":"grid","rows":2,"cols":2,"spacing":1e300},"flows":[{"src":0,"dst":3}],"parallel":{"cols":2,"rows":2}}`,
 	// Zero and huge durations and intervals.
 	`{"name":"zero-duration","duration":"0s","topology":{"kind":"line","n":2,"spacing":10},"flows":[{"src":0,"dst":1}]}`,

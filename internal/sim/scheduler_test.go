@@ -574,7 +574,7 @@ func interpretOps(t *testing.T, data []byte) {
 	u16 := func() time.Duration {
 		return time.Duration(uint64(next()) | uint64(next())<<8)
 	}
-	// small draws land events on a coarse grid, so same-instant ties
+	// small draws land events on eight instants, so same-instant ties
 	// between local events and injected messages are common
 	small := func() time.Duration { return time.Duration(next()%8) * time.Microsecond }
 	pick := func() int { return int(u16()) % len(env.live) }
