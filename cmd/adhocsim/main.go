@@ -13,6 +13,11 @@
 //
 //	adhocsim -exp churn -replications 8 # graceful degradation vs churn rate
 //
+//	adhocsim -exp table2 -rate 5.5 -size 700 -rts          # one model configuration
+//	adhocsim -exp table2 -rate 11 -verify -replications 8  # model vs simulation
+//	adhocsim -exp loss -rate 1 -weather damp -sigma 6      # free-form loss sweep
+//	adhocsim -exp loss -rate 5.5 -from 20 -to 120 -step 5 -csv > curve.csv
+//
 //	adhocsim -list-scenarios            # the built-in scenario library
 //	adhocsim -scenario hidden-terminal  # run a preset by name
 //	adhocsim -scenario spec.json -replications 8 -json
@@ -25,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,6 +42,7 @@ import (
 
 	"adhocsim/internal/capacity"
 	"adhocsim/internal/experiments"
+	"adhocsim/internal/mac"
 	"adhocsim/internal/obs"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/routing"
@@ -45,11 +52,21 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, fig2, fig3, fig4, table3, fig7, fig9, fig11, fig12, chain, churn, all")
+	exp := flag.String("exp", "all", "experiment: table1, table2, fig2, fig3, fig4, table3, fig7, fig9, fig11, fig12, chain, churn, loss, all")
 	seed := flag.Uint64("seed", 42, "root random seed; replication seeds derive from it")
-	dur := flag.Duration("dur", 10*time.Second, "measurement horizon for throughput experiments")
+	dur := flag.Duration("dur", 10*time.Second, "measurement horizon for throughput experiments and -verify")
 	packets := flag.Int("packets", 200, "probes per distance for loss sweeps")
-	csv := flag.Bool("csv", false, "emit CSV instead of tables (fig3/fig4 only)")
+	csv := flag.Bool("csv", false, "emit CSV instead of tables (fig3/fig4/loss only)")
+	rate := flag.Float64("rate", 0, "data rate in Mbit/s (1, 2, 5.5, 11): -exp table2 evaluates the model at it (0 prints the full table); -exp loss sweeps it (0 = 11)")
+	size := flag.Int("size", 512, "payload bytes for -exp table2 -rate and -exp loss")
+	rts := flag.Bool("rts", false, "RTS/CTS access for -exp table2 -rate (Equation (2))")
+	tcp := flag.Bool("tcp", false, "charge TCP+IP instead of UDP+IP header overhead in -exp table2 -rate")
+	verify := flag.Bool("verify", false, "cross-check -exp table2 -rate against replicated simulations of a saturating session")
+	from := flag.Float64("from", 10, "first distance of -exp loss, meters")
+	to := flag.Float64("to", 160, "last distance of -exp loss, meters")
+	step := flag.Float64("step", 10, "distance step of -exp loss, meters")
+	sigma := flag.Float64("sigma", -1, "shadowing σ in dB for -exp loss (-1 keeps the weather profile's)")
+	weather := flag.String("weather", "clear", "weather profile for -exp loss: clear or damp")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of tables")
 	reps := flag.Int("replications", 1, "independent replications per experiment (reported as mean ± 95% CI)")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel runs; 0 = all CPUs")
@@ -62,8 +79,8 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	maxWall := flag.Duration("max-wall", 0, "wall-clock budget for the whole invocation; on expiry, flush profiles, note the partial results, and exit")
-	obsOut := flag.String("obs", "", "write a run report (metrics snapshot, per-phase spans, trace tail) as JSON to this file after a -scenario run")
-	obsServe := flag.String("obs-serve", "", "serve live observability during a -scenario run on this address: /metrics (Prometheus text), /report (JSON), /debug/pprof/")
+	obsOut := flag.String("obs", "", "write a run report as JSON to this file after the run: per-phase spans, plus the metrics snapshot and trace tail of a -scenario run")
+	obsServe := flag.String("obs-serve", "", "serve live observability during the run on this address: /metrics (Prometheus text, -scenario only), /report (JSON), /debug/pprof/")
 	traceLv := flag.String("trace", "", "trace MAC retry/backoff and route-change events to stderr during a -scenario run: info or debug")
 	flag.Parse()
 
@@ -90,7 +107,8 @@ func main() {
 				seedOv = seed
 			case "dur":
 				durOv = dur
-			case "exp", "csv", "packets", "routing", "hops":
+			case "exp", "csv", "packets", "routing", "hops", "rate", "size", "rts", "tcp",
+				"verify", "from", "to", "step", "sigma", "weather":
 				fmt.Fprintf(os.Stderr, "adhocsim: -%s has no effect in -scenario mode\n", f.Name)
 			}
 		})
@@ -103,17 +121,53 @@ func main() {
 		return
 	}
 	for _, f := range []struct{ name, v string }{
-		{"parallel-regions", *parRegions}, {"obs", *obsOut},
-		{"obs-serve", *obsServe}, {"trace", *traceLv},
+		{"parallel-regions", *parRegions}, {"trace", *traceLv},
 	} {
 		if f.v != "" {
 			fmt.Fprintf(os.Stderr, "adhocsim: -%s has no effect outside -scenario mode\n", f.name)
 		}
 	}
 
+	// usage rejects a flag value before any experiment runs.
+	usage := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "adhocsim: "+format+"\n", a...)
+		exit(2)
+	}
+	switch {
+	case *dur <= 0:
+		usage("-dur %v: want a positive horizon", *dur)
+	case *packets <= 0:
+		usage("-packets %d: want a positive count", *packets)
+	case *size <= 0 || *size > mac.MaxMSDU:
+		usage("-size %d: want 1 to %d bytes (the largest MSDU)", *size, mac.MaxMSDU)
+	}
+	var r phy.Rate // 0 while -rate is unset
+	if *rate != 0 {
+		var valid bool
+		if r, valid = phy.RateFromMbps(*rate); !valid {
+			usage("-rate %v: want 1, 2, 5.5 or 11", *rate)
+		}
+	}
+
 	rep := experiments.Rep{Replications: *reps, Workers: *workers}
 	if *progress {
 		rep.Progress = runner.ProgressWriter(os.Stderr, "runs")
+	}
+
+	// Observability here is one span per experiment: the experiments
+	// drive the kernel below the scenario layer that feeds the metrics
+	// registry. The live endpoint still offers pprof.
+	rec := trace.NewSpanRecorder()
+	report := func() *obs.Report {
+		return &obs.Report{Seed: *seed, Replications: *reps, Spans: rec.Records()}
+	}
+	if *obsServe != "" {
+		addr, err := obs.Serve(*obsServe, nil, report)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "adhocsim: %v\n", err)
+			exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "adhocsim: observability on http://%s (/report /debug/pprof/)\n", addr)
 	}
 
 	// emit prints v as JSON under -json and the rendered text otherwise;
@@ -132,15 +186,57 @@ func main() {
 
 	ok := false
 	run := func(name string, fn func()) {
-		if *exp == name || *exp == "all" {
-			fn()
-			fmt.Println()
-			ok = true
+		// The chain, churn and loss sweeps are extensions beyond the
+		// paper's figures, so they run only when named — "all" keeps
+		// meaning "the paper".
+		extension := name == "chain" || name == "churn" || name == "loss"
+		if *exp != name && (*exp != "all" || extension) {
+			return
 		}
+		sp := rec.StartSpan(name)
+		fn()
+		sp.End()
+		fmt.Println()
+		ok = true
 	}
 
 	run("table1", func() { emit(experiments.RenderTable1(), nil) })
-	run("table2", func() { emit(experiments.RenderTable2(), capacity.Table2()) })
+	run("table2", func() {
+		if r == 0 {
+			emit(experiments.RenderTable2(), capacity.Table2())
+			return
+		}
+		// One configuration of Equations (1)/(2); -verify measures a
+		// saturating session against it.
+		model := capacity.New(r, *size, *rts)
+		tr := experiments.UDP
+		if *tcp {
+			model = model.WithOverhead(capacity.OverheadTCP)
+			tr = experiments.TCP
+		}
+		fmt.Printf("rate=%v m=%dB rts=%v overhead=%dB\n", r, *size, *rts, model.OverheadBytes)
+		fmt.Printf("  T_DATA        %v\n", model.DataTime())
+		fmt.Printf("  cycle time    %v\n", model.CycleTime())
+		fmt.Printf("  throughput    %.3f Mbit/s\n", model.ThroughputMbps())
+		fmt.Printf("  utilization   %.1f %% of nominal\n", 100*model.Utilization())
+		if !*verify {
+			return
+		}
+		sum := experiments.ReplicateTwoNode(experiments.TwoNode{
+			Rate:       r,
+			Transport:  tr,
+			RTSCTS:     *rts,
+			PacketSize: *size,
+			Duration:   *dur,
+			Seed:       *seed,
+		}, rep)
+		dev := 0.0
+		if sum.IdealMbps > 0 {
+			dev = 100 * (sum.Mbps.Mean - sum.IdealMbps) / sum.IdealMbps
+		}
+		fmt.Printf("  simulated     %.3f ± %.3f Mbit/s (n=%d, %+.1f%% vs model)\n",
+			sum.Mbps.Mean, sum.Mbps.CI95, sum.Mbps.N, dev)
+	})
 	run("fig2", func() {
 		cells := experiments.Figure2Reps(phy.Rate11, *seed, *dur, rep)
 		emit(experiments.RenderFigure2(phy.Rate11, cells), cells)
@@ -203,10 +299,7 @@ func main() {
 		emit(experiments.RenderFourNode(
 			"Figure 12. Symmetric scenario, 2 Mbit/s, 25/62.5/25 m", "4->3", cells), cells)
 	})
-	// The chain and churn sweeps are extensions beyond the paper's
-	// figures, so they run only when named — "all" keeps meaning "the
-	// paper".
-	if *exp == "churn" {
+	run("churn", func() {
 		cfg := experiments.ChurnConfig{Seed: *seed, Duration: *dur}
 		points, err := experiments.ChurnReps(cfg, rep)
 		if err != nil {
@@ -214,17 +307,13 @@ func main() {
 			exit(1)
 		}
 		emit(experiments.RenderChurn(cfg, points), points)
-		fmt.Println()
-		ok = true
-	}
-	if *exp == "chain" {
+	})
+	run("chain", func() {
 		if *routingProto != routing.ProtocolStatic && *routingProto != routing.ProtocolDSDV {
-			fmt.Fprintf(os.Stderr, "adhocsim: -routing %q: want one of %v\n", *routingProto, routing.Protocols())
-			exit(2)
+			usage("-routing %q: want one of %v", *routingProto, routing.Protocols())
 		}
 		if *hops < 1 {
-			fmt.Fprintf(os.Stderr, "adhocsim: -hops must be ≥ 1\n")
-			exit(2)
+			usage("-hops must be ≥ 1")
 		}
 		cfg := experiments.ChainConfig{
 			MaxHops:  *hops,
@@ -238,15 +327,102 @@ func main() {
 			exit(1)
 		}
 		emit(experiments.RenderChain(cfg, points), points)
-		fmt.Println()
-		ok = true
-	}
+	})
+	run("loss", func() {
+		lr := r
+		if lr == 0 {
+			lr = phy.Rate11
+		}
+		ds, err := lossDistances(*from, *to, *step)
+		if err != nil {
+			usage("%v", err)
+		}
+		prof := phy.DefaultProfile()
+		switch *weather {
+		case "clear":
+			prof = phy.WeatherClear.Apply(prof)
+		case "damp":
+			prof = phy.WeatherDamp.Apply(prof)
+		default:
+			usage("-weather %q: want clear or damp", *weather)
+		}
+		if *sigma >= 0 {
+			prof.Fading.SigmaDB = *sigma
+		}
+		points := experiments.RunLossSweep(experiments.LossSweep{
+			Rate:         lr,
+			Distances:    ds,
+			Packets:      *packets,
+			PacketSize:   *size,
+			Seed:         *seed,
+			Profile:      prof,
+			Replications: *reps,
+			Workers:      *workers,
+			Progress:     rep.Progress,
+		})
+		crossing := experiments.CrossingDistance(points, 0.5)
+		if *csv {
+			fmt.Printf("# rate=%v weather=%s sigma=%.1fdB packets=%d replications=%d\n",
+				lr, *weather, prof.Fading.SigmaDB, *packets, *reps)
+			fmt.Print(experiments.CSV(points))
+			fmt.Printf("# 50%% crossing: %.1f m\n", crossing)
+			return
+		}
+		title := fmt.Sprintf("Packet loss rate vs distance, %s weather, sigma %.1f dB, 50%% crossing %.1f m",
+			*weather, prof.Fading.SigmaDB, crossing)
+		emit(experiments.RenderLossCurves(title,
+			map[string][]experiments.LossPoint{lr.String(): points}, []string{lr.String()}),
+			struct {
+				Rate         string                  `json:"rate"`
+				Weather      string                  `json:"weather"`
+				SigmaDB      float64                 `json:"sigma_db"`
+				Packets      int                     `json:"packets"`
+				Replications int                     `json:"replications"`
+				Seed         uint64                  `json:"seed"`
+				Points       []experiments.LossPoint `json:"points"`
+				Crossing50   float64                 `json:"crossing50_m"`
+			}{lr.String(), *weather, prof.Fading.SigmaDB, *packets, *reps, *seed, points, crossing})
+	})
 
 	if !ok {
 		fmt.Fprintf(os.Stderr, "adhocsim: unknown experiment %q\n", *exp)
 		flag.Usage()
 		exit(2)
 	}
+	if *obsOut != "" {
+		if err := writeReport(*obsOut, report()); err != nil {
+			fmt.Fprintf(os.Stderr, "adhocsim: -obs: %v\n", err)
+			exit(1)
+		}
+	}
+}
+
+// maxLossPoints bounds the distance list of one -exp loss sweep, which
+// is allocated before the sweep starts.
+const maxLossPoints = 10_000
+
+// lossDistances lists from, from+step, … up to to, adding step to a
+// running sum. It counts the list before allocating it: a range of more
+// than maxLossPoints distances, or a step too small to advance the sum,
+// is an error.
+func lossDistances(from, to, step float64) ([]float64, error) {
+	if !(from > 0 && to >= from && step > 0) {
+		return nil, errors.New("invalid distance range")
+	}
+	n := 0
+	for d := from; d <= to; d += step {
+		if d+step == d {
+			return nil, fmt.Errorf("invalid distance range: -step %v does not advance past %v m", step, d)
+		}
+		if n++; n > maxLossPoints {
+			return nil, fmt.Errorf("invalid distance range: more than %d distances", maxLossPoints)
+		}
+	}
+	ds := make([]float64, 0, n)
+	for d := from; d <= to; d += step {
+		ds = append(ds, d)
+	}
+	return ds, nil
 }
 
 // startWallGuard arms the -max-wall wall-clock budget: when the timer

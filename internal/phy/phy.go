@@ -46,6 +46,22 @@ func (r Rate) Valid() bool {
 // Mbps returns the rate in Mbit/s.
 func (r Rate) Mbps() float64 { return float64(r) / 10 }
 
+// RateFromMbps returns the 802.11b rate of mbps Mbit/s; ok is false
+// when mbps is none of 1, 2, 5.5 and 11.
+func RateFromMbps(mbps float64) (r Rate, ok bool) {
+	switch mbps {
+	case 1:
+		return Rate1, true
+	case 2:
+		return Rate2, true
+	case 5.5:
+		return Rate5_5, true
+	case 11:
+		return Rate11, true
+	}
+	return 0, false
+}
+
 // BitsPerSecond returns the rate in bit/s.
 func (r Rate) BitsPerSecond() int64 { return int64(r) * 100_000 }
 

@@ -27,9 +27,17 @@ func TestRateValues(t *testing.T) {
 		if !tt.rate.Valid() {
 			t.Errorf("%v.Valid() = false", tt.rate)
 		}
+		if got, ok := RateFromMbps(tt.mbps); got != tt.rate || !ok {
+			t.Errorf("RateFromMbps(%v) = %v, %v; want %v, true", tt.mbps, got, ok, tt.rate)
+		}
 	}
 	if Rate(42).Valid() {
 		t.Error("Rate(42).Valid() = true")
+	}
+	for _, mbps := range []float64{0, 4.2, 5.55, 54} {
+		if r, ok := RateFromMbps(mbps); ok {
+			t.Errorf("RateFromMbps(%v) = %v, true; want false", mbps, r)
+		}
 	}
 }
 

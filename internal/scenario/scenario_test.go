@@ -281,10 +281,22 @@ func TestValidateErrors(t *testing.T) {
 		}, "exceeds the 1048576-station limit"},
 		{"line past the float range", func(s *Spec) {
 			s.Topology = Topology{Kind: KindLine, N: 3, Spacing: 1e308}
-		}, "places station 2 at (+Inf,0.0)m, which is not finite"},
+		}, "places station 1 at (1e+308, 0) m, outside the ±1e+15 m field"},
 		{"ring past the float range", func(s *Spec) {
 			s.Topology = Topology{Kind: KindRing, N: 4, Radius: 1e308}
-		}, "which is not finite"},
+		}, "outside the ±1e+15 m field"},
+		{"station past the coordinate bound", func(s *Spec) {
+			s.Topology = Topology{Kind: KindExplicit, Positions: [][2]float64{{0, 0}, {0, -1.000001e15}}}
+		}, "places station 1 at (0, -1.000001e+15) m, outside"},
+		// Unbounded, a mover stepping from x = -1.7e308 toward a
+		// waypoint drawn on the 1.7e308-wide field lands at (NaN, NaN).
+		{"mover an infinite distance from its waypoints", func(s *Spec) {
+			s.Topology = Topology{Kind: KindExplicit, Positions: [][2]float64{{-1.7e308, 0}, {0, 0}}}
+			s.Mobility = &Mobility{Model: ModelRandomWaypoint, Width: 1.7e308}
+		}, "places station 0 at (-1.7e+308, 0) m"},
+		{"waypoint field past the coordinate bound", func(s *Spec) {
+			s.Mobility = &Mobility{Model: ModelRandomWaypoint, Height: 1.1e15}
+		}, "mobility field 0×1.1e+15 m exceeds 1e+15 m a side"},
 		{"churn over a huge horizon", func(s *Spec) {
 			s.Duration = Duration(1 << 62)
 			s.Faults = &FaultSpec{Churn: &FaultChurn{RatePerMin: 600, MinDown: Duration(time.Millisecond), MaxDown: Duration(time.Second)}}

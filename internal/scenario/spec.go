@@ -98,17 +98,11 @@ type MACParams struct {
 
 // rate returns the phy.Rate for RateMbps (0 = MAC default).
 func (p MACParams) rate() (phy.Rate, error) {
-	switch p.RateMbps {
-	case 0:
+	if p.RateMbps == 0 {
 		return 0, nil
-	case 1:
-		return phy.Rate1, nil
-	case 2:
-		return phy.Rate2, nil
-	case 5.5:
-		return phy.Rate5_5, nil
-	case 11:
-		return phy.Rate11, nil
+	}
+	if r, ok := phy.RateFromMbps(p.RateMbps); ok {
+		return r, nil
 	}
 	return 0, fmt.Errorf("scenario: rate %g Mbit/s is not an 802.11b rate", p.RateMbps)
 }
@@ -434,6 +428,15 @@ func (s Spec) Validate() error {
 	return err
 }
 
+// maxCoordinate bounds, in meters, every coordinate a spec can place a
+// station at: the expanded topology and the random-waypoint field every
+// waypoint is drawn from. No two points of the ±1e15 m square are more
+// than about 2.8e15 m apart, so every distance the medium, routing and
+// the mover compute is finite; a mover stepping between two finite
+// points an infinite distance apart would land at (NaN, NaN). The bound
+// is about 27 times the widest field a test places (x ≈ 3.7e13 m).
+const maxCoordinate = 1e15
+
 // check validates an already-defaulted spec and returns the expanded
 // topology plus the flow matrix with every NearestDst destination
 // resolved against it, so Build validates, expands and resolves exactly
@@ -445,10 +448,10 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 	}
 	for i, p := range positions {
 		// A sum or product of finite parameters (a line's spacings, a
-		// ring's radius) can overflow; no distance from such a station
-		// means anything.
-		if math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) || math.IsNaN(p.X) || math.IsNaN(p.Y) {
-			return nil, nil, fmt.Errorf("scenario: %s topology places station %d at %v, which is not finite", s.Topology.Kind, i, p)
+		// ring's radius) can overflow, and finite stations far enough
+		// apart are an infinite distance apart.
+		if !(math.Abs(p.X) <= maxCoordinate && math.Abs(p.Y) <= maxCoordinate) {
+			return nil, nil, fmt.Errorf("scenario: %s topology places station %d at (%g, %g) m, outside the ±%g m field", s.Topology.Kind, i, p.X, p.Y, maxCoordinate)
 		}
 	}
 	flows, err := resolveFlows(s.Flows, positions)
@@ -538,6 +541,9 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 	if m := s.Mobility; m != nil {
 		if m.Model != ModelRandomWaypoint {
 			return nil, nil, fmt.Errorf("scenario: unknown mobility model %q", m.Model)
+		}
+		if m.Width > maxCoordinate || m.Height > maxCoordinate {
+			return nil, nil, fmt.Errorf("scenario: mobility field %g×%g m exceeds %g m a side", m.Width, m.Height, maxCoordinate)
 		}
 		if m.Tick > 0 && m.Tick.D() < phy.PLCPTime {
 			// Every tick is an event per mover, and no frame is shorter

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -21,8 +22,8 @@ const (
 
 // parseSpecSeeds are the degenerate inputs FuzzParseSpec starts from
 // beside the presets: coincident stations, zero-area fields, zero and
-// huge durations and intervals, extreme fault and churn rates, and
-// oversized topologies and region grids.
+// huge durations and intervals, extreme fault and churn rates,
+// oversized topologies and region grids, and a far-flung mover.
 var parseSpecSeeds = []string{
 	// Coincident stations.
 	`{"name":"coincident","topology":{"kind":"explicit","positions":[[0,0],[0,0],[0,0]]},"flows":[{"src":0,"dst":1},{"src":2,"dst":1,"port":2}]}`,
@@ -46,7 +47,7 @@ var parseSpecSeeds = []string{
 	`{"name":"floor-interval","topology":{"kind":"line","n":2,"spacing":10},"flows":[{"src":0,"dst":1,"interval":"192us"}]}`,
 	`{"name":"fast-beacons","topology":{"kind":"line","n":2,"spacing":10},"mac":{"beacon_interval":"1ns"},"flows":[{"src":0,"dst":1}]}`,
 	`{"name":"fast-mobility","topology":{"kind":"line","n":2,"spacing":10},"mobility":{"model":"random-waypoint","tick":"1ns","pause":"1ns","max_speed":1e300},"flows":[{"src":0,"dst":1}]}`,
-	`{"name":"wild-mobility","topology":{"kind":"line","n":3,"spacing":10},"mobility":{"model":"random-waypoint","tick":"192us","pause":"1ns","min_speed":1e300,"max_speed":1e308,"width":1e308,"height":1e-300},"flows":[{"src":0,"dst":1}]}`,
+	`{"name":"wild-mobility","topology":{"kind":"line","n":3,"spacing":10},"mobility":{"model":"random-waypoint","tick":"192us","pause":"1ns","min_speed":1e300,"max_speed":1e308,"width":1e15,"height":1e-300},"flows":[{"src":0,"dst":1}]}`,
 	`{"name":"fast-settle","topology":{"kind":"line","n":3,"spacing":20},"routing":{"protocol":"dsdv","advert_interval":"192us","settle_delay":"1ns"},"flows":[{"src":0,"dst":2}]}`,
 	`{"name":"fast-adverts","topology":{"kind":"line","n":3,"spacing":20},"routing":{"protocol":"dsdv","advert_interval":"1ns","settle_delay":"1ns"},"flows":[{"src":0,"dst":2}]}`,
 	// Extreme fault and churn rates.
@@ -59,11 +60,15 @@ var parseSpecSeeds = []string{
 	`{"name":"huge-grid","topology":{"kind":"grid","rows":4294967296,"cols":4294967296,"spacing":1},"flows":[{"src":0,"dst":1}]}`,
 	`{"name":"huge-region-grid","topology":{"kind":"line","n":4,"spacing":20},"flows":[{"src":0,"dst":3}],"parallel":{"cols":1000,"rows":1000}}`,
 	`{"name":"full-region-grid","topology":{"kind":"random-uniform","n":64,"width":400,"height":400},"flows":[{"src":0,"dst":1,"nearest_dst":true}],"parallel":{"cols":16,"rows":16,"workers":1000000}}`,
+	// A station an infinite distance from every waypoint it can draw:
+	// unbounded, its mover steps it to (NaN, NaN).
+	`{"name":"nan-mover","topology":{"kind":"explicit","positions":[[-1.7e308,0],[0,0]]},"mobility":{"model":"random-waypoint","width":1.7e308,"tick":"1ms"},"flows":[{"src":0,"dst":1}]}`,
 }
 
 // FuzzParseSpec feeds arbitrary bytes through ParseSpec, Build and a
 // 20 ms run. Every input must fail with an error or run to the end of
-// the horizon, without a panic and within the event and wall budgets.
+// the horizon, without a panic, within the event and wall budgets, and
+// with every station at a finite position.
 // The corpus starts from every preset and from parseSpecSeeds:
 //
 //	go test -run '^$' -fuzz FuzzParseSpec -fuzztime=20s ./internal/scenario
@@ -102,5 +107,10 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		}
 		inst.Collect(fuzzHorizon)
+		for i, st := range inst.Net.Stations {
+			if p := st.Radio.Pos(); math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+				t.Fatalf("station %d at %v after the run", i, p)
+			}
+		}
 	})
 }
