@@ -49,6 +49,7 @@ import (
 	"adhocsim/internal/runner"
 	"adhocsim/internal/scenario"
 	"adhocsim/internal/trace"
+	"adhocsim/internal/transport"
 )
 
 func main() {
@@ -58,7 +59,8 @@ func main() {
 	packets := flag.Int("packets", 200, "probes per distance for loss sweeps")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables (fig3/fig4/loss only)")
 	rate := flag.Float64("rate", 0, "data rate in Mbit/s (1, 2, 5.5, 11): -exp table2 evaluates the model at it (0 prints the full table); -exp loss sweeps it (0 = 11)")
-	size := flag.Int("size", 512, "payload bytes for -exp table2 -rate and -exp loss")
+	size := flag.Int("size", 512, fmt.Sprintf("payload bytes for -exp table2 -rate and -exp loss: at most %d, and a simulated one fits an MSDU with its headers (%d over UDP, %d over TCP)",
+		mac.MaxMSDU, transport.MaxUDPPayload, transport.MaxTCPPayload))
 	rts := flag.Bool("rts", false, "RTS/CTS access for -exp table2 -rate (Equation (2))")
 	tcp := flag.Bool("tcp", false, "charge TCP+IP instead of UDP+IP header overhead in -exp table2 -rate")
 	verify := flag.Bool("verify", false, "cross-check -exp table2 -rate against replicated simulations of a saturating session")
@@ -133,13 +135,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adhocsim: "+format+"\n", a...)
 		exit(2)
 	}
+	// A simulated -size payload rides in one MSDU with its headers:
+	// UDP/IP for -exp loss and table2 -verify, TCP/IP for table2 -verify
+	// -tcp. The model alone takes any MSDU size.
+	maxSize, sizeWhy := mac.MaxMSDU, "the largest MSDU"
+	if *exp == "loss" || *verify && *rate != 0 && (*exp == "table2" || *exp == "all") {
+		proto := "UDP"
+		maxSize = transport.MaxUDPPayload
+		if *tcp && *exp != "loss" {
+			proto, maxSize = "TCP", transport.MaxTCPPayload
+		}
+		sizeWhy = fmt.Sprintf("the largest MSDU, %d, less %d B of %s/IP headers", mac.MaxMSDU, mac.MaxMSDU-maxSize, proto)
+	}
 	switch {
 	case *dur <= 0:
 		usage("-dur %v: want a positive horizon", *dur)
 	case *packets <= 0:
 		usage("-packets %d: want a positive count", *packets)
-	case *size <= 0 || *size > mac.MaxMSDU:
-		usage("-size %d: want 1 to %d bytes (the largest MSDU)", *size, mac.MaxMSDU)
+	case *size <= 0 || *size > maxSize:
+		usage("-size %d: want 1 to %d bytes (%s)", *size, maxSize, sizeWhy)
 	}
 	var r phy.Rate // 0 while -rate is unset
 	if *rate != 0 {

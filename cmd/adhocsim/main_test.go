@@ -93,8 +93,13 @@ func TestExpUsageErrors(t *testing.T) {
 		{[]string{"-exp", "fig7", "-dur", "-1s"}, "-dur -1s: want a positive horizon"},
 		{[]string{"-exp", "fig2", "-dur", "0s"}, "-dur 0s: want a positive horizon"},
 		{[]string{"-exp", "fig3", "-packets", "0"}, "-packets 0: want a positive count"},
-		{[]string{"-exp", "loss", "-size", "-1"}, "-size -1: want 1 to 2304 bytes"},
-		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-size", "2305"}, "-size 2305: want 1 to 2304 bytes"},
+		{[]string{"-exp", "loss", "-size", "-1"}, "-size -1: want 1 to 2276 bytes (the largest MSDU, 2304, less 28 B of UDP/IP headers)"},
+		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-size", "2305"}, "-size 2305: want 1 to 2276 bytes"},
+		{[]string{"-exp", "table2", "-rate", "11", "-size", "2305"}, "-size 2305: want 1 to 2304 bytes (the largest MSDU)"},
+		{[]string{"-exp", "loss", "-size", "2277"}, "-size 2277: want 1 to 2276 bytes (the largest MSDU, 2304, less 28 B of UDP/IP headers)"},
+		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-size", "2277"}, "-size 2277: want 1 to 2276 bytes"},
+		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-tcp", "-size", "2265"}, "-size 2265: want 1 to 2264 bytes (the largest MSDU, 2304, less 40 B of TCP/IP headers)"},
+		{[]string{"-exp", "all", "-rate", "11", "-verify", "-size", "2277"}, "-size 2277: want 1 to 2276 bytes"},
 		{[]string{"-exp", "table2", "-rate", "3"}, "-rate 3: want 1, 2, 5.5 or 11"},
 		{[]string{"-exp", "loss", "-weather", "foggy"}, `-weather "foggy": want clear or damp`},
 		{[]string{"-exp", "loss", "-from", "0"}, "invalid distance range"},
@@ -106,6 +111,27 @@ func TestExpUsageErrors(t *testing.T) {
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: exit status %d, stdout %q, stderr %q; want status 2, no output and %q",
 				tc.args, code, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// TestLargestPayloadsDeliver: the largest -size each simulated
+// experiment accepts still fits one MSDU with its headers, so it
+// delivers, and the model alone still takes a full MSDU.
+func TestLargestPayloadsDeliver(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // a line of stdout that shows delivery
+	}{
+		{[]string{"-exp", "table2", "-rate", "11", "-size", "2304"}, "rate=11Mbps m=2304B"},
+		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-size", "2276", "-dur", "200ms"}, "simulated     7."},
+		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-tcp", "-size", "2264", "-dur", "200ms"}, "simulated     6."},
+		{[]string{"-exp", "loss", "-size", "2276", "-from", "10", "-to", "10", "-step", "1", "-packets", "20", "-csv"}, "10.0,0.0"},
+	} {
+		code, stdout, stderr := runMain(t, tc.args...)
+		if code != 0 || !strings.Contains(stdout, tc.want) {
+			t.Errorf("%v: exit status %d, stderr %q, stdout:\n%s\nwant status 0 and %q",
+				tc.args, code, stderr, stdout, tc.want)
 		}
 	}
 }

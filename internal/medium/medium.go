@@ -312,8 +312,9 @@ type linkGain struct {
 // linkPower returns the instantaneous received power in dBm for the
 // directed link from the given radio to the receiver in slot rxSlot at
 // time now, served from g, the link's entry in the transmitter's gain
-// row. The receiver side is read entirely from the slot-indexed SoA
-// arrays. The composition — path-loss base plus static shadow plus
+// row. fc is from's fade chain (phy.NewFadeChain), folded once per
+// fan-out rebuild. The receiver side is read entirely from the
+// slot-indexed SoA arrays. The composition — path-loss base plus static shadow plus
 // epoch fade, summed in that order, then the fault engine's
 // degradation offset when a timeline is installed — mirrors
 // phy.Profile.RxPowerDBm exactly, so a cache hit is bit-identical to
@@ -328,7 +329,7 @@ type linkGain struct {
 // sound because the offset is never positive (DegTimeline panics on
 // one, the invariant the spatial index rests on too): it can only push
 // the composed power further under the cut.
-func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Duration) (p float64, ok bool) {
+func (m *Medium) linkPower(from *Radio, fc phy.FadeChain, rxSlot int32, g *linkGain, now time.Duration) (p float64, ok bool) {
 	rxID := uint64(m.soaID[rxSlot])
 	// Hit/miss classification: the cache exists to skip the
 	// transcendental path-loss base (PR 4), so a lookup is a miss only
@@ -364,7 +365,7 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, g *linkGain, now time.Dura
 				g.uMax = fad.EpochCutBound(m.soaIrrel[rxSlot] - (g.baseDBm + shadow))
 				g.have |= gainCut
 			}
-			fade, above := fad.EpochShadowAbove(m.src, uint64(from.id), rxID, epoch, g.uMax)
+			fade, above := fad.EpochShadowAbove(fc, rxID, epoch, g.uMax)
 			if !above {
 				c.fadeCuts++
 				return 0, false
@@ -887,7 +888,8 @@ func (r *Radio) memo() *memoCounters {
 // posEpoch stands still the memo IS the fresh query. The fan-out memo
 // goes one step further and keeps the propagated targets themselves,
 // valid while the geometry, r's fade epoch and the degradation epoch
-// all stand still. Only r's own (region) goroutine transmits from r, so
+// all stand still. A rebuild folds r's fade chain once for all its
+// candidates. Only r's own (region) goroutine transmits from r, so
 // none of the three races.
 func (m *Medium) fanOut(tx *transmission, r *Radio, now time.Duration) {
 	c := r.memo()
@@ -910,8 +912,9 @@ func (m *Medium) fanOut(tx *transmission, r *Radio, now time.Duration) {
 		c.fanReplays++
 		return
 	}
+	fc := phy.NewFadeChain(m.src, uint64(r.id))
 	for i, slot := range r.cand {
-		m.propagate(tx, r, int32(slot), &r.gains[i], now)
+		m.propagate(tx, r, fc, int32(slot), &r.gains[i], now)
 	}
 	r.fan = append(r.fan[:0], tx.targets...)
 	r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
@@ -955,11 +958,11 @@ func (m *Medium) rebuildCandidates(r *Radio) {
 // fate of most candidates on a sparse field. The *Radio is only dereferenced for
 // candidates that survive the power cut. The edges themselves are
 // scheduled once per transmission by Transmit, not once per receiver.
-func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, g *linkGain, now time.Duration) {
+func (m *Medium) propagate(tx *transmission, from *Radio, fc phy.FadeChain, rxSlot int32, g *linkGain, now time.Duration) {
 	if rxSlot == from.slot {
 		return
 	}
-	p, ok := m.linkPower(from, rxSlot, g, now)
+	p, ok := m.linkPower(from, fc, rxSlot, g, now)
 	if !ok || p < m.soaIrrel[rxSlot] {
 		return
 	}
@@ -1075,9 +1078,13 @@ func (r *Radio) arrivalEnd(tx *transmission) {
 	for i := range r.arrivals {
 		if r.arrivals[i].tx == tx {
 			// Remove preserving arrival order, so later sums stay a pure
-			// function of the remaining arrival sequence.
+			// function of the remaining arrival sequence. On these short
+			// lists an element loop beats copy, which pays a
+			// typedslicecopy call for the pointer-holding entries.
 			last := len(r.arrivals) - 1
-			copy(r.arrivals[i:], r.arrivals[i+1:])
+			for j := i; j < last; j++ {
+				r.arrivals[j] = r.arrivals[j+1]
+			}
 			r.arrivals[last] = arrivalEntry{}
 			r.arrivals = r.arrivals[:last]
 			r.recomputeSums()

@@ -420,7 +420,7 @@ func testLinkGainCache(t *testing.T) {
 	kept := 0
 	query := func(from, rx *Radio, g *linkGain, now time.Duration, want float64, i int) (float64, bool) {
 		t.Helper()
-		got, ok := m.linkPower(from, rx.slot, g, now)
+		got, ok := m.linkPower(from, phy.NewFadeChain(src, uint64(from.id)), rx.slot, g, now)
 		if !ok {
 			if irrel := m.soaIrrel[rx.slot]; !(want < irrel) {
 				t.Fatalf("linkPower(%d->%d, %v) query %d cut the link, but its direct power %v clears the cut %v",

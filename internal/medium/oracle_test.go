@@ -72,7 +72,10 @@ func dispatched(m *Medium, r *Radio) []arrivalTarget {
 // without the degradation timeline and with Symmetric fading. On every
 // non-degenerate leg the fade cut (a link rejected from its fade's
 // uniform deviates alone) must fire, and every rejection must agree
-// with the exhaustive walk.
+// with the exhaustive walk. Every leg must check links in both
+// orientations, tx < rx and tx > rx: under Symmetric fading the first
+// draws its fade from the transmitter's folded chain and the second
+// from the root seed.
 func TestFanOutMatchesExhaustive(t *testing.T) {
 	for _, leg := range []struct {
 		suffix                string
@@ -146,6 +149,7 @@ func testFanOut(t *testing.T, degenerate, undegrade bool) {
 	}
 
 	checked := 0
+	var up, down int // checked receivers above and below the transmitter's id
 	for step := 0; step < 60; step++ {
 		now := time.Duration(step) * 2 * time.Millisecond
 		sched.RunUntil(now)
@@ -173,6 +177,11 @@ func testFanOut(t *testing.T, degenerate, undegrade bool) {
 					t.Fatalf("t=%v tx %d receiver %d: got (id %d, %v dBm, %v mW), exhaustive (id %d, %v dBm, %v mW)",
 						now, r.id, i, g.rx.id, g.dbm, g.mw, w.rx.id, w.dbm, w.mw)
 				}
+				if w.rx.id > r.id {
+					up++
+				} else {
+					down++
+				}
 			}
 			checked += len(want)
 		}
@@ -188,6 +197,9 @@ func testFanOut(t *testing.T, degenerate, undegrade bool) {
 	}
 	if checked < 60*n {
 		t.Fatalf("only %d receivers checked: the field is too sparse to prove anything", checked)
+	}
+	if up == 0 || down == 0 {
+		t.Fatalf("checked %d links with tx < rx and %d with tx > rx: want both orientations", up, down)
 	}
 	if cuts := st.FadeCuts; degenerate == (cuts > 0) {
 		t.Fatalf("fade cut fired %d times on a degenerate=%v field: want it to fire exactly when the path loss leaves links under the cut", cuts, degenerate)

@@ -116,8 +116,23 @@ func (f Fading) FadeEpoch(now time.Duration) uint64 {
 // (seed, link, epoch), so caching the value for the duration of the
 // epoch is bit-identical to recomputing it per arrival.
 func (f Fading) EpochShadowDB(src *sim.Source, tx, rx, epoch uint64) float64 {
-	db, _ := f.EpochShadowAbove(src, tx, rx, epoch, float32(math.Inf(1)))
+	db, _ := f.EpochShadowAbove(NewFadeChain(src, tx), rx, epoch, float32(math.Inf(1)))
 	return db
+}
+
+// A FadeChain is transmitter tx's epoch-fade hash chain: the words
+// (0xfade, tx) every fade draw of a link tx→rx starts with, folded once
+// over src's root seed. A fan-out rebuild folds it once and draws each
+// candidate's fade from it, two splitmix64 rounds fewer per link.
+type FadeChain struct {
+	src *sim.Source
+	tx  uint64
+	x   sim.HashChain
+}
+
+// NewFadeChain folds transmitter tx's fade-chain prefix under src.
+func NewFadeChain(src *sim.Source, tx uint64) FadeChain {
+	return FadeChain{src: src, tx: tx, x: src.Chain(0xfade, tx)}
 }
 
 // fadeCutGuardDB is the round-off guard EpochCutBound takes off a
@@ -160,22 +175,30 @@ func (f Fading) EpochCutBound(belowDB float64) float32 {
 	return b
 }
 
-// EpochShadowAbove is EpochShadowDB for a link that matters only if its
-// epoch fade can lift it over a cut, given that cut's EpochCutBound
-// u1Max. It returns (0, false) without the transcendental math when
-// the fade certainly falls short of the cut, and otherwise
-// (EpochShadowDB(src, tx, rx, epoch), true), bit for bit: the same
-// orientation, the same hashed words, the same Box–Muller draw
-// (EpochShadowDB is this call with u1Max = +Inf, the cut off).
-func (f Fading) EpochShadowAbove(src *sim.Source, tx, rx, epoch uint64, u1Max float32) (float64, bool) {
+// EpochShadowAbove is EpochShadowDB for the link from c's transmitter
+// to rx when that link matters only if its epoch fade can lift it over
+// a cut, given that cut's EpochCutBound u1Max. It returns (0, false)
+// without the transcendental math when the fade certainly falls short
+// of the cut, and otherwise (EpochShadowDB(src, tx, rx, epoch), true)
+// for c's source and transmitter, bit for bit: the same orientation, the same hashed words, the same
+// Box–Muller draw (EpochShadowDB is this call with u1Max = +Inf, the
+// cut off). The draw continues c's folded prefix, except for a
+// Symmetric link whose sorted pair starts with rx, which folds from the
+// root seed.
+func (f Fading) EpochShadowAbove(c FadeChain, rx, epoch uint64, u1Max float32) (float64, bool) {
 	if f.SigmaDB == 0 {
 		return 0, true
 	}
 	if u1Max < 0 {
 		return 0, false
 	}
-	a, b := f.orient(tx, rx)
-	z, ok := src.HashNormCut(float64(u1Max), 0xfade, a, b, epoch)
+	var z float64
+	var ok bool
+	if a, b := f.orient(c.tx, rx); a == c.tx {
+		z, ok = c.x.NormCut(float64(u1Max), b, epoch)
+	} else {
+		z, ok = c.src.HashNormCut(float64(u1Max), 0xfade, a, b, epoch)
+	}
 	if !ok {
 		return 0, false
 	}
@@ -474,10 +497,78 @@ func (p *Profile) Linearize() Linear {
 	return l
 }
 
-// DBmToMilliwatt converts dBm to linear mW. The medium runs it once per
-// link that survives its irrelevance cut per fan-out rebuild, and its
-// fan-out memo keeps the result beside the dBm value.
-func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
+// DBmToMilliwatt converts dBm to linear mW: math.Pow(10, dbm/10), bit
+// for bit. The medium runs it once per link that survives its
+// irrelevance cut per fan-out rebuild, and its fan-out memo keeps the
+// result beside the dBm value.
+//
+// It runs math.Pow's pure-Go algorithm (every platform but s390x runs
+// that one) for the base 10: the same special cases, delegated to
+// math.Pow, and the same float operations in the same order, with
+// Log(10) and the Frexp squaring chain of the base read from pow10Ln10
+// and pow10Chain instead of recomputed per call.
+// TestDBmToMilliwattMatchesPow and FuzzDBmToMilliwatt pin the bits, so
+// a toolchain whose math.Pow computes otherwise fails them.
+func DBmToMilliwatt(dbm float64) float64 {
+	y := dbm / 10
+	yi, yf := math.Modf(math.Abs(y))
+	// NaN and ±Inf fail yi < 1<<63 too.
+	if y == 0 || y == 1 || y == 0.5 || y == -0.5 || !(yi < 1<<63) {
+		return math.Pow(10, y)
+	}
+	a1, ae := 1.0, 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * pow10Ln10)
+	}
+	for i, k := int64(yi), 0; i != 0; i, k = i>>1, k+1 {
+		s := &pow10Chain[k&63]
+		if s.xe < -1<<12 || 1<<12 < s.xe {
+			ae += s.xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= s.x1
+			ae += s.xe
+		}
+	}
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
+}
+
+// pow10Ln10 is the Log(10) math.Pow(10, y) takes on every call.
+var pow10Ln10 = math.Log(10)
+
+// pow10Chain is math.Pow's squaring chain for the base 10: entry k is
+// the mantissa x1 ∈ [0.5, 1) and exponent xe, x1·2^xe ≈ 10^(2^k), that
+// its loop holds at iteration k, built by that loop. The chain stops at
+// the first exponent past ±2^12, where the loop breaks out to its
+// Ldexp; 64 entries cover every iteration an int64 exponent can take.
+var pow10Chain = func() (c [64]struct {
+	x1 float64
+	xe int
+}) {
+	x1, xe := math.Frexp(10)
+	for k := range c {
+		c[k].x1, c[k].xe = x1, xe
+		if xe < -1<<12 || 1<<12 < xe {
+			break
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	return c
+}()
 
 // MilliwattToDBm converts linear mW to dBm.
 func MilliwattToDBm(mw float64) float64 {

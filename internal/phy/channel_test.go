@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -245,6 +246,77 @@ func TestDBmConversions(t *testing.T) {
 	}
 }
 
+// dbmSeeds are the special and boundary inputs of DBmToMilliwatt: the
+// dBm values whose y = dbm/10 hits one of math.Pow's special cases
+// (NaN, ±Inf, ±0, 1, ±0.5, |y| ≥ 2^63), fractional parts on either side
+// of the 0.5 fold, results that are subnormal (y in (−323.3, −307.6))
+// or that underflow or overflow, subnormal inputs, and the float64
+// extremes.
+var dbmSeeds = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	10, 5, -5, -10, 20, 2.5, 7.5, 5.000000000000001, 4.999999999999999,
+	-3075, -3076, -3077, -3080, -3103, -3200, -3233, -3234, -3239, -3240, -3300, -4000, -1e6,
+	3080, 3082.5, 3082.6, 3090, 4000, 1e6,
+	10 * (1 << 62), 10 * (1 << 63), -10 * (1 << 63), 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022, 0x1p-1030,
+	-123.456789, -99.9, 15, -15, 25, 70.00000000000001,
+}
+
+func checkDBmToMilliwatt(t *testing.T, dbm float64) {
+	t.Helper()
+	got, want := DBmToMilliwatt(dbm), math.Pow(10, dbm/10)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("DBmToMilliwatt(%v) [bits %#016x] = %v [%#016x], math.Pow(10, dbm/10) = %v [%#016x]",
+			dbm, math.Float64bits(dbm), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestDBmToMilliwattMatchesPow checks DBmToMilliwatt against
+// math.Pow(10, dbm/10) bit for bit: on the boundary seeds, on a sweep
+// over −400…+60 dBm at a 1/1024 dB step (each point also one ulp either
+// side), on uniform random values over that range and the subnormal
+// results, and on random bit patterns (every float64 class, NaN
+// payloads included).
+func TestDBmToMilliwattMatchesPow(t *testing.T) {
+	for _, dbm := range dbmSeeds {
+		checkDBmToMilliwatt(t, dbm)
+	}
+	for i := -400 * 1024; i <= 60*1024; i++ {
+		dbm := float64(i) / 1024
+		checkDBmToMilliwatt(t, dbm)
+		checkDBmToMilliwatt(t, math.Nextafter(dbm, math.Inf(1)))
+		checkDBmToMilliwatt(t, math.Nextafter(dbm, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200000; i++ {
+		checkDBmToMilliwatt(t, -400+460*rng.Float64())
+		checkDBmToMilliwatt(t, -3076-170*rng.Float64())
+		checkDBmToMilliwatt(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// FuzzDBmToMilliwatt hunts for a dBm value where DBmToMilliwatt and
+// math.Pow(10, dbm/10) differ in any bit.
+func FuzzDBmToMilliwatt(f *testing.F) {
+	for _, dbm := range dbmSeeds {
+		f.Add(dbm)
+	}
+	f.Fuzz(checkDBmToMilliwatt)
+}
+
+// BenchmarkDBmToMilliwatt measures one conversion over powers spread
+// across the −100…0 dBm the medium converts.
+func BenchmarkDBmToMilliwatt(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	in := make([]float64, 1024)
+	for i := range in {
+		in[i] = -100 * rng.Float64()
+	}
+	for i := 0; b.Loop(); i++ {
+		DBmToMilliwatt(in[i&1023])
+	}
+}
+
 // TestShadowDBComposition pins the bit-identity contract the medium's
 // link-gain cache depends on: ShadowDB must equal exactly (not just
 // approximately) the static component plus the epoch component, for
@@ -331,15 +403,22 @@ func TestLinearizeMatchesDirect(t *testing.T) {
 // checkFadeCut runs one EpochShadowAbove decision and holds it to its
 // contract: a rejection must mean that the full composition the medium
 // would have summed, base + (static + EpochShadowDB), lands below the
-// cut; an acceptance must return EpochShadowDB's exact bits. It
-// reports whether the draw was accepted.
+// cut; an acceptance must return EpochShadowDB's exact bits. Both run
+// from transmitter tx's folded fade chain, so EpochShadowDB is first
+// held to the draw folded whole from the root seed, over the link's
+// orientation. It reports whether the draw was accepted.
 func checkFadeCut(t *testing.T, seed, tx, rx, epoch uint64, symmetric bool, sigma, base, static, cut float64) bool {
 	t.Helper()
 	f := Fading{SigmaDB: sigma, Coherence: time.Second, Symmetric: symmetric}
 	src := sim.NewSource(seed)
 	u1Max := f.EpochCutBound(cut - (base + static))
-	got, above := f.EpochShadowAbove(src, tx, rx, epoch, u1Max)
+	got, above := f.EpochShadowAbove(NewFadeChain(src, tx), rx, epoch, u1Max)
 	want := f.EpochShadowDB(src, tx, rx, epoch)
+	a, b := f.orient(tx, rx)
+	if ref := sigma * clampNorm(src.HashNorm(0xfade, a, b, epoch)); sigma != 0 && math.Float64bits(want) != math.Float64bits(ref) {
+		t.Fatalf("seed %d link %d->%d epoch %d σ=%v: EpochShadowDB %v, root-folded draw %v",
+			seed, tx, rx, epoch, sigma, want, ref)
+	}
 	if !above {
 		if p := base + (static + want); !(p < cut) {
 			t.Fatalf("seed %d link %d->%d epoch %d σ=%v: rejected (u1Max %v), but base %v + (static %v + fade %v) = %v clears the cut %v",

@@ -239,6 +239,19 @@ func TestValidateErrors(t *testing.T) {
 		{"bad rate", func(s *Spec) { s.MAC.RateMbps = 54 }, "not an 802.11b rate"},
 		{"bad profile", func(s *Spec) { s.Profile = "indoor" }, "unknown profile"},
 		{"oversized packet", func(s *Spec) { s.Flows[0].PacketSize = 4000 }, "packet size"},
+		{"UDP payload past the MSDU with its headers", func(s *Spec) { s.Flows[0].PacketSize = 2277 },
+			"flow 0 packet size 2277 outside (0, 2276]: a UDP payload rides in one 2304 B MSDU with 28 B of UDP/IP headers"},
+		{"TCP payload past the MSDU with its headers", func(s *Spec) {
+			s.Flows[0].Transport, s.Flows[0].PacketSize = TransportTCP, 2265
+		}, "flow 0 packet size 2265 outside (0, 2264]: a TCP payload rides in one 2304 B MSDU with 40 B of TCP/IP headers"},
+		{"TCP payload past the MSDU under a set MSS", func(s *Spec) {
+			s.MSS = 1460
+			s.Flows[0].Transport, s.Flows[0].PacketSize = TransportTCP, 2305
+		}, "flow 0 packet size 2305 outside (0, 2304]"},
+		{"MSS past the MSDU with its headers", func(s *Spec) {
+			s.MSS = 2265
+			s.Flows[0].Transport = TransportTCP
+		}, "flow 0 runs TCP under mss 2265, over 2264: a TCP segment rides in one 2304 B MSDU with 40 B of TCP/IP headers"},
 		{"negative interval", func(s *Spec) { s.Flows[0].Interval = -1 }, "interval"},
 		{"1ns interval", func(s *Spec) { s.Flows[0].Interval = Duration(time.Nanosecond) }, "under the 192µs floor"},
 		{"191µs interval", func(s *Spec) { s.Flows[0].Interval = Duration(191 * time.Microsecond) }, "under the 192µs floor"},
@@ -334,6 +347,32 @@ func TestValidateErrors(t *testing.T) {
 		spec.Parallel = &p
 		if err := spec.Validate(); err != nil {
 			t.Errorf("%dx%d region grid rejected: %v", p.Cols, p.Rows, err)
+		}
+	}
+
+	// The largest payloads that fit: each still validates and delivers.
+	for _, tc := range []struct {
+		name string
+		mss  int
+		tcp  Transport
+		size int
+	}{
+		{"UDP 2276", 0, TransportUDP, 2276},
+		{"UDP 2276 under an MSS no TCP flow uses", 2276, TransportUDP, 2276},
+		{"TCP 2264 as the MSS", 0, TransportTCP, 2264},
+		{"TCP 2304 under a 2264 MSS", 2264, TransportTCP, 2304},
+	} {
+		spec := validSpec()
+		spec.Duration = Duration(200 * time.Millisecond)
+		spec.MSS = tc.mss
+		spec.Flows[0].Transport, spec.Flows[0].PacketSize = tc.tcp, tc.size
+		res, err := Run(spec)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if res.Flows[0].GoodputKbps == 0 {
+			t.Errorf("%s: validated but delivered nothing", tc.name)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"adhocsim/internal/phy"
 	"adhocsim/internal/routing"
 	"adhocsim/internal/trace"
+	"adhocsim/internal/transport"
 )
 
 // Duration is a time.Duration that marshals to JSON as a human-readable
@@ -171,6 +172,31 @@ type Flow struct {
 	// Port is the destination port (default 9000). Two flows may share a
 	// port only if they terminate at different stations.
 	Port uint16 `json:"port,omitempty"`
+}
+
+// checkPacketSize bounds flow i's payload by what one MSDU
+// (mac.MaxMSDU) carries with its headers: the MAC refuses a larger
+// frame, so the flow would deliver nothing. A UDP payload rides with
+// 28 B of UDP/IP headers. A TCP flow's payload rides in segments of the
+// MSS with 40 B of TCP/IP headers; setsMSS reports that the flow's
+// packet size is that MSS (no Spec.MSS, and the first TCP flow). Any
+// other TCP flow's packets are segmented, and keep the MSDU bound.
+func checkPacketSize(i int, f Flow, setsMSS bool) error {
+	limit, proto := mac.MaxMSDU, ""
+	switch {
+	case f.Transport == TransportUDP:
+		limit, proto = transport.MaxUDPPayload, "UDP"
+	case setsMSS:
+		limit, proto = transport.MaxTCPPayload, "TCP"
+	}
+	if f.PacketSize >= 0 && f.PacketSize <= limit {
+		return nil
+	}
+	var why string
+	if proto != "" {
+		why = fmt.Sprintf(": a %s payload rides in one %d B MSDU with %d B of %s/IP headers", proto, mac.MaxMSDU, mac.MaxMSDU-limit, proto)
+	}
+	return fmt.Errorf("scenario: flow %d packet size %d outside (0, %d]%s", i, f.PacketSize, limit, why)
 }
 
 func (f Flow) withDefaults() Flow {
@@ -492,6 +518,7 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 		port uint16
 	}
 	sinks := map[sinkKey]int{}
+	tcpSeen := false
 	for i, f := range s.Flows {
 		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
 			return nil, nil, fmt.Errorf("scenario: flow %d endpoints %d→%d outside topology of %d stations", i, f.Src, f.Dst, n)
@@ -502,8 +529,14 @@ func (s Spec) check() ([]phy.Position, []Flow, error) {
 		if f.Transport != TransportUDP && f.Transport != TransportTCP {
 			return nil, nil, fmt.Errorf("scenario: flow %d has unknown transport %q", i, f.Transport)
 		}
-		if f.PacketSize < 0 || f.PacketSize > mac.MaxMSDU {
-			return nil, nil, fmt.Errorf("scenario: flow %d packet size %d outside (0, %d]", i, f.PacketSize, mac.MaxMSDU)
+		if f.Transport == TransportTCP && s.MSS > transport.MaxTCPPayload {
+			return nil, nil, fmt.Errorf("scenario: flow %d runs TCP under mss %d, over %d: a TCP segment rides in one %d B MSDU with %d B of TCP/IP headers",
+				i, s.MSS, transport.MaxTCPPayload, mac.MaxMSDU, mac.MaxMSDU-transport.MaxTCPPayload)
+		}
+		setsMSS := f.Transport == TransportTCP && s.MSS == 0 && !tcpSeen
+		tcpSeen = tcpSeen || f.Transport == TransportTCP
+		if err := checkPacketSize(i, f, setsMSS); err != nil {
+			return nil, nil, err
 		}
 		if f.Interval < 0 {
 			return nil, nil, fmt.Errorf("scenario: flow %d has negative interval", i)

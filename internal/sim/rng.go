@@ -121,11 +121,7 @@ func (s *Source) streamSeed(k StreamKey) int64 {
 // block fading, where the value for (link, epoch) must be reproducible
 // without storing history.
 func (s *Source) Hash64(words ...uint64) uint64 {
-	x := s.seed
-	for _, w := range words {
-		x = splitmix64(x ^ w)
-	}
-	return splitmix64(x)
+	return splitmix64(uint64(s.Chain(words...)))
 }
 
 // HashFloat01 maps Hash64 output to a uniform float64 in [0,1).
@@ -133,34 +129,56 @@ func (s *Source) HashFloat01(words ...uint64) float64 {
 	return float64(s.Hash64(words...)>>11) / (1 << 53)
 }
 
+// A HashChain is the state of the chain every hash draw folds its words
+// through: the root seed, then one splitmix64 per word. A caller whose
+// draws share their leading words folds that prefix once, with Chain,
+// and continues from it: s.Chain(p...).NormCut(u1Max, w...) is
+// s.HashNormCut(u1Max, p..., w...) bit for bit.
+type HashChain uint64
+
+// Chain returns the chain state after folding words over the root seed.
+func (s *Source) Chain(words ...uint64) HashChain { return HashChain(s.seed).fold(words) }
+
+// fold returns the chain state after folding words onto c.
+func (c HashChain) fold(words []uint64) HashChain {
+	x := uint64(c)
+	for _, w := range words {
+		x = splitmix64(x ^ w)
+	}
+	return HashChain(x)
+}
+
 // HashNorm returns a standard normal deviate that is a pure function of
 // (seed, words): the Box-Muller transform applied to two hashed uniforms.
 // The two uniforms are Hash64(words..., C1) and Hash64(words..., C2) for
-// two mixing constants; the shared words prefix of the chain is folded
-// once and extended per constant, which is arithmetic-identical to the
-// two full Hash64 calls while keeping the variadic slice on the stack —
-// this runs once per (link, fade-epoch) on the medium's hot path, where
-// an append-per-call heap allocation used to dominate the profile.
-// HashNorm is HashNormCut with the cut off.
+// two mixing constants; the words are folded once and the chain extended
+// per constant, which is arithmetic-identical to the two full Hash64
+// calls. HashNorm is HashNormCut with the cut off.
 func (s *Source) HashNorm(words ...uint64) float64 {
 	z, _ := s.HashNormCut(math.Inf(1), words...)
 	return z
 }
 
 // HashNormCut is HashNorm for a caller that needs the deviate z only if
-// it can reach some threshold k > 0, and decides that from the two
-// uniforms before any transcendental math. In z = √(−2 ln u1)·cos 2πu2
-// the radius reaches k only if u1 ≤ exp(−k²/2), and the cosine is
-// negative for u2 strictly inside (1/4, 3/4). u1Max must be at least
-// exp(−k²/2); a draw whose (clamped) u1 exceeds it, or whose u2 lies in
-// that open interval, is certainly below k, and HashNormCut returns
-// (0, false) for it. Every other draw returns (HashNorm(words...),
-// true), bit for bit. u1Max = +Inf disables both tests.
+// it can reach some threshold k > 0; see HashChain.NormCut, which it
+// runs from the root seed.
 func (s *Source) HashNormCut(u1Max float64, words ...uint64) (float64, bool) {
-	x := s.seed
-	for _, w := range words {
-		x = splitmix64(x ^ w)
-	}
+	return HashChain(s.seed).NormCut(u1Max, words...)
+}
+
+// NormCut folds words onto c and draws HashNorm's deviate from the
+// result, deciding from the two uniforms, before any transcendental
+// math, whether it can reach some threshold k > 0. In
+// z = √(−2 ln u1)·cos 2πu2 the radius reaches k only if
+// u1 ≤ exp(−k²/2), and the cosine is negative for u2 strictly inside
+// (1/4, 3/4). u1Max must be at least exp(−k²/2); a draw whose (clamped)
+// u1 exceeds it, or whose u2 lies in that open interval, is certainly
+// below k, and NormCut returns (0, false) for it. Every other draw
+// returns the deviate and true. u1Max = +Inf disables both tests. This
+// runs once per (link, fade epoch) on the medium's hot path; the words
+// stay on the stack.
+func (c HashChain) NormCut(u1Max float64, words ...uint64) (float64, bool) {
+	x := uint64(c.fold(words))
 	u1 := float64(splitmix64(splitmix64(x^0x9e3779b97f4a7c15))>>11) / (1 << 53)
 	if u1 < 1e-300 {
 		u1 = 1e-300

@@ -3,6 +3,7 @@ package sim
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +152,81 @@ func TestHashNormCut(t *testing.T) {
 			}
 			u1 = math.Nextafter(u1, 2)
 		}
+	}
+}
+
+// refHashNormCut is the early-exit Box–Muller draw written out whole,
+// every word folded from the root seed: the reference the chain-continued
+// draws are held to.
+func refHashNormCut(seed uint64, u1Max float64, words []uint64) (float64, bool) {
+	x := seed
+	for _, w := range words {
+		x = splitmix64(x ^ w)
+	}
+	u1 := float64(splitmix64(splitmix64(x^0x9e3779b97f4a7c15))>>11) / (1 << 53)
+	if u1 < 1e-300 {
+		u1 = 1e-300
+	}
+	if u1 > u1Max {
+		return 0, false
+	}
+	u2 := float64(splitmix64(splitmix64(x^0xbf58476d1ce4e5b9))>>11) / (1 << 53)
+	if u2 > 0.25 && u2 < 0.75 && !math.IsInf(u1Max, 1) {
+		return 0, false
+	}
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2), true
+}
+
+// TestChainNormCutMatchesHashNormCut splits random word lists at every
+// point into a prefix folded once by Chain and a rest passed to
+// NormCut, over random seeds and bounds (the cut off, exp(−k²/2) for
+// random k, random uniforms, 0 and negative): each continued draw must
+// equal HashNormCut over the whole list, and both the reference fold,
+// bit for bit and in the keep decision.
+func TestChainNormCutMatchesHashNormCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	kept, cut := 0, 0
+	for i := 0; i < 20000; i++ {
+		s := NewSource(rng.Uint64())
+		words := make([]uint64, rng.Intn(6))
+		for j := range words {
+			words[j] = rng.Uint64()
+		}
+		var u1Max float64
+		switch i % 5 {
+		case 0:
+			u1Max = math.Inf(1)
+		case 1:
+			k := 8 * rng.Float64()
+			u1Max = math.Exp(-k * k / 2)
+		case 2:
+			u1Max = rng.Float64()
+		case 3:
+			u1Max = 0
+		default:
+			u1Max = -rng.Float64()
+		}
+		want, wantOK := refHashNormCut(s.Seed(), u1Max, words)
+		if wantOK {
+			kept++
+		} else {
+			cut++
+		}
+		z, ok := s.HashNormCut(u1Max, words...)
+		if ok != wantOK || math.Float64bits(z) != math.Float64bits(want) {
+			t.Fatalf("seed %#x words %#x u1Max %v: HashNormCut (%v, %v), reference (%v, %v)",
+				s.Seed(), words, u1Max, z, ok, want, wantOK)
+		}
+		for p := 0; p <= len(words); p++ {
+			z, ok := s.Chain(words[:p]...).NormCut(u1Max, words[p:]...)
+			if ok != wantOK || math.Float64bits(z) != math.Float64bits(want) {
+				t.Fatalf("seed %#x words %#x split at %d u1Max %v: continued draw (%v, %v), reference (%v, %v)",
+					s.Seed(), words, p, u1Max, z, ok, want, wantOK)
+			}
+		}
+	}
+	if kept == 0 || cut == 0 {
+		t.Fatalf("kept %d draws and cut %d: want both", kept, cut)
 	}
 }
 

@@ -5,12 +5,18 @@ import (
 	"errors"
 	"time"
 
+	"adhocsim/internal/mac"
 	"adhocsim/internal/network"
 	"adhocsim/internal/sim"
 )
 
 // TCPHeaderBytes is the TCP header size (no options).
 const TCPHeaderBytes = 20
+
+// MaxTCPPayload is the largest segment payload, and so the largest
+// MSS, whose segment, with its IP header, fits one MSDU (mac.MaxMSDU):
+// the MAC refuses a larger one.
+const MaxTCPPayload = mac.MaxMSDU - network.HeaderBytes - TCPHeaderBytes
 
 // TCP segment flags.
 const (

@@ -11,11 +11,16 @@ import (
 	"errors"
 	"fmt"
 
+	"adhocsim/internal/mac"
 	"adhocsim/internal/network"
 )
 
 // UDPHeaderBytes is the UDP header size.
 const UDPHeaderBytes = 8
+
+// MaxUDPPayload is the largest UDP payload whose datagram, with its IP
+// header, fits one MSDU (mac.MaxMSDU): the MAC refuses a larger one.
+const MaxUDPPayload = mac.MaxMSDU - network.HeaderBytes - UDPHeaderBytes
 
 // ErrShortDatagram reports a datagram smaller than its header.
 var ErrShortDatagram = errors.New("transport: datagram shorter than UDP header")
