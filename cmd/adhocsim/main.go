@@ -96,6 +96,17 @@ func main() {
 		listScenarios()
 		return
 	}
+	// usage rejects a flag value before any experiment runs.
+	usage := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "adhocsim: "+format+"\n", a...)
+		exit(2)
+	}
+	switch {
+	case *reps < 1:
+		usage("-replications %d: want at least 1", *reps)
+	case *workers < 0:
+		usage("-workers %d: want 0 (all CPUs) or more", *workers)
+	}
 	if *scen != "" {
 		// -seed and -dur override the spec's embedded values only when the
 		// user set them explicitly; otherwise the spec/preset wins. Flags
@@ -130,11 +141,6 @@ func main() {
 		}
 	}
 
-	// usage rejects a flag value before any experiment runs.
-	usage := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "adhocsim: "+format+"\n", a...)
-		exit(2)
-	}
 	// A simulated -size payload rides in one MSDU with its headers:
 	// UDP/IP for -exp loss and table2 -verify, TCP/IP for table2 -verify
 	// -tcp. The model alone takes any MSDU size.

@@ -80,11 +80,11 @@ func TestFoldedCommandBytes(t *testing.T) {
 	}
 }
 
-// TestExpUsageErrors: a flag value no experiment can run with is a
-// usage error, exit status 2, before anything runs. The distance ranges
-// are rejected while the list is counted, before it is allocated: one
-// would list about 1e300 distances, and in the others the step stops
-// advancing the running sum (at once, and at 2^53).
+// TestExpUsageErrors: a flag value no experiment or scenario can run
+// with is a usage error, exit status 2, before anything runs. The
+// distance ranges are rejected while the list is counted, before it is
+// allocated: one would list about 1e300 distances, and in the others
+// the step stops advancing the running sum (at once, and at 2^53).
 func TestExpUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -93,6 +93,11 @@ func TestExpUsageErrors(t *testing.T) {
 		{[]string{"-exp", "fig7", "-dur", "-1s"}, "-dur -1s: want a positive horizon"},
 		{[]string{"-exp", "fig2", "-dur", "0s"}, "-dur 0s: want a positive horizon"},
 		{[]string{"-exp", "fig3", "-packets", "0"}, "-packets 0: want a positive count"},
+		{[]string{"-exp", "fig7", "-replications", "0"}, "-replications 0: want at least 1"},
+		{[]string{"-scenario", "ring-8", "-replications", "-1"}, "-replications -1: want at least 1"},
+		{[]string{"-exp", "fig3", "-workers", "-1"}, "-workers -1: want 0 (all CPUs) or more"},
+		{[]string{"-scenario", "ring-8", "-workers", "-2"}, "-workers -2: want 0 (all CPUs) or more"},
+		{[]string{"-scenario", "ring-8", "-workers", "-2", "-parallel-regions", "auto"}, "-workers -2: want 0 (all CPUs) or more"},
 		{[]string{"-exp", "loss", "-size", "-1"}, "-size -1: want 1 to 2276 bytes (the largest MSDU, 2304, less 28 B of UDP/IP headers)"},
 		{[]string{"-exp", "table2", "-rate", "11", "-verify", "-size", "2305"}, "-size 2305: want 1 to 2276 bytes"},
 		{[]string{"-exp", "table2", "-rate", "11", "-size", "2305"}, "-size 2305: want 1 to 2304 bytes (the largest MSDU)"},

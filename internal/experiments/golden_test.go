@@ -2,35 +2,30 @@ package experiments
 
 // Golden equivalence tests for the scenario-engine refactor.
 //
-// The testdata files were recorded by running this test with -update
-// against the pre-refactor RunTwoNode/RunFourNode implementations (the
-// hand-rolled topology builders). After the refactor the presets compile
-// to scenario.Spec and run through scenario.Run; these tests prove the
+// The entries of testdata/golden.json were recorded against the
+// pre-refactor RunTwoNode/RunFourNode implementations (the hand-rolled
+// topology builders). After the refactor the presets compile to
+// scenario.Spec and run through scenario.Run; these tests prove the
 // outputs stayed bit-identical — every float and every counter — at
 // fixed seeds.
-//
-// Re-blessing with -update is only legitimate for a change that is
-// *meant* to alter simulation results; document any re-bless in the
-// commit message.
 
 import (
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
+	"adhocsim/internal/golden"
 	"adhocsim/internal/phy"
 )
 
-var updateGolden = flag.Bool("update", false, "re-record golden experiment results")
+// TestMain checks the package's recorded results against
+// testdata/golden.json; see internal/golden for -update.
+func TestMain(m *testing.M) { golden.Main(m) }
 
 const goldenHorizon = 2 * time.Second
 
 // goldenTwoNodeCases enumerates the TwoNode configurations pinned by the
-// golden file: every transport × access-mode cell plus a low-rate,
+// golden table: every transport × access-mode cell plus a low-rate,
 // long-distance point.
 func goldenTwoNodeCases() map[string]TwoNode {
 	return map[string]TwoNode{
@@ -46,7 +41,7 @@ func goldenTwoNodeCases() map[string]TwoNode {
 }
 
 // goldenFourNodeCases enumerates the FourNode configurations pinned by
-// the golden file: the Figure 7/9 asymmetric line, the Figure 11
+// the golden table: the Figure 7/9 asymmetric line, the Figure 11
 // symmetric scenario, a TCP panel, and a default-profile run.
 func goldenFourNodeCases() map[string]FourNode {
 	testbed := phy.TestbedProfile()
@@ -71,59 +66,27 @@ func goldenFourNodeCases() map[string]FourNode {
 	}
 }
 
-func goldenPath(name string) string { return filepath.Join("testdata", name) }
-
-// runGolden runs the recorded cases, compares them field-for-field
-// against the golden file, and re-records under -update.
-func runGolden[C any, R any](t *testing.T, file string, cases map[string]C, run func(C) R) {
+// runGolden runs the recorded cases and checks each result's JSON
+// against the entry named prefix/case.
+func runGolden[C any, R any](t *testing.T, prefix string, cases map[string]C, run func(C) R) {
 	t.Helper()
-	got := make(map[string]R, len(cases))
 	for name, cfg := range cases {
-		got[name] = run(cfg)
-	}
-	path := goldenPath(file)
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
+		buf, err := json.Marshal(run(cfg))
 		if err != nil {
-			t.Fatalf("marshal: %v", err)
+			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatalf("mkdir: %v", err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatalf("write golden: %v", err)
-		}
-		t.Logf("recorded %d cases to %s", len(got), path)
-		return
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to record): %v", err)
-	}
-	var want map[string]R
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("unmarshal golden: %v", err)
-	}
-	for name := range cases {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no golden entry (run with -update)", name)
-			continue
-		}
-		if !reflect.DeepEqual(got[name], w) {
-			t.Errorf("%s: result diverged from pre-refactor golden\n got: %+v\nwant: %+v", name, got[name], w)
-		}
+		golden.Check(t, prefix+"/"+name, buf)
 	}
 }
 
 // TestGoldenTwoNode proves RunTwoNode reproduces the pre-refactor
 // results bit-for-bit at fixed seeds.
 func TestGoldenTwoNode(t *testing.T) {
-	runGolden(t, "golden_two_node.json", goldenTwoNodeCases(), RunTwoNode)
+	runGolden(t, "two-node", goldenTwoNodeCases(), RunTwoNode)
 }
 
 // TestGoldenFourNode proves RunFourNode reproduces the pre-refactor
 // results bit-for-bit at fixed seeds.
 func TestGoldenFourNode(t *testing.T) {
-	runGolden(t, "golden_four_node.json", goldenFourNodeCases(), RunFourNode)
+	runGolden(t, "four-node", goldenFourNodeCases(), RunFourNode)
 }

@@ -86,23 +86,13 @@ func gainCacheRun(t *testing.T, seed uint64) []uint64 {
 // produce exactly the metrics — including the number of scheduler
 // events fired — that the direct per-arrival PHY computation produced
 // before the cache was the only path, across several interleaving
-// seeds (testdata/golden_reference.json).
+// seeds (testdata/golden.json).
 func TestGainCacheMatchesDirectUnderInterleaving(t *testing.T) {
-	ref := loadReference(t)
-	got := make(map[string][]uint64)
 	for _, seed := range []uint64{3, 77, 2026} {
 		m := gainCacheRun(t, seed)
 		if m[1] == 0 {
 			t.Fatalf("seed %d: no deliveries — the run does not exercise reception", seed)
 		}
-		key := strconv.FormatUint(seed, 10)
-		got[key] = m
-		if !*updateReference {
-			compareMetrics(t, "seed "+key, m, ref.GainCache[key])
-		}
-	}
-	if *updateReference {
-		ref.GainCache = got
-		storeReference(t, ref)
+		checkReference(t, "gain-cache-interleaving/"+strconv.FormatUint(seed, 10), m)
 	}
 }

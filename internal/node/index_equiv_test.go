@@ -96,7 +96,7 @@ func mobilityRun(t *testing.T) (metrics []uint64, cellsVisited int) {
 // equivalence test: a random-waypoint station crossing grid-cell
 // boundaries mid-run must produce exactly the flow and medium metrics
 // the exhaustive per-radio propagation produced at the same seed
-// (testdata/golden_reference.json).
+// (testdata/golden.json).
 func TestMobilityIndexMatchesBruteForce(t *testing.T) {
 	got, cells := mobilityRun(t)
 	if cells < 2 {
@@ -105,11 +105,5 @@ func TestMobilityIndexMatchesBruteForce(t *testing.T) {
 	if got[0] == 0 {
 		t.Fatal("sink received nothing: the run does not exercise delivery")
 	}
-	ref := loadReference(t)
-	if *updateReference {
-		ref.Mobility = got
-		storeReference(t, ref)
-		return
-	}
-	compareMetrics(t, "walker", got, ref.Mobility)
+	checkReference(t, "mobility-walker", got)
 }

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -157,14 +159,24 @@ func TestProgressWriter(t *testing.T) {
 }
 
 // TestParallelSpeedup checks that the pool actually uses the hardware.
-// It needs real cores to be meaningful, so it skips on small machines
-// and asserts a deliberately loose bound (2x on 4+ cores) elsewhere.
+// It needs at least two cores to be meaningful, so it skips on one and
+// asserts a deliberately loose bound elsewhere: 1.4x on two or three
+// cores, 2x on four or more. Other processes (go test runs packages
+// side by side) can take the cores the pool needs, so an attempt below
+// the bound fails the test only if /proc/stat shows the host left CPU
+// idle during the parallel pass; when three attempts all found the
+// host busy, or its CPU use unreadable, the test skips.
 func TestParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("GOMAXPROCS = %d, need >= 4 for a meaningful speedup test", runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skipf("GOMAXPROCS = %d, need >= 2 for a meaningful speedup test", procs)
+	}
+	want := 1.4
+	if procs >= 4 {
+		want = 2
 	}
 	work := func(i int) float64 {
 		x := float64(i + 1)
@@ -174,20 +186,53 @@ func TestParallelSpeedup(t *testing.T) {
 		return x
 	}
 	const jobs = 16
-	t0 := time.Now()
-	serial := Map(Config{Workers: 1}, jobs, work)
-	serialDur := time.Since(t0)
-	t0 = time.Now()
-	parallel := Map(Config{Workers: 8}, jobs, work)
-	parallelDur := time.Since(t0)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("result %d diverged", i)
+	var busy []string
+	for attempt := 0; attempt < 3; attempt++ {
+		t0 := time.Now()
+		serial := Map(Config{Workers: 1}, jobs, work)
+		serialDur := time.Since(t0)
+		idle0, total0, known0 := hostCPU()
+		t0 = time.Now()
+		parallel := Map(Config{Workers: 8}, jobs, work)
+		parallelDur := time.Since(t0)
+		idle1, total1, known1 := hostCPU()
+		for i := range serial {
+			if serial[i] != parallel[i] {
+				t.Fatalf("result %d diverged", i)
+			}
 		}
+		speedup := serialDur.Seconds() / parallelDur.Seconds()
+		if speedup >= want {
+			return
+		}
+		msg := fmt.Sprintf("speedup = %.2fx (serial %v, parallel %v), want >= %.1fx", speedup, serialDur, parallelDur, want)
+		if known0 && known1 {
+			if float64(idle1-idle0) > 0.2*float64(total1-total0) {
+				t.Fatalf("%s; host CPU idle %d of %d ticks", msg, idle1-idle0, total1-total0)
+			}
+			msg += "; host busy"
+		}
+		busy = append(busy, msg)
 	}
-	if speedup := serialDur.Seconds() / parallelDur.Seconds(); speedup < 2 {
-		t.Errorf("speedup = %.2fx (serial %v, parallel %v), want >= 2x", speedup, serialDur, parallelDur)
+	t.Skipf("host busy or its CPU use unknown in every attempt: %s", strings.Join(busy, "; "))
+}
+
+// hostCPU returns the host's idle and total CPU time so far, in clock
+// ticks, from /proc/stat. known is false where that file cannot be read
+// or counts other CPUs than this process may run on.
+func hostCPU() (idle, total uint64, known bool) {
+	raw, err := os.ReadFile("/proc/stat")
+	if err != nil || strings.Count(string(raw), "\ncpu") != runtime.NumCPU() {
+		return 0, 0, false
 	}
+	var v [8]uint64 // user nice system idle iowait irq softirq steal
+	if _, err := fmt.Sscanf(string(raw), "cpu %d %d %d %d %d %d %d %d", &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]); err != nil {
+		return 0, 0, false
+	}
+	for _, x := range v {
+		total += x
+	}
+	return v[3] + v[4], total, true
 }
 
 // BenchmarkMap8Replications measures the wall-clock of an 8-job

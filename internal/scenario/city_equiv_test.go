@@ -2,12 +2,7 @@ package scenario
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -15,11 +10,11 @@ import (
 )
 
 // The city-scale equivalence suite: the city presets' bytes are pinned
-// by goldens (TestCityGolden, golden_calendar.json), and the parallel
-// kernel must reproduce the sequential kernel on them, not just on the
-// small unit fixtures. The presets are far too large for the
-// full-horizon preset sweeps (parallel_equiv_test.go skips N > 2048),
-// so those checks run here at a short horizon instead.
+// by goldens (TestCityGolden, TestRandom16kKernelToggles), and the
+// parallel kernel must reproduce the sequential kernel on them, not
+// just on the small unit fixtures. The presets are far too large for
+// the full-horizon preset sweeps (parallel_equiv_test.go skips
+// N > 2048), so those checks run here at a short horizon instead.
 
 // cityShortSpec returns the named city preset with its horizon cut to
 // something a test can afford — these checks care about
@@ -36,18 +31,16 @@ func cityShortSpec(t *testing.T, name string, horizon time.Duration) Spec {
 
 // TestRandom16kKernelToggles requires random-16k at 50 ms to
 // reproduce the result the retired calendar-queue backend recorded
-// (checkCalendarDigest). The spatial grid and the incremental sums it
-// also runs are pinned mechanism by mechanism by the phy and medium
-// oracle tests.
+// (see TestFaultedSchedulerBackends). The spatial grid and the
+// incremental sums it also runs are pinned mechanism by mechanism by
+// the phy and medium oracle tests.
 func TestRandom16kKernelToggles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale preset run: skipped in -short")
 	}
 	spec := cityShortSpec(t, "random-16k", 50*time.Millisecond)
-	base := runJSON(t, spec)
-
 	t.Run("calendar-vs-heap", func(t *testing.T) {
-		checkCalendarDigest(t, spec.Name, base)
+		runGolden(t, spec.Name, spec)
 	})
 }
 
@@ -89,11 +82,7 @@ func quarterCity(s *Spec) {
 // TestCityGolden pins the city tier's output bytes: random-16k and the
 // quartered clustered-blocks-100k city (25 000 stations) at seed 42
 // over a 2 s horizon, each on the sequential kernel and on the parallel
-// kernel with two region workers. A city Result runs to megabytes (one
-// entry per station), so the golden records the SHA-256 of its JSON
-// encoding rather than the bytes themselves. Re-bless with -update only
-// for a change that is meant to alter simulation results, and say so in
-// the commit message.
+// kernel with two region workers.
 func TestCityGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale preset runs: skipped in -short")
@@ -101,7 +90,6 @@ func TestCityGolden(t *testing.T) {
 	r16k := cityShortSpec(t, "random-16k", 2*time.Second)
 	blocks := cityShortSpec(t, "clustered-blocks-100k", 2*time.Second)
 	quarterCity(&blocks)
-	got := map[string]string{}
 	for _, c := range []struct {
 		name string
 		spec Spec
@@ -110,33 +98,8 @@ func TestCityGolden(t *testing.T) {
 			s := c.spec
 			s.Seed = 42
 			s.Parallel = par
-			key := c.name + "/sequential"
-			if par != nil {
-				key = c.name + "/parallel-2"
-			}
-			sum := sha256.Sum256(runJSON(t, s))
-			got[key] = hex.EncodeToString(sum[:])
+			runGolden(t, c.name, s)
 		}
-	}
-	buf, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	path := filepath.Join("testdata", "golden_city.json")
-	if *updatePresetGolden {
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to record): %v", err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Errorf("city results diverged from the recorded golden:\ngot:  %s\nwant: %s", buf, want)
 	}
 }
 

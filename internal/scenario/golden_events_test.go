@@ -1,12 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,25 +26,15 @@ var goldenEventRuns = []struct {
 // goldenEventSeeds is the fixed seed set: runner.SeedFor(1, i) for i < 4.
 const goldenEventSeeds = 4
 
-// eventCounts is one run's pinned event counts.
-type eventCounts struct {
-	Fired   uint64 `json:"fired"`
-	Logical uint64 `json:"logical"`
-}
-
-// TestGoldenEvents pins Net.Fired and LogicalEvents of every
-// goldenEventRuns preset at four seeds, on the sequential kernel and on
-// the parallel kernel with one and two region workers. A parallel city
-// run costs half a second, so the city's parallel legs run the first
-// seed only. The output-byte
-// goldens cannot see the event count: a kernel change that drops or
-// adds a no-op event moves no result, only this. The counts were
-// recorded before any kernel mechanism that stands in for events
-// without queueing them; there is deliberately no path to re-record
-// them.
+// TestGoldenEvents pins every goldenEventRuns preset at four seeds, on
+// the sequential kernel and on the parallel kernel with one and two
+// region workers. A parallel city run costs half a second, so the
+// city's parallel legs run the first seed only. The result bytes cannot
+// see the event count: a kernel change that drops or adds a no-op event
+// moves no result, only the fired and logical counts each entry holds.
+// The counts were recorded before any kernel mechanism that stands in
+// for events without queueing them.
 func TestGoldenEvents(t *testing.T) {
-	var mu sync.Mutex
-	got := map[string]eventCounts{}
 	// One parallel subtest per preset and kernel: the city legs take
 	// most of the time, and they overlap on a multi-core host.
 	t.Run("runs", func(t *testing.T) {
@@ -93,25 +77,10 @@ func TestGoldenEvents(t *testing.T) {
 							t.Fatal(err)
 						}
 						inst.Net.Run(r.horizon)
-						c := eventCounts{Fired: inst.Net.Fired(), Logical: inst.LogicalEvents()}
-						mu.Lock()
-						got[fmt.Sprintf("%s/%s/%d", name, k.name, i)] = c
-						mu.Unlock()
+						checkGolden(t, name, inst)
 					}
 				})
 			}
 		}
 	})
-	buf, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_events.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Errorf("event counts diverged from the recorded golden:\ngot:  %s\nwant: %s", buf, want)
-	}
 }

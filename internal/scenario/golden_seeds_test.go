@@ -1,13 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -30,14 +23,11 @@ var goldenSeedRuns = []struct {
 // goldenSeeds is the fixed seed set: runner.SeedFor(1, i) for i < 16.
 const goldenSeeds = 16
 
-// TestGoldenSeeds pins the Result-JSON SHA-256 of each goldenSeedRuns
-// preset at sixteen seeds. A single-seed golden can miss a change to
-// how same-instant events tie; over sixteen seeds of contending
-// stations, one reordered tie almost surely moves some counter. Re-bless
-// with -update only for a change that is meant to alter simulation
-// results, and say so in the commit message.
+// TestGoldenSeeds pins each goldenSeedRuns preset at sixteen seeds. A
+// single-seed golden can miss a change to how same-instant events tie;
+// over sixteen seeds of contending stations, one reordered tie almost
+// surely moves some counter.
 func TestGoldenSeeds(t *testing.T) {
-	got := map[string]string{}
 	for _, r := range goldenSeedRuns {
 		spec, err := Preset(r.name)
 		if err != nil {
@@ -46,28 +36,7 @@ func TestGoldenSeeds(t *testing.T) {
 		spec.Duration = Duration(r.horizon)
 		for i := 0; i < goldenSeeds; i++ {
 			spec.Seed = runner.SeedFor(1, i)
-			sum := sha256.Sum256(runJSON(t, spec))
-			got[fmt.Sprintf("%s/%02d", r.name, i)] = hex.EncodeToString(sum[:])
+			runGolden(t, r.name, spec)
 		}
-	}
-	buf, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	path := filepath.Join("testdata", "golden_seeds.json")
-	if *updatePresetGolden {
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to record): %v", err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Errorf("multi-seed results diverged from the recorded golden:\ngot:  %s\nwant: %s", buf, want)
 	}
 }

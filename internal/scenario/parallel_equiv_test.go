@@ -3,8 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -234,32 +232,14 @@ func TestParallelGridFits(t *testing.T) {
 // random-1024 byte for byte — the other half of the tie-equivalence
 // contract: sequential differs only in documented tie flips
 // (TestParallelMatchesSequentialPresets), and the parallel bytes
-// themselves never drift. Re-bless with -update only for a change that
-// is meant to alter simulation results, and say so in the commit
-// message.
+// themselves never drift.
 func TestParallelGoldenRandom1024(t *testing.T) {
 	spec, err := Preset("random-1024")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Parallel = &ParallelParams{Workers: 4}
-	got := runJSON(t, spec)
-	got = append(got, '\n')
-	path := filepath.Join("testdata", "golden_parallel_random1024.json")
-	if *updatePresetGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to record): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("random-1024 parallel result diverged from the recorded golden")
-	}
+	runGolden(t, "random-1024", spec)
 }
 
 // TestSplitWorkers pins the hybrid sweep's worker arithmetic: the

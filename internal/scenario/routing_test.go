@@ -3,9 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -196,8 +193,6 @@ func TestStaticUnreachableFlowErrors(t *testing.T) {
 
 // --- golden: single-hop presets with routing compiled in but disabled ---
 
-var updatePresetGolden = flag.Bool("update", false, "re-record the preset summary golden")
-
 // goldenPresetNames are the single-hop presets pinned byte-for-byte:
 // the routing subsystem is compiled in but disabled for all of them, and
 // must not perturb a single counter or float.
@@ -207,12 +202,10 @@ var goldenPresetNames = []string{
 }
 
 // TestGoldenSingleHopPresets locks the single-hop preset results. The
-// golden file was recorded when the routing subsystem landed; any later
+// entries were recorded when the routing subsystem landed; any later
 // change to these bytes means a change leaked into the routing-disabled
-// path. Re-bless with -update only for a change that is meant to alter
-// simulation results, and say so in the commit message.
+// path.
 func TestGoldenSingleHopPresets(t *testing.T) {
-	got := make(map[string]Result, len(goldenPresetNames))
 	for _, name := range goldenPresetNames {
 		spec, err := Preset(name)
 		if err != nil {
@@ -222,34 +215,6 @@ func TestGoldenSingleHopPresets(t *testing.T) {
 			t.Fatalf("preset %q is not single-hop", name)
 		}
 		spec.Duration = Duration(2 * time.Second) // keep the golden cheap
-		got[name] = MustRun(spec)
-	}
-	path := filepath.Join("testdata", "golden_presets.json")
-	if *updatePresetGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %d presets to %s", len(got), path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to record): %v", err)
-	}
-	buf, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("single-hop preset summaries diverged from the recorded golden; " +
-			"the routing-disabled path must stay byte-identical (re-bless with -update only for an intended simulation change)")
+		runGolden(t, name, spec)
 	}
 }
