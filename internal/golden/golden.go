@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -86,13 +85,10 @@ type table struct {
 }
 
 // openTable reads the table at path for a run that re-records the keys
-// in update. Without keys to record, the file must exist.
+// in update.
 func openTable(path string, update []string) (*table, error) {
 	tb := &table{path: path, update: update, want: map[string]entry{}, got: map[string]entry{}}
 	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) && len(update) > 0 {
-		return tb, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -172,21 +168,25 @@ func (tb *table) finish(complete bool) (moved []string, err error) {
 	var missing []string
 	for _, k := range tb.update {
 		e, ok := tb.got[k]
-		if !ok {
+		if old, was := tb.want[k]; !ok {
 			missing = append(missing, k)
+		} else if !was || old.String() != e.String() {
+			moved = append(moved, k)
 		}
 		next[k] = e
 	}
 	if len(missing) > 0 {
 		return nil, fmt.Errorf("-update names keys no test produced, so %s is unchanged: %s", tb.path, strings.Join(missing, ", "))
 	}
-	for k, e := range next {
-		if old, ok := tb.want[k]; !ok || old.String() != e.String() {
-			moved = append(moved, k)
-		}
-	}
 	slices.Sort(moved)
-	return moved, os.WriteFile(tb.path, encode(next), 0o644)
+	return slices.Compact(moved), os.WriteFile(tb.path, encode(next), 0o644)
+}
+
+// ranEveryTest reports whether no -run, -skip or -list selected tests
+// and -short skipped none.
+func ranEveryTest() bool {
+	f := func(name string) string { return flag.Lookup(name).Value.String() }
+	return f("test.run")+f("test.skip")+f("test.list") == "" && !testing.Short()
 }
 
 var std *table // the package's table, opened by Main
@@ -217,8 +217,7 @@ func Main(m *testing.M) {
 		}
 		os.Exit(code)
 	}
-	selected := flag.Lookup("test.run").Value.String() + flag.Lookup("test.skip").Value.String()
-	moved, err := std.finish(selected == "" && !testing.Short())
+	moved, err := std.finish(ranEveryTest())
 	switch {
 	case err != nil:
 		fmt.Fprintln(os.Stderr, "golden:", err)

@@ -2,6 +2,7 @@ package golden
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,10 +27,15 @@ func (r *recorder) Errorf(format string, a ...any) {
 // outputs maps a key to the canonical bytes a test produces for it.
 type outputs map[string]string
 
-// record writes a fresh table at path holding outs, with counts for
-// the keys in counted.
+// record records outs, with counts for the keys in counted, in the
+// table at path, which it first creates empty if there is none.
 func record(t *testing.T, path string, outs outputs, counted map[string]Counts) []byte {
 	t.Helper()
+	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+		if err := os.WriteFile(path, encode(nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var keys []string
 	for k := range outs {
 		keys = append(keys, k)
@@ -192,6 +198,15 @@ func TestTableCanonical(t *testing.T) {
 	if _, err := stale.finish(false); err != nil {
 		t.Errorf("a filtered run must not require every entry: %v", err)
 	}
+	for _, name := range []string{"test.run", "test.skip", "test.list"} {
+		f := flag.Lookup(name)
+		was := f.Value.String()
+		f.Value.Set("x")
+		if ranEveryTest() {
+			t.Errorf("-%s=x counted as a run of every test", name)
+		}
+		f.Value.Set(was)
+	}
 
 	for name, raw := range map[string]string{
 		"unsorted":  "{\n  \"b\": {\"sha256\": \"00\"},\n  \"a\": {\"sha256\": \"00\"}\n}\n",
@@ -207,6 +222,6 @@ func TestTableCanonical(t *testing.T) {
 		}
 	}
 	if _, err := openTable(filepath.Join(dir, "missing.json"), nil); err == nil {
-		t.Error("a missing table opened without -update")
+		t.Error("a missing table opened")
 	}
 }

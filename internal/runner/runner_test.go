@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
+	"runtime/metrics"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -160,12 +161,12 @@ func TestProgressWriter(t *testing.T) {
 
 // TestParallelSpeedup checks that the pool actually uses the hardware.
 // It needs at least two cores to be meaningful, so it skips on one and
-// asserts a deliberately loose bound elsewhere: 1.4x on two or three
-// cores, 2x on four or more. Other processes (go test runs packages
-// side by side) can take the cores the pool needs, so an attempt below
-// the bound fails the test only if /proc/stat shows the host left CPU
-// idle during the parallel pass; when three attempts all found the
-// host busy, or its CPU use unreadable, the test skips.
+// asserts a deliberately loose bound on the best of three attempts
+// elsewhere: 1.4x on two or three cores, 2x on four or more. On two or
+// three cores go test's other packages can take a whole core from the
+// pool, so there a shortfall fails only if the Go scheduler left its
+// processors idle during the parallel pass (the pool did not fill
+// them); when the pool kept them busy in every attempt, the test skips.
 func TestParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -186,53 +187,47 @@ func TestParallelSpeedup(t *testing.T) {
 		return x
 	}
 	const jobs = 16
-	var busy []string
+	var best float64
+	var idle []float64
 	for attempt := 0; attempt < 3; attempt++ {
 		t0 := time.Now()
 		serial := Map(Config{Workers: 1}, jobs, work)
 		serialDur := time.Since(t0)
-		idle0, total0, known0 := hostCPU()
-		t0 = time.Now()
-		parallel := Map(Config{Workers: 8}, jobs, work)
-		parallelDur := time.Since(t0)
-		idle1, total1, known1 := hostCPU()
+		var parallel []float64
+		var parallelDur time.Duration
+		idle = append(idle, idleShare(func() {
+			t0 = time.Now()
+			parallel = Map(Config{Workers: 8}, jobs, work)
+			parallelDur = time.Since(t0)
+		}))
 		for i := range serial {
 			if serial[i] != parallel[i] {
 				t.Fatalf("result %d diverged", i)
 			}
 		}
-		speedup := serialDur.Seconds() / parallelDur.Seconds()
-		if speedup >= want {
+		if best = max(best, serialDur.Seconds()/parallelDur.Seconds()); best >= want {
 			return
 		}
-		msg := fmt.Sprintf("speedup = %.2fx (serial %v, parallel %v), want >= %.1fx", speedup, serialDur, parallelDur, want)
-		if known0 && known1 {
-			if float64(idle1-idle0) > 0.2*float64(total1-total0) {
-				t.Fatalf("%s; host CPU idle %d of %d ticks", msg, idle1-idle0, total1-total0)
-			}
-			msg += "; host busy"
-		}
-		busy = append(busy, msg)
 	}
-	t.Skipf("host busy or its CPU use unknown in every attempt: %s", strings.Join(busy, "; "))
+	msg := fmt.Sprintf("best speedup of 3 = %.2fx, want >= %.1fx; scheduler idle share in the parallel passes %.2f", best, want, idle)
+	if procs < 4 && slices.Max(idle) < 0.25 {
+		t.Skipf("%s: the pool kept every processor busy, so other processes took the cores", msg)
+	}
+	t.Fatal(msg)
 }
 
-// hostCPU returns the host's idle and total CPU time so far, in clock
-// ticks, from /proc/stat. known is false where that file cannot be read
-// or counts other CPUs than this process may run on.
-func hostCPU() (idle, total uint64, known bool) {
-	raw, err := os.ReadFile("/proc/stat")
-	if err != nil || strings.Count(string(raw), "\ncpu") != runtime.NumCPU() {
-		return 0, 0, false
-	}
-	var v [8]uint64 // user nice system idle iowait irq softirq steal
-	if _, err := fmt.Sscanf(string(raw), "cpu %d %d %d %d %d %d %d %d", &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]); err != nil {
-		return 0, 0, false
-	}
-	for _, x := range v {
-		total += x
-	}
-	return v[3] + v[4], total, true
+// idleShare runs f and returns the share of the Go processors' time
+// that the scheduler left idle meanwhile. The runtime brings its CPU
+// accounting up to date at each collection, hence the two GC calls.
+func idleShare(f func()) float64 {
+	s := []metrics.Sample{{Name: "/cpu/classes/idle:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	runtime.GC()
+	metrics.Read(s)
+	idle, total := s[0].Value.Float64(), s[1].Value.Float64()
+	f()
+	runtime.GC()
+	metrics.Read(s)
+	return (s[0].Value.Float64() - idle) / (s[1].Value.Float64() - total)
 }
 
 // BenchmarkMap8Replications measures the wall-clock of an 8-job
