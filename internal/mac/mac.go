@@ -286,17 +286,16 @@ func (m *MAC) Attach(r *medium.Radio) {
 
 // Reset returns an attached MAC to its just-attached state for a new
 // run: queue, DCF state machine, rate fallback, counters and sequence
-// tracking clear, the backoff rng is re-derived from src (which the
-// caller has just Reseed-ed), and beaconing re-arms if configured. The
-// owning scheduler must have been Reset first — the MAC's event handles
-// are stale by then, so they are simply dropped — and the radio must
-// already be Reset so carrier sense reads idle. The configuration is
-// retained.
-func (m *MAC) Reset(src *sim.Source) {
+// tracking clear, and beaconing re-arms if configured. The backoff
+// stream needs nothing: it re-roots at its next draw after the source's
+// Reseed (sim.Stream). The owning scheduler must have been Reset first
+// — the MAC's event handles are stale by then, so they are simply
+// dropped — and the radio must already be Reset so carrier sense reads
+// idle. The configuration is retained.
+func (m *MAC) Reset() {
 	if m.radio == nil {
 		panic("mac: Reset before Attach")
 	}
-	m.rng.Reset(src)
 	m.flushPipeline()
 	m.st = stIdle
 	m.cw = phy.CWMin
@@ -328,6 +327,13 @@ func (m *MAC) Reset(src *sim.Source) {
 		m.scheduleBeacon()
 	}
 }
+
+// Touch marks the station's state changed since the last Reset
+// (medium.Radio.Touch). The MAC touches at its own entry points — a
+// queued MSDU, an armed beacon, a power-down; everything else it does
+// follows from those or from a radio indication, which touched
+// already. The layers above touch through it.
+func (m *MAC) Touch() { m.radio.Touch() }
 
 // Address returns the station's MAC address.
 func (m *MAC) Address() frame.Addr { return m.cfg.Address }
@@ -425,6 +431,7 @@ func (m *MAC) flushPipeline() {
 // enqueue admits one MSDU (rate and flags already chosen) to the
 // transmit queue. A refused record is recycled.
 func (m *MAC) enqueue(pkt *msdu) error {
+	m.Touch()
 	if m.down {
 		m.recycle(pkt)
 		return ErrDown
@@ -455,6 +462,7 @@ func (m *MAC) nextSeq() uint16 {
 // generation rules, each station adds a random delay after the target
 // beacon time so that stations sharing a TBTT do not collide forever.
 func (m *MAC) scheduleBeacon() {
+	m.Touch()
 	jitter := time.Duration(m.rng.Rand().Intn(2*phy.CWMin)) * phy.SlotTime
 	m.beaconEv = m.sched.AfterAction(m.cfg.BeaconInterval+jitter, (*beaconTimer)(m))
 }

@@ -39,6 +39,7 @@ func (m *MAC) PowerDown() {
 	if m.down {
 		return
 	}
+	m.Touch()
 	m.down = true
 	m.cancelResume()
 	m.sched.Cancel(m.slotEv)

@@ -42,6 +42,7 @@ package medium
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -134,6 +135,11 @@ type Medium struct {
 	// Pools: reused across transmissions so the steady-state event flow
 	// allocates nothing.
 	freeTx []*transmission
+
+	// touched is the set of radio slots touched since they were last
+	// taken (TakeTouched), one bit per slot: the stations whose state a
+	// run changed and a Reset must rewind. Radio.Touch fills it.
+	touched []uint64
 
 	// Parallel partition (nil/empty in sequential mode): the region
 	// executor, and one shard of pools + counters per region. See
@@ -235,30 +241,61 @@ func (m *Medium) Now() time.Duration { return m.sched.Now() }
 
 // Reset returns the medium to its just-built state so a replication
 // sweep can re-seed a constructed network instead of rebuilding it:
-// aggregate counters clear. Everything derived from the run seed or the
-// geometry is invalidated exactly when its input actually changes, so a
-// same-seed same-placement replication — the benchmark loop, a
-// variance-reduction sweep — re-runs on every cached structure intact:
+// aggregate counters clear, and radio slot i is re-placed at
+// positions[i]. Everything derived from the run seed or the geometry is
+// invalidated exactly when its input actually changes, so a same-seed
+// same-placement replication — the benchmark loop, a variance-reduction
+// sweep — re-runs on every cached structure intact:
 //
 //   - posEpoch advances, and with it every candidate memo, gain row and
-//     fan-out memo goes stale, only if the owning sim.Source's root
-//     seed changed since the rows were drawn — the node layer reseeds
-//     the source before calling here, and the shadowing draws are pure
-//     functions of (seed, link).
-//   - The spatial index is NOT touched here: Radio.Reset dirties it,
-//     and advances posEpoch, if (and only if) its radio lands on a new
-//     position, and AddRadio covers radio-set changes.
+//     fan-out memo goes stale, if the owning sim.Source's root seed
+//     changed since the rows were drawn — the node layer reseeds the
+//     source before calling here, and the shadowing draws are pure
+//     functions of (seed, link) — or if any radio lands on a new
+//     position, which also dirties the spatial index.
+//   - Positions are compared on the dense soaPos mirror, so a radio
+//     that stays put is never dereferenced, and a move alone does not
+//     mark its station touched.
 //
 // The arrival/transmission pools and the gain rows' capacity are
-// deliberately retained — reusing them is the point of the arena. Radio
-// placement and per-radio state are the caller's next step, via
-// Radio.Reset.
-func (m *Medium) Reset() {
+// deliberately retained — reusing them is the point of the arena.
+// Per-radio receive state is the caller's next step: Radio.Reset on
+// every slot TakeTouched hands out.
+func (m *Medium) Reset(positions []phy.Position) {
+	if len(positions) != len(m.radios) {
+		panic(fmt.Sprintf("medium: Reset with %d positions for %d radios", len(positions), len(m.radios)))
+	}
 	m.Transmissions, m.Deliveries, m.PHYErrors = 0, 0, 0
 	m.memo = memoCounters{}
 	if seed := m.src.Seed(); seed != m.gainSeed {
 		m.gainSeed = seed
 		m.posEpoch++
+	}
+	for slot, p := range positions {
+		if p != m.soaPos[slot] {
+			m.radios[slot].pos = p
+			m.soaPos[slot] = p
+			m.posEpoch++
+			m.indexDirty = true
+		}
+	}
+}
+
+// TakeTouched calls fn for every radio slot touched (Radio.Touch) since
+// the last TakeTouched, in ascending order, and empties the set as it
+// goes: a slot touched again while fn runs — a Reset that re-arms a
+// beacon — is left for the next TakeTouched. Networks built by
+// internal/node attach one radio per station, in station order, so a
+// slot is a station index.
+func (m *Medium) TakeTouched(fn func(slot int)) {
+	for i, w := range m.touched {
+		if w == 0 {
+			continue
+		}
+		m.touched[i] = 0
+		for ; w != 0; w &= w - 1 {
+			fn(i<<6 | bits.TrailingZeros64(w))
+		}
 	}
 }
 
@@ -456,6 +493,10 @@ type Radio struct {
 	handler Handler
 
 	state radioState
+
+	// touched is set by Touch at the first state change since the last
+	// Reset; see Touch.
+	touched bool
 
 	// reach is this radio's transmit relevance radius in meters, set by
 	// Medium.ensureIndex: beyond it no receiver on the field can see
@@ -703,6 +744,9 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 	}
 	r.floorMW = r.lin.NoiseFloorMW
 	r.txEnd.r = r
+	if r.slot&63 == 0 {
+		m.touched = append(m.touched, 0)
+	}
 	m.radios = append(m.radios, r)
 	m.soaID = append(m.soaID, id)
 	m.soaPos = append(m.soaPos, pos)
@@ -753,10 +797,37 @@ func (r *Radio) ID() uint32 { return r.id }
 // Pos returns the radio's current position.
 func (r *Radio) Pos() phy.Position { return r.pos }
 
+// Touch records that the radio's station changed state since the last
+// Reset, so the next node-level Reset must rewind it: the medium adds
+// the slot to its touched set (TakeTouched). The radio touches itself
+// at every arrival, transmission, power-down and move (a power-up only
+// undoes a power-down of the same run); the layers above touch it
+// through their own Touch at every write that does not follow from one
+// of those (a queued MSDU, a port binding, an armed beacon). A Reset
+// clears the mark.
+//
+// In parallel mode (after SetPartition) the set is shared by every
+// region goroutine, and the network is never Reset, so only the
+// radio's own flag is set, by the goroutine that owns the radio.
+func (r *Radio) Touch() {
+	if !r.touched {
+		r.touch()
+	}
+}
+
+// touch is Touch's first-time path, out of line so that Touch inlines.
+func (r *Radio) touch() {
+	r.touched = true
+	if r.shard == nil {
+		r.m.touched[r.slot>>6] |= 1 << (r.slot & 63)
+	}
+}
+
 // SetPos moves the radio (mobility support). Takes effect for
 // transmissions that begin after the move, the first of which rebuilds
 // the spatial index.
 func (r *Radio) SetPos(p phy.Position) {
+	r.Touch()
 	m := r.m
 	r.pos = p
 	m.soaPos[r.slot] = p
@@ -764,23 +835,15 @@ func (r *Radio) SetPos(p phy.Position) {
 	m.indexDirty = true
 }
 
-// Reset clears the radio's per-run receive state and counters and
-// re-places it at pos, keeping the attachment (profile, handler,
-// precomputed linear tables) intact. It is the per-radio half of the
-// arena-reuse path: call Medium.Reset first (which stales every gain
-// row if the seed changed), then Reset every radio with its new-run
-// position. The geometry epoch and spatial-index rebuild flag advance
-// only if the radio actually lands somewhere new, so a same-placement
-// replication keeps its gain rows, its candidate and fan-out memos, and
-// the built index.
-func (r *Radio) Reset(pos phy.Position) {
-	m := r.m
-	if pos != r.pos {
-		m.posEpoch++
-		m.indexDirty = true
-	}
-	r.pos = pos
-	m.soaPos[r.slot] = pos
+// Reset clears the radio's per-run receive state, counters and touch
+// mark, keeping the attachment (profile, handler, precomputed linear
+// tables), the position and the memos intact. It is the per-radio half
+// of the arena-reuse path: call Medium.Reset first (which re-places the
+// radios and stales every gain row whose inputs changed), then Reset
+// the radios TakeTouched hands out. A radio never touched since its last
+// Reset holds exactly this state already.
+func (r *Radio) Reset() {
+	r.touched = false
 	r.state = stateListen
 	clear(r.arrivals)
 	r.arrivals = r.arrivals[:0]
@@ -817,6 +880,7 @@ func (r *Radio) Down() bool { return r.down }
 // crash fires plays out naturally (its trailing edges are already
 // scheduled at every receiver); the MAC layer discards its TxDone.
 func (r *Radio) PowerDown() {
+	r.Touch()
 	r.down = true
 	r.unlock()
 	r.updateCCA()
@@ -841,6 +905,7 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 	if !rate.Valid() {
 		panic(fmt.Sprintf("medium: invalid rate %d", rate))
 	}
+	r.Touch()
 	m := r.m
 	if r.sched != nil {
 		return m.partTransmit(r, f, rate)
@@ -982,6 +1047,7 @@ func (m *Medium) propagate(tx *transmission, from *Radio, fc phy.FadeChain, rxSl
 // interference record — are precisely the folds' values before this
 // append.
 func (r *Radio) arrivalStart(tx *transmission, powerDBm, powerMW float64) {
+	r.Touch()
 	preCCA, preFloor := r.ccaMW, r.floorMW
 	r.arrivals = append(r.arrivals, arrivalEntry{tx: tx, dbm: powerDBm, mw: powerMW})
 	r.ccaMW += powerMW
@@ -1004,7 +1070,7 @@ func (r *Radio) arrivalStart(tx *transmission, powerDBm, powerMW float64) {
 	case r.locked == nil:
 		// Preamble must clear the interference floor — noise plus every
 		// arrival before this one, which is exactly preFloor.
-		if powerDBm >= phy.MilliwattToDBm(preFloor)+prof.SINRRequiredDB[phy.Rate1.Index()] {
+		if powerDBm >= r.floorDBm(preFloor)+prof.SINRRequiredDB[phy.Rate1.Index()] {
 			r.lock(tx, powerDBm, preCCA)
 		} else {
 			r.FramesMissed++
@@ -1127,9 +1193,21 @@ func (r *Radio) verdict(tx *transmission) bool {
 	if r.lockedPower < prof.SensitivityDBm[idx] {
 		return false
 	}
-	floorMW := r.lin.NoiseFloorMW + r.maxInterfMW
-	sinr := r.lockedPower - phy.MilliwattToDBm(floorMW)
+	sinr := r.lockedPower - r.floorDBm(r.lin.NoiseFloorMW+r.maxInterfMW)
 	return sinr >= prof.SINRRequiredDB[idx]
+}
+
+// floorDBm is phy.MilliwattToDBm(floorMW) for a noise-plus-interference
+// floor. At the bare noise floor — the lock test of a frame that
+// arrives on a quiet channel, the verdict of one nothing overlapped,
+// the common case on a sparse field — it is the radio's cached
+// conversion of those very bits, so the Log10 is skipped and the
+// result is the same float.
+func (r *Radio) floorDBm(floorMW float64) float64 {
+	if floorMW == r.lin.NoiseFloorMW {
+		return r.lin.NoiseFloorDBm
+	}
+	return phy.MilliwattToDBm(floorMW)
 }
 
 // updateCCA recomputes physical carrier sense and reports edges.

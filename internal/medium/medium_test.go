@@ -577,3 +577,38 @@ func TestGainRowsTrackCandidates(t *testing.T) {
 		t.Fatalf("Stats().GainEntries = %d, want the %d entries the rows hold", got, entries)
 	}
 }
+
+// TestTakeTouched checks the touched set: slots come out once each, in
+// ascending order across words, the set is empty after a pass, a touch
+// before the radio's Reset adds nothing, and a radio Reset can be
+// touched again.
+func TestTakeTouched(t *testing.T) {
+	env, prof := newEnv()
+	var radios []*Radio
+	for i := range 130 {
+		radios = append(radios, env.m.AddRadio(uint32(i+1), phy.Pos(float64(i), 0), prof, &mockHandler{}))
+	}
+	take := func() []int {
+		var got []int
+		env.m.TakeTouched(func(slot int) { got = append(got, slot) })
+		return got
+	}
+	for _, slot := range []int{129, 64, 3, 70, 3, 0, 5} {
+		radios[slot].Touch()
+	}
+	if got, want := take(), []int{0, 3, 5, 64, 70, 129}; !slices.Equal(got, want) {
+		t.Fatalf("touched %v, want %v", got, want)
+	}
+	if got := take(); got != nil {
+		t.Fatalf("a drained set yields %v", got)
+	}
+	radios[64].Touch() // still marked: no Reset cleared it
+	if got := take(); got != nil {
+		t.Fatalf("a touch before Reset re-added %v", got)
+	}
+	radios[64].Reset()
+	radios[64].Touch()
+	if got, want := take(), []int{64}; !slices.Equal(got, want) {
+		t.Fatalf("after Reset and a touch, touched %v, want %v", got, want)
+	}
+}

@@ -3,6 +3,7 @@ package medium
 import (
 	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -291,4 +292,109 @@ func TestIncrementalSumsMatchFreshFold(t *testing.T) {
 	if e.FramesMissed == 0 || e.Down() {
 		t.Fatalf("e missed %d frames, down=%v: the downtime is not exercised", e.FramesMissed, e.Down())
 	}
+}
+
+// TestLockAndVerdictMatchUncached drives one receiver through random
+// arrival sequences — leading and trailing edges in random order, with
+// powers from far under the noise floor to far over it, some so weak
+// that adding them leaves the floor's bits unchanged, some exactly on
+// the lock threshold — and holds every preamble-lock and decode
+// decision to the formula with no cached floor: the lock test against
+// phy.MilliwattToDBm of the pre-arrival floor fold, the verdict against
+// phy.MilliwattToDBm of the noise floor plus the worst interference.
+// Every floor a decision reads must also convert to the uncached
+// value's exact bits. Both the bare-floor case the cache serves and the
+// interfered one must occur, with both outcomes each.
+func TestLockAndVerdictMatchUncached(t *testing.T) {
+	env, prof := newEnv()
+	// A preamble-detect threshold under the 1 Mbit/s SINR requirement
+	// over the bare floor, so a lock on a quiet channel can fail too.
+	prof.SINRRequiredDB[phy.Rate1.Index()] = prof.PLCPDetectDBm - prof.NoiseFloorDBm + 3
+	h := &mockHandler{}
+	r := env.m.AddRadio(1, phy.Pos(0, 0), prof, h)
+	rng := rand.New(rand.NewSource(5))
+	rates := []phy.Rate{phy.Rate1, phy.Rate2, phy.Rate5_5, phy.Rate11}
+	var inAir []*transmission
+	// tally[bare][outcome] per decision kind.
+	var locks, verdicts [2][2]int
+	vanished := 0 // bare-floor lock decisions with arrivals in the air
+	// checkFloor holds the cached conversion to the uncached one, bit
+	// for bit, at every floor a decision reads.
+	checkFloor := func(mw float64) {
+		t.Helper()
+		if got, want := r.floorDBm(mw), phy.MilliwattToDBm(mw); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("floorDBm(%v) = %v, MilliwattToDBm %v", mw, got, want)
+		}
+	}
+	b2i := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for step := 0; step < 20000; step++ {
+		if len(inAir) == 0 || (len(inAir) < 6 && rng.Intn(2) == 0) {
+			tx := &transmission{f: dataFrame(2, 1, 100), rate: rates[rng.Intn(len(rates))]}
+			preFloor := r.floorMW
+			var dbm float64
+			switch rng.Intn(5) {
+			case 0:
+				dbm = -300 + 100*rng.Float64() // mostly vanishes into the floor's rounding
+			case 1:
+				// Exactly on the lock threshold: a floor off by one ulp
+				// flips the decision.
+				dbm = phy.MilliwattToDBm(preFloor) + prof.SINRRequiredDB[phy.Rate1.Index()]
+			default:
+				dbm = -110 + 40*rng.Float64()
+			}
+			checkFloor(preFloor)
+			idle := r.locked == nil && r.state == stateListen && dbm >= prof.PLCPDetectDBm
+			want := dbm >= phy.MilliwattToDBm(preFloor)+prof.SINRRequiredDB[phy.Rate1.Index()]
+			r.arrivalStart(tx, dbm, phy.DBmToMilliwatt(dbm))
+			inAir = append(inAir, tx)
+			if idle {
+				if got := r.locked == tx; got != want {
+					t.Fatalf("step %d: lock at %v dBm over floor %v mW: got %v, uncached formula %v", step, dbm, preFloor, got, want)
+				}
+				bare := preFloor == r.lin.NoiseFloorMW
+				locks[b2i(bare)][b2i(want)]++
+				if bare && len(r.arrivals) > 1 {
+					vanished++
+				}
+			}
+			continue
+		}
+		i := rng.Intn(len(inAir))
+		tx := inAir[i]
+		inAir = append(inAir[:i], inAir[i+1:]...)
+		locked := r.locked == tx
+		floor := r.lin.NoiseFloorMW + r.maxInterfMW
+		checkFloor(floor)
+		idx := tx.rate.Index()
+		want := r.lockedPower >= prof.SensitivityDBm[idx] &&
+			r.lockedPower-phy.MilliwattToDBm(floor) >= prof.SINRRequiredDB[idx]
+		n := len(h.rx)
+		r.arrivalEnd(tx)
+		if !locked {
+			continue
+		}
+		if len(h.rx) != n+1 {
+			t.Fatalf("step %d: the locked frame ended without an RxEnd", step)
+		}
+		if got := h.rx[n].ok; got != want {
+			t.Fatalf("step %d: verdict at %v dBm over floor %v mW: got %v, uncached formula %v", step, r.lockedPower, floor, got, want)
+		}
+		verdicts[b2i(floor == r.lin.NoiseFloorMW)][b2i(want)]++
+	}
+	for bare := range 2 {
+		for outcome := range 2 {
+			if locks[bare][outcome] == 0 || verdicts[bare][outcome] == 0 {
+				t.Fatalf("decision mix (bare floor, outcome): locks %v, verdicts %v; want every cell exercised", locks, verdicts)
+			}
+		}
+	}
+	if vanished == 0 {
+		t.Fatal("no bare-floor lock decision had arrivals in the air: the rounding case is not exercised")
+	}
+	t.Logf("locks %v, verdicts %v (indexed [bare floor][outcome]); %d bare-floor locks over vanished arrivals", locks, verdicts, vanished)
 }

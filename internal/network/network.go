@@ -223,8 +223,10 @@ type Stack struct {
 
 	// frozenSpace is the length of space at FreezeSubscribers time: the
 	// construction-time (transport) subscribers that survive Reset,
-	// as opposed to per-run application sources registered later.
+	// as opposed to per-run application sources registered later, which
+	// touch the station (frozen is set).
 	frozenSpace int
+	frozen      bool
 
 	Forwarding bool // enable packet forwarding (off by default)
 
@@ -358,7 +360,18 @@ func (s *Stack) handler(p Protocol) Handler {
 
 // OnQueueSpace subscribes to transmit-queue space notifications, used by
 // transports for backpressure.
-func (s *Stack) OnQueueSpace(fn func()) { s.space = append(s.space, fn) }
+func (s *Stack) OnQueueSpace(fn func()) {
+	if s.frozen {
+		s.Touch()
+	}
+	s.space = append(s.space, fn)
+}
+
+// Touch marks the station's state changed since the last Reset
+// (mac.MAC.Touch). The stack touches where it can be written from
+// above — a send, a per-run subscriber; what it receives comes up
+// through a radio that touched already. Transports touch through it.
+func (s *Stack) Touch() { s.mac.Touch() }
 
 // FreezeSubscribers marks the current queue-space subscriber set as the
 // stack's permanent baseline. The station builder calls it once, after
@@ -366,7 +379,10 @@ func (s *Stack) OnQueueSpace(fn func()) { s.space = append(s.space, fn) }
 // run's application sources (saturating CBR refills and the like), and
 // Reset truncates back to the frozen baseline so a reused network does
 // not accumulate — or wrongly re-trigger — the previous run's sources.
-func (s *Stack) FreezeSubscribers() { s.frozenSpace = len(s.space) }
+func (s *Stack) FreezeSubscribers() {
+	s.frozenSpace = len(s.space)
+	s.frozen = true
+}
 
 // Reset clears the stack's per-run state for arena reuse: counters
 // zero and queue-space subscribers truncated to the FreezeSubscribers
@@ -404,6 +420,7 @@ func (s *Stack) SendPacket(p Protocol, pkt []byte, dst Addr) error {
 	if len(pkt) < HeaderBytes {
 		panic(fmt.Sprintf("network: SendPacket of %d bytes, below the %d-byte header", len(pkt), HeaderBytes))
 	}
+	s.Touch()
 	hw, err := s.linkDst(dst)
 	if err != nil {
 		return err
@@ -460,6 +477,7 @@ func (s *Stack) queue(pkt []byte, hw frame.Addr) error {
 // how routes get bootstrapped in the first place — and their frames ride
 // a basic rate every station can decode.
 func (s *Stack) SendControl(p Protocol, payload []byte, dst Addr, rate phy.Rate) error {
+	s.Touch()
 	h := Header{
 		Src:    s.addr,
 		Dst:    dst,

@@ -216,17 +216,27 @@ func (n *Network) KernelStats() sim.Stats {
 
 // Reset re-seeds a built network for a fresh run without rebuilding it:
 // the scheduler arena empties back to time zero, the random source
-// re-roots at seed, and every layer of every station (radio, MAC,
-// stack, UDP, TCP) returns to its just-built state, with station i
-// re-placed at positions[i]. Station count, per-station MAC
-// configuration and radio profiles are construction-time decisions and
-// survive — which is exactly what makes Reset so much cheaper than
+// re-roots at seed, station i is re-placed at positions[i], and every
+// station the previous run touched returns to its just-built state in
+// every layer (radio, MAC, stack, UDP, TCP). Station count, per-station
+// MAC configuration and radio profiles are construction-time decisions
+// and survive — which is exactly what makes Reset so much cheaper than
 // rebuilding: the per-station stacks, the map allocations and the rng
 // stream states are all reused.
 //
-// The per-station reset order mirrors AddStationProfile's construction
-// order, so the t=0 events a reset network schedules (IBSS beacons) get
-// the same sequence numbers as on a fresh build — a Reset-then-run is
+// A station joins the medium's touched set at its first state change —
+// an arrival or transmission at its radio, a queued MSDU, an armed
+// beacon, a port binding (medium.Radio.Touch) — and every other
+// station still holds its just-built state, so Reset walks only that
+// set: a few thousand of the quartered city's 25,000 stations. A move
+// alone changes only the position, which the medium restores from its
+// dense position mirror. Random streams re-root by themselves at their
+// first draw after the Reseed (sim.Stream).
+//
+// The set is walked in ascending station order, the construction order
+// of AddStationProfile, so the t=0 events a reset network schedules
+// (IBSS beacons, every one of them on a touched station) get the same
+// sequence numbers as on a fresh build — a Reset-then-run is
 // bit-identical to a build-then-run at the same seed (the scenario
 // package's reuse tests pin this).
 func (n *Network) Reset(seed uint64, positions []phy.Position) {
@@ -241,14 +251,15 @@ func (n *Network) Reset(seed uint64, positions []phy.Position) {
 	}
 	n.Sched.Reset()
 	n.Source.Reseed(seed)
-	n.Medium.Reset()
-	for i, st := range n.Stations {
-		st.Radio.Reset(positions[i])
-		st.MAC.Reset(n.Source)
+	n.Medium.Reset(positions)
+	n.Medium.TakeTouched(func(i int) {
+		st := n.Stations[i]
+		st.Radio.Reset()
+		st.MAC.Reset()
 		st.Net.Reset()
 		st.UDP.Reset()
-		st.TCP.Reset(n.Source)
-	}
+		st.TCP.Reset()
+	})
 }
 
 // Now returns the current simulated time.

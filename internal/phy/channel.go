@@ -474,6 +474,11 @@ func (w Weather) Apply(p *Profile) *Profile {
 type Linear struct {
 	// NoiseFloorMW is DBmToMilliwatt(Profile.NoiseFloorDBm).
 	NoiseFloorMW float64
+	// NoiseFloorDBm is MilliwattToDBm(NoiseFloorMW): the floor the SINR
+	// tests compare against when no interference adds to the noise. The
+	// round trip need not return Profile.NoiseFloorDBm's bits, so the
+	// medium uses this value, never the profile's.
+	NoiseFloorDBm float64
 	// CCAThresholdMW is DBmToMilliwatt(Profile.CCAThresholdDBm).
 	CCAThresholdMW float64
 	// SensitivityMW[rate.Index()] is the per-rate decode sensitivity in
@@ -491,6 +496,7 @@ func (p *Profile) Linearize() Linear {
 		NoiseFloorMW:   DBmToMilliwatt(p.NoiseFloorDBm),
 		CCAThresholdMW: DBmToMilliwatt(p.CCAThresholdDBm),
 	}
+	l.NoiseFloorDBm = MilliwattToDBm(l.NoiseFloorMW)
 	for i, s := range p.SensitivityDBm {
 		l.SensitivityMW[i] = DBmToMilliwatt(s)
 	}

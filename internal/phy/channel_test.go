@@ -400,6 +400,24 @@ func TestLinearizeMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestLinearNoiseFloorDBm pins the cached dBm form of the linear noise
+// floor for every built-in profile, bit for bit: it must be
+// MilliwattToDBm of NoiseFloorMW's exact bits, the value the medium's
+// lock and verdict tests computed per call before the cache, and for
+// the built-in -100 dBm floors that round trip lands back on -100.
+func TestLinearNoiseFloorDBm(t *testing.T) {
+	for _, p := range []*Profile{DefaultProfile(), TestbedProfile(), CityProfile(),
+		WeatherClear.Apply(DefaultProfile()), WeatherDamp.Apply(DefaultProfile())} {
+		l := p.Linearize()
+		if got, want := math.Float64bits(l.NoiseFloorDBm), math.Float64bits(MilliwattToDBm(l.NoiseFloorMW)); got != want {
+			t.Errorf("%s: NoiseFloorDBm bits %#x, want MilliwattToDBm(NoiseFloorMW) %#x", p.Name, got, want)
+		}
+		if got := math.Float64bits(l.NoiseFloorDBm); got != 0xc059000000000000 {
+			t.Errorf("%s: NoiseFloorDBm bits %#x, want %#x (-100 dBm)", p.Name, got, uint64(0xc059000000000000))
+		}
+	}
+}
+
 // checkFadeCut runs one EpochShadowAbove decision and holds it to its
 // contract: a rejection must mean that the full composition the medium
 // would have summed, base + (static + EpochShadowDB), lands below the

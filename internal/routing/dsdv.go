@@ -167,11 +167,10 @@ type dsdvEntry struct {
 // Reset-surviving subscriptions) and arm it with Start. On an arena
 // reuse, call Reset after the owning network's Reset.
 type DSDV struct {
-	sched  *sim.Scheduler
-	source *sim.Source
-	rng    sim.Stream // advertisement jitter
-	node   Node
-	cfg    DSDVConfig
+	sched *sim.Scheduler
+	rng   sim.Stream // advertisement jitter
+	node  Node
+	cfg   DSDVConfig
 
 	// table plus its deterministic iteration order: advertisement
 	// content must not depend on Go map ordering. table and the four
@@ -229,12 +228,11 @@ var _ mac.TxObserver = (*DSDV)(nil)
 // forwarding + RequireRoutes mode. Call Start to begin advertising.
 func New(sched *sim.Scheduler, source *sim.Source, node Node, cfg DSDVConfig) *DSDV {
 	r := &DSDV{
-		sched:  sched,
-		source: source,
-		node:   node,
-		cfg:    cfg.withDefaults(),
+		sched: sched,
+		rng:   source.Lazy(dsdvKey(node.Addr)),
+		node:  node,
+		cfg:   cfg.withDefaults(),
 	}
-	r.rng = source.Lazy(dsdvKey(node.Addr))
 	node.Stack.Handle(network.ProtoRouting, r.onAdvert)
 	node.MAC.AddTxObserver(r)
 	node.Stack.Forwarding = true
@@ -268,12 +266,11 @@ func (r *DSDV) Start() {
 
 // Reset returns the instance to its just-built state for a new run on
 // a reused arena: route table, sequence number and counters clear, the
-// jitter rng re-derives from the (re-seeded) source, the stale event
-// handles drop (the owning scheduler has been Reset), the stack's
-// route table empties, and Start re-arms. The stack handler and MAC
-// observer subscriptions persist from New.
+// stale event handles drop (the owning scheduler has been Reset), the
+// stack's route table empties, and Start re-arms; the jitter stream
+// re-roots at its next draw after the source's Reseed (sim.Stream).
+// The stack handler and MAC observer subscriptions persist from New.
 func (r *DSDV) Reset() {
-	r.rng.Reset(r.source)
 	clear(r.table)
 	r.order = r.order[:0]
 	clear(r.blacklist)

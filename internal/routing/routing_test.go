@@ -266,10 +266,10 @@ func TestDSDVResetMatchesFresh(t *testing.T) {
 	run(reused, routers)
 	reused.sched.Reset()
 	reused.src.Reseed(7)
-	reused.med.Reset()
+	reused.med.Reset(pos)
 	for i := range reused.nodes {
-		reused.radios[i].Reset(pos[i])
-		reused.macs[i].Reset(reused.src)
+		reused.radios[i].Reset()
+		reused.macs[i].Reset()
 		reused.nodes[i].Stack.Reset()
 	}
 	for _, r := range routers {

@@ -174,8 +174,8 @@ func TestResetAllocs(t *testing.T) {
 		spec Spec
 		max  float64
 	}{
-		{"quartered-city", city, 215}, // 179 measured
-		{"churn-mesh-5x5", mesh, 160}, // 134 measured
+		{"quartered-city", city, 215}, // 184 measured
+		{"churn-mesh-5x5", mesh, 160}, // 132 measured
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.spec.Seed = 42

@@ -474,11 +474,14 @@ func (inst *Instance) attachWorkload() {
 // Reset re-seeds the instance in place for a new replication, reusing
 // the built network instead of compiling the spec from scratch: the
 // topology is re-drawn (and any NearestDst flows re-paired) under the
-// new seed, every protocol layer returns to its just-built state via
-// node.Network.Reset, and fresh sinks and sources attach at time zero.
-// The result of Reset(s) followed by Run is bit-identical to
-// Build-with-seed-s followed by Run; TestReplicateReuseMatchesRebuild
-// pins this for the preset library.
+// new seed, node.Network.Reset re-places the stations and returns each
+// one the previous run touched to its just-built state (the rest still
+// hold it), and fresh sinks and sources attach at time zero, touching
+// their stations for the next Reset. The result of Reset(s) followed by
+// Run is bit-identical to Build-with-seed-s followed by Run;
+// TestReplicateReuseMatchesRebuild pins this for the preset library,
+// and TestResetMatchesBuildState holds every station's state to a
+// fresh build's.
 //
 // Station count, MAC configuration and radio profiles come from the
 // spec and do not depend on the seed, so they survive — that reuse is

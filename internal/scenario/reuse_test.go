@@ -18,7 +18,7 @@ import (
 // forces Reset to re-place every radio and re-resolve the flow matrix,
 // and a rate-fallback link whose rate moves, so a Reset that forgot the
 // ARF state would start the next replication at a stale rate.
-func reuseSpecs(t *testing.T) []Spec {
+func reuseSpecs(t testing.TB) []Spec {
 	t.Helper()
 	var specs []Spec
 	for _, spec := range Presets() {
@@ -139,48 +139,55 @@ func TestReplicateReuseMatchesRebuild(t *testing.T) {
 // TestInstanceResetMatchesBuild exercises Reset directly, outside the
 // sweep machinery: running seed B on a network previously run at seed A
 // must reproduce the fresh-build seed-B result exactly, including after
-// several back-to-back reseeds of the same arena.
+// several back-to-back reseeds of the same arena. The four-node preset
+// uses the testbed profile, whose static per-link shadowing draws are
+// the seed-dependent state most easily left stale by a broken reseed;
+// the quartered block city at 200 ms is sparse — its 32 flows touch a
+// few thousand of its 25,000 stations — so nearly every station is one
+// a Reset leaves alone.
 func TestInstanceResetMatchesBuild(t *testing.T) {
-	// The four-node preset uses the testbed profile, whose static
-	// per-link shadowing draws are the seed-dependent state most easily
-	// left stale by a broken reseed.
-	var spec Spec
+	var four Spec
 	for _, s := range reuseSpecs(t) {
 		if s.Name == "paper-four-node" {
-			spec = s
+			four = s
 			break
 		}
 	}
-	if spec.Name == "" {
+	if four.Name == "" {
 		t.Fatal("paper-four-node preset missing from reuse specs")
 	}
+	city := cityShortSpec(t, "clustered-blocks-100k", 200*time.Millisecond)
+	quarterCity(&city)
+	city.Seed = 42
 	seeds := []uint64{42, 1001, 42, 7} // includes returning to an earlier seed
 
-	fresh := make([]Result, len(seeds))
-	for i, seed := range seeds {
-		s := spec
-		s.Seed = seed
-		fresh[i] = MustRun(s)
-	}
-
-	s := spec
-	inst, err := Build(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range seeds {
-		if i == 0 && seed == spec.Seed {
-			// First run uses the built instance as-is.
-		} else if err := inst.Reset(seed); err != nil {
-			t.Fatal(err)
-		}
-		horizon := inst.Spec.Duration.D()
-		inst.Net.Run(horizon)
-		got := inst.Collect(horizon)
-		a, _ := json.Marshal(got)
-		b, _ := json.Marshal(fresh[i])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("reset run %d (seed %d) diverged from fresh build:\nreset: %s\nfresh: %s", i, seed, a, b)
-		}
+	for _, spec := range []Spec{four, city} {
+		t.Run(spec.Name, func(t *testing.T) {
+			if spec.Name == city.Name && testing.Short() {
+				t.Skip("city-scale preset runs: skipped in -short")
+			}
+			inst, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, seed := range seeds {
+				if i == 0 && seed == spec.Seed {
+					// First run uses the built instance as-is.
+				} else if err := inst.Reset(seed); err != nil {
+					t.Fatal(err)
+				}
+				s := spec
+				s.Seed = seed
+				fresh := MustRun(s)
+				horizon := inst.Spec.Duration.D()
+				inst.Net.Run(horizon)
+				got := inst.Collect(horizon)
+				a, _ := json.Marshal(got)
+				b, _ := json.Marshal(fresh)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("reset run %d (seed %d) diverged from fresh build:\nreset: %s\nfresh: %s", i, seed, a, b)
+				}
+			}
+		})
 	}
 }

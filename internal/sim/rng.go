@@ -12,6 +12,9 @@ import (
 // across code changes.
 type Source struct {
 	seed uint64
+	// epoch counts the source's Reseeds. A Stream whose generator was
+	// seeded under an older epoch re-roots at its next draw.
+	epoch uint64
 }
 
 // NewSource returns a stream factory rooted at seed.
@@ -21,12 +24,15 @@ func NewSource(seed uint64) *Source { return &Source{seed: seed} }
 func (s *Source) Seed() uint64 { return s.seed }
 
 // Reseed re-roots the source at a new seed, the arena-reuse equivalent
-// of constructing a fresh Source. Hash-based draws (Hash64, HashNorm)
-// pick up the new seed immediately; streams handed out by Stream were
-// seeded from the old root and stay on it, so every holder of a derived
-// stream must re-derive it after Reseed (the per-subsystem Reset
-// methods do).
-func (s *Source) Reseed(seed uint64) { s.seed = seed }
+// of constructing a fresh Source, even when seed is the current one.
+// Hash-based draws (Hash64, HashNorm) pick up the new seed
+// immediately, and so does every Stream (see Lazy) at its next draw.
+// Generators handed out by Stream and StreamFor were seeded from the
+// old root and stay on it.
+func (s *Source) Reseed(seed uint64) {
+	s.seed = seed
+	s.epoch++
+}
 
 // Stream returns a deterministic pseudo-random stream named name.
 // Streams with distinct names are statistically independent; calling
@@ -36,10 +42,10 @@ func (s *Source) Stream(name string) *rand.Rand {
 	return s.StreamFor(KeyFor(name))
 }
 
-// A StreamKey is a stream name in pre-hashed form. Subsystems that
-// re-derive their stream on every arena reset (one per station, every
-// replication) hold the key from construction so the reset skips the
-// name formatting and hashing.
+// A StreamKey is a stream name in pre-hashed form. A Stream holds its
+// key from construction, so re-rooting it after every Reseed (one per
+// station that draws, every replication) skips the name formatting and
+// hashing.
 type StreamKey uint64
 
 // KeyFor returns the key naming name: StreamFor(KeyFor(name)) and
@@ -77,39 +83,55 @@ func (s *Source) StreamFor(k StreamKey) *rand.Rand {
 // that takes microseconds to seed; a city-scale network names one
 // backoff and one ISN stream per station, and only the stations that
 // contend or dial ever draw from theirs, so a Stream costs the rest
-// nothing. A stream is a pure function of (root seed, key), and the
-// root seed changes only at Reseed, after which the owner calls Reset,
-// so drawing from a Stream yields exactly what StreamFor(key) yields
-// under the same root.
+// nothing.
+//
+// A stream is a pure function of (root seed, key), and it follows its
+// source's root by itself: the first draw after a Reseed re-seeds the
+// generator in place, without allocating, as if the owner had called
+// src.Lazy(key) again. So drawing from a Stream yields exactly what
+// StreamFor(key) yields under the current root, and its owner needs no
+// reset for it — which is what lets a network Reset skip the stations
+// a run never touched.
 //
 // In parallel mode the generator is created and drawn from by its
-// station's region goroutine alone; the source's root seed is only
-// read there.
+// station's region goroutine alone; the source's root seed and epoch
+// are only read there.
 type Stream struct {
 	src *Source
 	key StreamKey
-	r   *rand.Rand
+	g   *generator // nil until the first draw
+}
+
+// generator is a Stream's math/rand generator and the source epoch it
+// was last seeded under. The epoch lives here, not in the Stream, so a
+// stream that never draws costs its owner three words.
+type generator struct {
+	rand.Rand
+	epoch uint64
 }
 
 // Lazy returns the stream named by k, not yet created.
 func (s *Source) Lazy(k StreamKey) Stream { return Stream{src: s, key: k} }
 
-// Rand returns the stream's generator, creating it at the first call.
+// Rand returns the stream's generator, creating it at the first call
+// and re-seeding it at the first call after each Reseed of its source.
 func (st *Stream) Rand() *rand.Rand {
-	if st.r == nil {
-		st.r = st.src.StreamFor(st.key)
+	if g := st.g; g != nil && g.epoch == st.src.epoch {
+		return &g.Rand
 	}
-	return st.r
+	return st.reroot()
 }
 
-// Reset re-roots the stream at src's current root seed, as if it were
-// src.Lazy(key) again: a generator already created is reseeded in place,
-// without allocating, and one never created stays uncreated.
-func (st *Stream) Reset(src *Source) {
-	st.src = src
-	if st.r != nil {
-		st.r.Seed(src.streamSeed(st.key))
+// reroot seeds the generator from the source's current root.
+func (st *Stream) reroot() *rand.Rand {
+	seed := st.src.streamSeed(st.key)
+	if st.g == nil {
+		st.g = &generator{Rand: *rand.New(rand.NewSource(seed))}
+	} else {
+		st.g.Seed(seed)
 	}
+	st.g.epoch = st.src.epoch
+	return &st.g.Rand
 }
 
 func (s *Source) streamSeed(k StreamKey) int64 {

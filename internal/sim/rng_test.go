@@ -247,35 +247,41 @@ func TestKeyForIsFNV1a(t *testing.T) {
 }
 
 // TestLazyStreamMatchesStreamFor checks that a Stream draws exactly what
-// StreamFor does under the same root, both when first created and after
-// a Reseed and Reset, whether or not it had drawn before the Reseed.
+// StreamFor does under the current root: when first created, and after
+// a Reseed, whether or not it had drawn before the Reseed. A stream
+// created under seed A and never drawn from draws B's stream after
+// Reseed(B); one that has drawn rewinds to the start of its stream when
+// the source is re-rooted at the same seed. After the first draw, no
+// draw allocates, re-seeds included.
 func TestLazyStreamMatchesStreamFor(t *testing.T) {
 	src := NewSource(42)
 	k := KeyFor("x")
 	drawn, idle := src.Lazy(k), src.Lazy(k)
-	ref := src.StreamFor(k)
-	for i := 0; i < 10; i++ {
-		if got, want := drawn.Rand().Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("draw %d: %#x, want %#x", i, got, want)
+	expect := func(what string, st *Stream, seed uint64) {
+		t.Helper()
+		ref := NewSource(seed).StreamFor(k)
+		for i := 0; i < 10; i++ {
+			if got, want := st.Rand().Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("%s, draw %d: %#x, want %#x", what, i, got, want)
+			}
 		}
 	}
+	expect("first draws", &drawn, 42)
 	src.Reseed(7)
-	drawn.Reset(src)
-	idle.Reset(src)
-	if idle.r != nil {
-		t.Fatal("Reset created a stream that had never drawn")
+	if idle.g != nil {
+		t.Fatal("Reseed created a stream that had never drawn")
 	}
-	ref = src.StreamFor(k)
-	for i := 0; i < 10; i++ {
-		want := ref.Uint64()
-		if got := drawn.Rand().Uint64(); got != want {
-			t.Fatalf("after Reseed, draw %d of a used stream: %#x, want %#x", i, got, want)
-		}
-	}
-	ref = src.StreamFor(k)
-	for i := 0; i < 10; i++ {
-		if got, want := idle.Rand().Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("after Reseed, draw %d of a fresh stream: %#x, want %#x", i, got, want)
-		}
+	expect("after Reseed(7), a used stream", &drawn, 7)
+	expect("after Reseed(7), a stream created under 42", &idle, 7)
+	src.Reseed(7)
+	expect("after a second Reseed(7), a used stream", &drawn, 7)
+
+	allocs := testing.AllocsPerRun(20, func() {
+		src.Reseed(src.Seed() + 1)
+		drawn.Rand().Uint64()
+		idle.Rand().Uint64()
+	})
+	if allocs != 0 {
+		t.Errorf("re-seeding draws allocate %.1f objects, want 0", allocs)
 	}
 }

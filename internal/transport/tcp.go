@@ -162,19 +162,19 @@ const issPrefix = "tcp.iss."
 
 // Listen registers an accept callback for a local port.
 func (t *TCP) Listen(port uint16, accept func(*Conn)) {
+	t.stack.Touch()
 	if t.listeners == nil {
 		t.listeners = make(map[uint16]func(*Conn))
 	}
 	t.listeners[port] = accept
 }
 
-// Reset discards every connection and listener and re-derives the ISN
-// stream from src (which the caller has just Reseed-ed), returning the
-// TCP layer to its just-constructed state for a new run on a reused
-// network. The owning scheduler must have been Reset first, so the
-// discarded connections' timers are already gone.
-func (t *TCP) Reset(src *sim.Source) {
-	t.rng.Reset(src)
+// Reset discards every connection and listener, returning the TCP
+// layer to its just-constructed state for a new run on a reused
+// network; the ISN stream re-roots by itself at its next draw after the
+// source's Reseed (sim.Stream). The owning scheduler must have been
+// Reset first, so the discarded connections' timers are already gone.
+func (t *TCP) Reset() {
 	clear(t.conns)
 	clear(t.listeners)
 	t.nextPort = 49152

@@ -46,6 +46,7 @@ func NewUDP(stack *network.Stack) *UDP {
 
 // Listen binds a handler to a local port, replacing any previous one.
 func (u *UDP) Listen(port uint16, h UDPHandler) {
+	u.stack.Touch()
 	if u.ports == nil {
 		u.ports = make(map[uint16]UDPHandler)
 	}
