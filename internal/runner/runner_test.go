@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"runtime/metrics"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -167,6 +169,9 @@ func TestProgressWriter(t *testing.T) {
 // pool, so there a shortfall fails only if the Go scheduler left its
 // processors idle during the parallel pass (the pool did not fill
 // them); when the pool kept them busy in every attempt, the test skips.
+// Each attempt first waits, for at most a minute over the whole test,
+// until the host's processors are mostly idle, so that it measures the
+// pool rather than the package that go test runs beside it.
 func TestParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -189,7 +194,9 @@ func TestParallelSpeedup(t *testing.T) {
 	const jobs = 16
 	var best float64
 	var idle []float64
+	quietBy := time.Now().Add(time.Minute)
 	for attempt := 0; attempt < 3; attempt++ {
+		waitForQuietHost(quietBy)
 		t0 := time.Now()
 		serial := Map(Config{Workers: 1}, jobs, work)
 		serialDur := time.Since(t0)
@@ -214,6 +221,47 @@ func TestParallelSpeedup(t *testing.T) {
 		t.Skipf("%s: the pool kept every processor busy, so other processes took the cores", msg)
 	}
 	t.Fatal(msg)
+}
+
+// waitForQuietHost returns once the host's processors were at least
+// 80% idle over a 200 ms window, or at the deadline. It reads the
+// aggregate "cpu" line of /proc/stat; where that file is missing or
+// unreadable it returns at once.
+func waitForQuietHost(deadline time.Time) {
+	for time.Now().Before(deadline) {
+		idle0, total0, ok := hostCPUTicks()
+		time.Sleep(200 * time.Millisecond)
+		idle1, total1, ok1 := hostCPUTicks()
+		if !ok || !ok1 || total1 <= total0 || float64(idle1-idle0) >= 0.8*float64(total1-total0) {
+			return
+		}
+	}
+}
+
+// hostCPUTicks returns the idle (idle plus iowait) and total clock ticks
+// of all processors since boot, as /proc/stat counts them. It sums the
+// first eight counters (user to steal); guest time is already in user.
+func hostCPUTicks() (idle, total uint64, ok bool) {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0, false
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	fields := strings.Fields(line)
+	if len(fields) < 6 || fields[0] != "cpu" {
+		return 0, 0, false
+	}
+	for i, f := range fields[1:min(len(fields), 9)] {
+		v, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return 0, 0, false
+		}
+		total += v
+		if i == 3 || i == 4 {
+			idle += v
+		}
+	}
+	return idle, total, true
 }
 
 // idleShare runs f and returns the share of the Go processors' time
